@@ -1,81 +1,33 @@
-"""Smooth boosting: margin bookkeeping, the sampling and filtering
-drivers, and majority-vote combination.
+"""Smooth boosting: the weight rule, the boosting loop, and majority-vote
+combination.
 
 Weights follow the fixed-margin rule with theta = gamma / (2 + gamma):
 the margin of a point advances by f(x) h_t(x) - theta per stage, and
 its weight is 1 below zero margin and (1 - gamma)**(margin / 2) above,
-so every weight stays in (0, 1]. The sampling driver stops once the
-mean weight over its sample is at most epsilon; the filtering driver
-estimates the mean weight from one shared uniform sample and stops at
-2 * epsilon / 3, so the true mean is at most epsilon whenever the
-estimate stayed within its epsilon / 3 budget. Either way the induced
-stage distributions never put more than a 3 / epsilon multiple of
-uniform on any point, which is the smoothness the weak learner needs.
+so every weight stays in (0, 1]. The loop estimates the mean weight
+from one shared labeled sample and stops at 2 * epsilon / 3, so the
+true mean is at most epsilon whenever the estimate stayed within its
+epsilon / 3 budget. The induced stage distributions never put more than
+a 3 / epsilon multiple of uniform on any point, which is the smoothness
+the weak learner needs.
 """
 from __future__ import annotations
 
-import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
-from .simulator import QueryCounter
-from .weaklearn import SharedSample, WeakHypothesis
+from .weaklearn import SharedSample
 
 
 class StageBudgetExceeded(Exception):
     """The stage cap was hit, so some weak hypothesis fell short of gamma."""
 
 
-@dataclass
-class BoostState:
-    """Accepted hypotheses plus the margin parameters.
-
-    Margins and weights are pure functions of this state; they are never
-    stored here, only recomputed (drivers may keep local accumulators).
-    """
-
-    gamma: float
-    hypotheses: list = field(default_factory=list)
-
-    def __post_init__(self):
-        if not 0.0 < self.gamma < 0.5:
-            raise ValueError("gamma must lie in (0, 1/2)")
-
-    @property
-    def theta(self) -> float:
-        return self.gamma / (2.0 + self.gamma)
-
-    @property
-    def stage(self) -> int:
-        return len(self.hypotheses)
-
-
-def margin_sum(state: BoostState, f_values, xs):
-    """Sum of f(x) h_i(x) - theta over accepted hypotheses; O(t) per point."""
-    xs = np.asarray(xs, dtype=np.int64)
-    f_values = np.asarray(f_values, dtype=np.float64)
-    total = np.zeros(np.broadcast(xs, f_values).shape, dtype=np.float64)
-    for hyp in state.hypotheses:
-        total += f_values * hyp.values(xs) - state.theta
-    return total
-
-
 def weight_from_margin(margins, gamma: float):
     """1 below zero margin, geometric decay (1 - gamma)**(margin/2) above."""
     margins = np.asarray(margins, dtype=np.float64)
     return np.where(margins < 0.0, 1.0, (1.0 - gamma) ** (np.maximum(margins, 0.0) / 2.0))
-
-
-def point_weight(state: BoostState, f_values, xs):
-    """Current boosting weight in (0, 1] at the given points."""
-    return weight_from_margin(margin_sum(state, f_values, xs), state.gamma)
-
-
-def stage_budget(epsilon: float, gamma: float, scale: float = 2.0) -> int:
-    """Stage cap ceil(scale / (epsilon * gamma**2)); scale 2 matches the
-    termination bound of the weight-sum argument."""
-    return math.ceil(scale / (epsilon * gamma * gamma))
 
 
 @dataclass
@@ -107,79 +59,35 @@ def combine(hypotheses) -> CombinedHypothesis:
     return CombinedHypothesis(hypotheses)
 
 
-def smoothboost_sample(points, labels_sign, epsilon, gamma, weak_learner, rng=None,
-                       budget_scale: float = 2.0, trace: list | None = None) -> CombinedHypothesis:
-    """Boost over a fixed labeled sample.
+def boost(f_sign, sample: SharedSample, epsilon: float, gamma: float, budget: int,
+          weak_learner) -> tuple:
+    """Smooth-boost the +-1 target table ``f_sign`` over the whole cube.
 
-    ``weak_learner(points, labels_sign, dist, rng)`` must return a
-    :class:`WeakHypothesis` with advantage at least gamma under ``dist``
-    (which sums to one over the sample). Stops once the mean weight over
-    the sample reaches epsilon, after which the majority vote errs on
-    less than an epsilon fraction of the sample. ``trace``, if given,
-    collects (stage, mean_weight, hypothesis) rows.
+    Each stage estimates the mean weight as ``sample.counts @ weights /
+    sample.size`` and stops once it is at most 2*epsilon/3; otherwise
+    ``weak_learner(weights)`` returns the next :class:`WeakHypothesis`
+    for the stage distribution ``weights / (2**n * estimate)``. Returns
+    the majority vote and the estimates, one per accepted hypothesis
+    (taken before it) plus the final one. Raises
+    :class:`StageBudgetExceeded` when the estimate is still above
+    2*epsilon/3 after ``budget`` stages.
     """
     if not 0.0 < epsilon < 0.5:
         raise ValueError("epsilon must lie in (0, 1/2)")
-    state = BoostState(gamma)
-    points = np.asarray(points, dtype=np.int64)
-    labels_sign = np.asarray(labels_sign, dtype=np.float64)
-    m = points.size
-    budget = stage_budget(epsilon, gamma, budget_scale)
-    margins = np.zeros(m, dtype=np.float64)
+    if not 0.0 < gamma < 0.5:
+        raise ValueError("gamma must lie in (0, 1/2)")
+    f_sign = np.asarray(f_sign, dtype=np.float64)
+    xs = np.arange(f_sign.size, dtype=np.int64)
+    theta = gamma / (2.0 + gamma)
+    margins = np.zeros(f_sign.size, dtype=np.float64)
+    hypotheses, estimates = [], []
     while True:
         weights = weight_from_margin(margins, gamma)
-        mean_weight = float(weights.mean())
-        if mean_weight <= epsilon:
-            break
-        if state.stage >= budget:
-            raise StageBudgetExceeded(f"mean weight still {mean_weight:g} after {budget} stages")
-        dist = weights / (m * mean_weight)
-        hyp = weak_learner(points, labels_sign, dist, rng)
-        state.hypotheses.append(hyp)
-        if trace is not None:
-            trace.append((state.stage, mean_weight, hyp))
-        margins += labels_sign * hyp.values(points) - state.theta
-    return combine(state.hypotheses)
-
-
-def filter_sample_size(epsilon: float, gamma: float, scale: float = 8.0) -> int:
-    """Shared-sample size for estimating mean weights within epsilon/3 at
-    every stage of a run."""
-    return math.ceil(scale * math.log(1.0 / (epsilon * gamma) + 2.0) / epsilon**2)
-
-
-def smoothboost_filter(n, f_bits, counter: QueryCounter, epsilon, gamma, weak_learner, rng,
-                       sample: SharedSample | None = None, sample_scale: float = 8.0,
-                       budget_scale: float = 2.0, trace: list | None = None) -> CombinedHypothesis:
-    """Boost against a membership oracle with one up-front labeled sample.
-
-    The shared sample (drawn here unless supplied) serves every stage's
-    mean-weight estimate. ``weak_learner(sample, state, estimate, rng)``
-    returns the next :class:`WeakHypothesis`; the stage distribution it
-    must handle is the weight function divided by ``2**n * estimate``.
-    The loop exits at estimate <= 2*epsilon/3.
-    """
-    if not 0.0 < epsilon < 0.5:
-        raise ValueError("epsilon must lie in (0, 1/2)")
-    if sample is None:
-        sample = SharedSample.draw(n, filter_sample_size(epsilon, gamma, sample_scale),
-                                   f_bits, counter, rng)
-    state = BoostState(gamma)
-    budget = stage_budget(epsilon, gamma, budget_scale)
-    support = sample.support
-    support_counts = sample.counts[support].astype(np.float64)
-    support_labels = sample.labels_sign[support]
-    margins = np.zeros(support.size, dtype=np.float64)
-    while True:
-        weights = weight_from_margin(margins, gamma)
-        estimate = float(support_counts @ weights / sample.size)
-        if estimate <= 2.0 * epsilon / 3.0:
-            break
-        if state.stage >= budget:
-            raise StageBudgetExceeded(f"estimate still {estimate:g} after {budget} stages")
-        hyp = weak_learner(sample, state, estimate, rng)
-        state.hypotheses.append(hyp)
-        if trace is not None:
-            trace.append((state.stage, estimate, hyp))
-        margins += support_labels * hyp.values(support) - state.theta
-    return combine(state.hypotheses)
+        estimates.append(float(sample.counts @ weights / sample.size))
+        if estimates[-1] <= 2.0 * epsilon / 3.0:
+            return combine(hypotheses), estimates
+        if len(hypotheses) >= budget:
+            raise StageBudgetExceeded(f"estimate above 2*epsilon/3 after all {budget} stages")
+        hyp = weak_learner(weights)
+        hypotheses.append(hyp)
+        margins += f_sign * hyp.values(xs) - theta

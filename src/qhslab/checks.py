@@ -143,15 +143,17 @@ def suite_signed_digits() -> SuiteResult:
     return result
 
 
+SUITES = {
+    "spectrum-measurement": lambda seed, fault: suite_spectrum_measurement(seed, fault),
+    "amplification-law": lambda seed, fault: suite_amplification_law(seed),
+    "boost-bounds": lambda seed, fault: suite_boost_bounds(seed),
+    "signed-digits": lambda seed, fault: suite_signed_digits(),
+}
+
+
 def run_all(seed: int = 0, fault: str | None = None, names: list | None = None) -> list:
-    suites = {
-        "spectrum-measurement": lambda: suite_spectrum_measurement(seed, fault),
-        "amplification-law": lambda: suite_amplification_law(seed),
-        "boost-bounds": lambda: suite_boost_bounds(seed),
-        "signed-digits": suite_signed_digits,
-    }
-    picked = names or list(suites)
-    unknown = [name for name in picked if name not in suites]
+    picked = names or list(SUITES)
+    unknown = [name for name in picked if name not in SUITES]
     if unknown:
         raise ValueError(f"unknown suites: {unknown}")
-    return [suites[name]() for name in picked]
+    return [SUITES[name](seed, fault) for name in picked]

@@ -23,11 +23,11 @@ import numpy as np
 from . import seeds
 from .boolfn import (DnfFormula, dnf_to_json, heavy_coeffs, load_dnf, mux_dnf,
                      random_dnf, to_pm1, wht)
-from .boosting import BoostState, StageBudgetExceeded, weight_from_margin
-from .checks import FAULTS, run_all
-from .sieve import MODES, QhsConfig, WeakLearnerFailure, learn_dnf, query_sweep
+from .boosting import StageBudgetExceeded
+from .checks import FAULTS, SUITES, run_all
+from .sieve import MODES, QhsConfig, WeakLearnerFailure, learn_dnf, query_sweep, weak_learner
 from .simulator import QueryCounter, dump_state, prepare_spectrum_state
-from .weaklearn import SharedSample, exact_weak_parity, sampled_weak_parity, weighted_weak_parity
+from .weaklearn import SharedSample
 
 EXIT_OK = 0
 EXIT_PARAMS = 2
@@ -100,17 +100,10 @@ def cmd_weak(args) -> int:
     counter = QueryCounter()
     f_bits = formula.truth_table()
     f_sign = to_pm1(f_bits).astype(np.float64)
-    weights = np.ones(1 << cfg.n)
     sample = SharedSample.draw(cfg.n, cfg.sample_size, f_bits, counter,
                                seeds.derive(cfg.seed, seeds.SAMPLE_DRAW))
-    rng = seeds.derive(cfg.seed, seeds.WEAK_LEARNER)
-    if cfg.mode == "classical_exact":
-        hyp = exact_weak_parity(f_sign, weights, cfg.big_gamma)
-    elif cfg.mode == "classical_sampled":
-        hyp = sampled_weak_parity(sample, weights * f_sign, cfg.verify_threshold)
-    else:
-        hyp = weighted_weak_parity(f_sign, weights, cfg.big_gamma, cfg.stage_delta(),
-                                   sample, counter, rng, cfg.schedule_scale)
+    learn = weak_learner(cfg, f_sign, sample, counter, seeds.derive(cfg.seed, seeds.WEAK_LEARNER))
+    hyp = learn(np.ones(1 << cfg.n))
     payload = {
         "schema": 1,
         "config": cfg.to_dict(),
@@ -252,8 +245,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     verify = sub.add_parser("verify", help="run the invariant suites")
     verify.add_argument("--suite", action="append",
-                        choices=["spectrum-measurement", "amplification-law",
-                                 "boost-bounds", "signed-digits"],
+                        choices=list(SUITES),
                         help="run only the named suite (repeatable)")
     verify.add_argument("--inject-fault", choices=FAULTS, default=None,
                         help="test hook: sabotage one gate; the suites must then fail")

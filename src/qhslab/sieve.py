@@ -1,6 +1,6 @@
-"""The end-to-end learner: a filtering boost loop around the configured
-weak parity learner, with shared-sample estimation, per-stage telemetry,
-query accounting, exact final-error measurement, and grid sweeps.
+"""The end-to-end learner: :func:`boosting.boost` around the configured
+weak parity learner, with per-stage telemetry, query accounting, exact
+final-error measurement, and grid sweeps.
 
 One run draws a single uniform labeled sample, then repeats: estimate
 the mean boosting weight from the sample, stop once it falls to
@@ -12,8 +12,10 @@ sized) with probability controlled by delta.
 """
 from __future__ import annotations
 
+import itertools
 import json
 import math
+import numbers
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 
@@ -21,8 +23,7 @@ import numpy as np
 
 from . import seeds
 from .boolfn import DnfFormula, check_cap, random_dnf, to_pm1
-from .boosting import (BoostState, CombinedHypothesis, StageBudgetExceeded, combine,
-                       point_weight, weight_from_margin)
+from .boosting import StageBudgetExceeded, boost
 from .simulator import QueryCounter
 from .weaklearn import (NoHeavyCoefficient, SharedSample, exact_weak_parity,
                         sampled_weak_parity, weighted_weak_parity)
@@ -46,7 +47,9 @@ class QhsConfig:
     / (3 (2s+1)), stage budget ceil(stage_scale / (gamma**2 epsilon)),
     shared sample ceil(sample_scale * s**2 / epsilon**2). The weak
     learner's per-stage failure budget defaults to delta / (2 * budget)
-    and can be overridden through wl_delta.
+    and can be overridden through wl_delta. Construction rejects a
+    non-integer n or s, epsilon outside (0, 1/2) (the range
+    :func:`boosting.boost` accepts), and delta or wl_delta outside (0, 1).
     """
 
     n: int
@@ -62,13 +65,19 @@ class QhsConfig:
     seed: int = 0
 
     def __post_init__(self):
+        for name in ("n", "s"):
+            value = getattr(self, name)
+            if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+                raise ValueError(f"{name} must be an integer, not {value!r}")
         check_cap(self.n)
         if self.s < 0:
             raise ValueError("s must be nonnegative")
-        if not 0.0 < self.epsilon < 1.0:
-            raise ValueError("epsilon must lie in (0, 1)")
+        if not 0.0 < self.epsilon < 0.5:
+            raise ValueError("epsilon must lie in (0, 1/2)")
         if not 0.0 < self.delta < 1.0:
             raise ValueError("delta must lie in (0, 1)")
+        if self.wl_delta is not None and not 0.0 < self.wl_delta < 1.0:
+            raise ValueError("wl_delta must lie in (0, 1)")
         if self.mode not in MODES:
             raise ValueError(f"mode must be one of {MODES}")
 
@@ -193,13 +202,27 @@ class RunReport:
         return "\n".join(lines) + "\n"
 
 
-def _stage_hypothesis(cfg: QhsConfig, f_sign, weights, sample, counter, rng):
-    if cfg.mode == "classical_exact":
-        return exact_weak_parity(f_sign, weights, cfg.big_gamma)
-    if cfg.mode == "classical_sampled":
-        return sampled_weak_parity(sample, weights * f_sign, cfg.verify_threshold)
-    return weighted_weak_parity(f_sign, weights, cfg.big_gamma, cfg.stage_delta(),
-                                sample, counter, rng, cfg.schedule_scale)
+def weak_learner(cfg: QhsConfig, f_sign, sample: SharedSample, counter: QueryCounter, rng):
+    """The configured weak learner as a ``weights -> WeakHypothesis`` callable.
+
+    The learners are looked up by name at call time, and a stage without
+    a verified parity raises :class:`WeakLearnerFailure`.
+    """
+    stages = itertools.count(1)
+
+    def learn(weights):
+        t = next(stages)
+        try:
+            if cfg.mode == "classical_exact":
+                return exact_weak_parity(f_sign, weights, cfg.big_gamma)
+            if cfg.mode == "classical_sampled":
+                return sampled_weak_parity(sample, weights * f_sign, cfg.verify_threshold)
+            return weighted_weak_parity(f_sign, weights, cfg.big_gamma, cfg.stage_delta(),
+                                        sample, counter, rng, cfg.schedule_scale)
+        except NoHeavyCoefficient as exc:
+            raise WeakLearnerFailure(f"stage {t}: {exc}") from exc
+
+    return learn
 
 
 def learn_dnf(formula: DnfFormula, cfg: QhsConfig) -> tuple:
@@ -213,55 +236,26 @@ def learn_dnf(formula: DnfFormula, cfg: QhsConfig) -> tuple:
         raise ValueError(f"formula has n={formula.n} but the config says n={cfg.n}")
     if formula.size() > cfg.s:
         raise ValueError(f"formula has {formula.size()} terms, above the configured s={cfg.s}")
-    n = cfg.n
     counter = QueryCounter()
     f_bits = formula.truth_table()
     f_sign = to_pm1(f_bits).astype(np.float64)
-    xs = np.arange(1 << n, dtype=np.int64)
-
-    sample = SharedSample.draw(n, cfg.sample_size, f_bits, counter,
+    sample = SharedSample.draw(cfg.n, cfg.sample_size, f_bits, counter,
                                seeds.derive(cfg.seed, seeds.SAMPLE_DRAW))
-    rng = seeds.derive(cfg.seed, seeds.WEAK_LEARNER)
+    learn = weak_learner(cfg, f_sign, sample, counter, seeds.derive(cfg.seed, seeds.WEAK_LEARNER))
+    spent = [(0, 0)]  # query totals after each stage; stage 1 absorbs the sample draw
 
-    state = BoostState(cfg.gamma)
-    margins = np.zeros(1 << n, dtype=np.float64)
-    rows = []
-    termination = None
-    final_estimate = None
-    prev_q, prev_c = 0, 0
-    for t in range(1, cfg.stage_budget + 1):
-        weights = weight_from_margin(margins, cfg.gamma)
-        estimate = float(sample.counts @ weights / sample.size)
-        if estimate <= 2.0 * cfg.epsilon / 3.0:
-            termination = "converged"
-            final_estimate = estimate
-            break
-        try:
-            hyp = _stage_hypothesis(cfg, f_sign, weights, sample, counter, rng)
-        except NoHeavyCoefficient as exc:
-            raise WeakLearnerFailure(f"stage {t}: {exc}") from exc
-        state.hypotheses.append(hyp)
-        margins += f_sign * hyp.values(xs) - state.theta
-        rows.append(StageRow(t, estimate, hyp.a, hyp.sign, hyp.est_advantage,
-                             counter.quantum_queries - prev_q,
-                             counter.classical_queries - prev_c))
-        prev_q, prev_c = counter.quantum_queries, counter.classical_queries
-    if termination is None:
-        raise StageBudgetExceeded(
-            f"estimate above 2*epsilon/3 after all {cfg.stage_budget} stages")
+    def stage(weights):
+        hyp = learn(weights)
+        spent.append((counter.quantum_queries, counter.classical_queries))
+        return hyp
 
-    combined = combine(state.hypotheses)
-    final_error = float(np.mean(combined.sign_table(n) != f_sign))
-    report = RunReport(cfg.to_dict(), rows, termination, final_estimate, final_error)
+    combined, estimates = boost(f_sign, sample, cfg.epsilon, cfg.gamma, cfg.stage_budget, stage)
+    rows = [StageRow(t, estimate, hyp.a, hyp.sign, hyp.est_advantage, q - prev_q, c - prev_c)
+            for t, (estimate, hyp, (prev_q, prev_c), (q, c))
+            in enumerate(zip(estimates, combined.hypotheses, spent, spent[1:]), 1)]
+    final_error = float(np.mean(combined.sign_table(cfg.n) != f_sign))
+    report = RunReport(cfg.to_dict(), rows, "converged", estimates[-1], final_error)
     return combined, report
-
-
-def estimate_mean_weight(sample: SharedSample, state: BoostState) -> float:
-    """Sample mean of the current boosting weight, recomputed lazily from
-    the hypothesis list and the stored labels."""
-    support = sample.support
-    weights = point_weight(state, sample.labels_sign[support], support)
-    return float(sample.counts[support] @ weights / sample.size)
 
 
 def _sweep_cell(args: tuple) -> dict:

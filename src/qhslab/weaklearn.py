@@ -91,25 +91,6 @@ def sample_correlations(sample: SharedSample, values) -> np.ndarray:
     return wht_unscaled(mass) / sample.size
 
 
-class SampledHeavyPredicate:
-    """Marks parities whose sample correlation magnitude reaches theta."""
-
-    def __init__(self, estimates: np.ndarray, theta: float):
-        if theta <= 0:
-            raise ValueError("theta must be positive")
-        self.estimates = estimates
-        self.theta = float(theta)
-        self.mask = np.abs(estimates) >= self.theta
-
-    def __call__(self, a) -> bool:
-        return bool(self.mask[a])
-
-
-def sampled_heavy_predicate(sample: SharedSample, values, theta_eq: float) -> SampledHeavyPredicate:
-    """Equivalence predicate backed by the shared sample."""
-    return SampledHeavyPredicate(sample_correlations(sample, values), theta_eq)
-
-
 def _doubling_depths(k_max: int) -> list:
     depths = [0]
     k = 1
@@ -139,10 +120,10 @@ def quantum_weak_parity(n, gamma_target, delta, g_sign, sample, counter, rng,
     if not 0.0 < gamma_target < 0.5:
         raise ValueError("gamma_target must lie in (0, 1/2)")
     g_sign = np.asarray(g_sign, dtype=np.float64)
-    predicate = sampled_heavy_predicate(sample, g_sign, gamma_target)
-    if not predicate.mask.any():
+    est = sample_correlations(sample, g_sign)
+    heavy = np.abs(est) >= gamma_target
+    if not heavy.any():
         raise NoHeavyCoefficient(f"no sampled correlation reaches {gamma_target:g}")
-    est = predicate.estimates
     k_max = max(1, math.ceil(schedule_scale / gamma_target))
     depths = _doubling_depths(k_max)
     reps = max(1, math.ceil(math.log2(1.0 / delta))) if 0.0 < delta < 1.0 else 1
@@ -156,13 +137,13 @@ def quantum_weak_parity(n, gamma_target, delta, g_sign, sample, counter, rng,
         for k in depths:
             if k not in dists:
                 while deepest < k:
-                    grover_step(state, bits, predicate.mask, scratch)
+                    grover_step(state, bits, heavy, scratch)
                     deepest += 1
                 dists[k] = index_distribution(state)
             counter.quantum_queries += 2 * (2 * k + 1)
             probs = dists[k]
             a = int(rng.choice(probs.size, p=probs / probs.sum()))
-            if predicate(a):
+            if heavy[a]:
                 sign = 1 if est[a] >= 0 else -1
                 return WeakHypothesis(a, sign, float(abs(est[a])))
     raise NoHeavyCoefficient(

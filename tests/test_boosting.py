@@ -1,74 +1,82 @@
+import math
+
 import numpy as np
 import pytest
 
-from qhslab import (BoostState, CombinedHypothesis, QueryCounter, SharedSample,
-                    StageBudgetExceeded, WeakHypothesis, chi, combine,
-                    exact_weak_parity, filter_sample_size, margin_sum, point_weight,
-                    random_dnf, smoothboost_filter, smoothboost_sample, stage_budget,
-                    to_pm1, weight_from_margin, wht_unscaled)
+from qhslab import (QueryCounter, SharedSample, StageBudgetExceeded, WeakHypothesis, boost,
+                    chi, combine, exact_weak_parity, random_dnf, weight_from_margin)
 from qhslab import seeds
 
 
-def exact_sample_wl(points, labels, dist, rng):
-    """Exact best parity under the supplied sample distribution."""
-    mass = np.zeros(points.size)
-    np.add.at(mass, points, dist * labels)
-    est = wht_unscaled(mass)
-    a = int(np.flatnonzero(np.abs(est) == np.abs(est).max()).min())
-    return WeakHypothesis(a, 1 if est[a] >= 0 else -1, float(abs(est[a])))
+def cube_boost(f_sign, epsilon, gamma, weak_learner, budget=None):
+    """boost() with the exact cube as the shared sample. Its loop stops at
+    2*epsilon/3, so pass 1.5 times the mean weight to be reached."""
+    bits = (f_sign < 0).astype(np.uint8)
+    n = f_sign.size.bit_length() - 1
+    if budget is None:
+        budget = math.ceil(2.0 / (epsilon * gamma**2))
+    return boost(f_sign, SharedSample.full_cube(n, bits), epsilon, gamma, budget, weak_learner)
 
 
-def make_exact_filter_wl(f_sign, n):
-    """Exact weak learner over the cube, margins tracked incrementally."""
-    xs = np.arange(1 << n, dtype=np.int64)
-    margins = np.zeros(1 << n)
-    seen = [0]
-
-    def wl(sample, state, estimate, rng):
-        while seen[0] < len(state.hypotheses):
-            hyp = state.hypotheses[seen[0]]
-            margins[:] += f_sign * hyp.values(xs) - state.theta
-            seen[0] += 1
-        weights = weight_from_margin(margins, state.gamma)
+def recording(f_sign, seen):
+    """Exact weak learner over the cube that records the weights it gets."""
+    def wl(weights):
+        seen.append(weights)
         return exact_weak_parity(f_sign, weights)
-
     return wl
 
 
+def drawn_sample_size(epsilon, gamma):
+    """Enough draws to estimate every stage's mean weight within epsilon/3."""
+    return math.ceil(8.0 * math.log(1.0 / (epsilon * gamma) + 2.0) / epsilon**2)
+
+
 def test_boost_state_theta_range():
+    # one stage of a perfect learner moves every margin to 1 - theta
+    n, b = 4, 5
+    f_sign = chi(b, np.arange(1 << n)).astype(float)
     for gamma in (0.01, 0.1, 0.3, 0.49):
-        state = BoostState(gamma)
-        assert 0 < state.theta <= 0.2
-    with pytest.raises(ValueError):
-        BoostState(0.0)
-    with pytest.raises(ValueError):
-        BoostState(0.5)
+        seen = []
+        cube_boost(f_sign, 0.4, gamma, recording(f_sign, seen))
+        theta = 1.0 - 2.0 * math.log(seen[1][0]) / math.log(1.0 - gamma)
+        assert abs(theta - gamma / (2.0 + gamma)) < 1e-9
+        assert 0 < theta <= 0.2
+    for gamma in (0.0, 0.5):
+        with pytest.raises(ValueError):
+            cube_boost(f_sign, 0.4, gamma, recording(f_sign, []), budget=10)
 
 
 def test_margin_trivials():
-    state = BoostState(0.25)
-    xs = np.arange(8)
-    assert np.all(margin_sum(state, np.ones(8), xs) == 0.0)
-    b = 3
-    state.hypotheses.append(WeakHypothesis(b, 1, 1.0))
-    f_values = chi(b, xs).astype(float)  # hypothesis agrees everywhere
-    assert np.allclose(margin_sum(state, f_values, xs), 1.0 - state.theta)
+    # no hypothesis: margin 0 everywhere; one that agrees everywhere: 1 - theta
+    n, b, gamma = 3, 3, 0.25
+    f_sign = chi(b, np.arange(1 << n)).astype(float)
+    seen = []
+    cube_boost(f_sign, 0.3, gamma, recording(f_sign, seen))
+    assert np.all(seen[0] == weight_from_margin(np.zeros(1 << n), gamma))
+    theta = gamma / (2 + gamma)
+    assert np.allclose(seen[1], weight_from_margin(np.full(1 << n, 1.0 - theta), gamma))
 
 
 def test_margin_matches_incremental_table():
     rng = np.random.default_rng(0)
-    n = 6
+    n, gamma = 6, 1.0 / 12
     xs = np.arange(1 << n)
-    f_sign = to_pm1(rng.integers(0, 2, size=1 << n)).astype(float)
-    state = BoostState(1.0 / 12)
+    f_sign = (1 - 2 * rng.integers(0, 2, size=1 << n)).astype(float)
+    theta = gamma / (2 + gamma)
     table = np.zeros(1 << n)
-    for stage in range(20):
+    stages = 0
+
+    def random_wl(weights):
+        nonlocal table, stages
+        assert np.allclose(weights, weight_from_margin(table, gamma), atol=1e-12)
         hyp = WeakHypothesis(int(rng.integers(0, 1 << n)), int(rng.choice([-1, 1])), 0.5)
-        state.hypotheses.append(hyp)
-        table += f_sign * hyp.values(xs) - state.theta
-        assert np.allclose(margin_sum(state, f_sign, xs), table, atol=1e-12)
-        assert np.allclose(point_weight(state, f_sign, xs),
-                           weight_from_margin(table, state.gamma), atol=1e-12)
+        table = table + f_sign * hyp.values(xs) - theta
+        stages += 1
+        return hyp
+
+    with pytest.raises(StageBudgetExceeded):
+        cube_boost(f_sign, 0.01, gamma, random_wl, budget=20)
+    assert stages == 20
 
 
 def test_weight_rule_values():
@@ -99,7 +107,7 @@ def test_smoothboost_sample_perfect_learner():
     n, b = 6, 9
     points = np.arange(1 << n)
     labels = chi(b, points).astype(float)
-    combined = smoothboost_sample(points, labels, 0.1, 1.0 / 12, exact_sample_wl)
+    combined, _ = cube_boost(labels, 1.5 * 0.1, 1.0 / 12, recording(labels, []))
     assert {(h.a, h.sign) for h in combined.hypotheses} == {(b, 1)}
     assert np.array_equal(combined.values(points), labels)
 
@@ -112,54 +120,48 @@ def test_smoothboost_sample_random_dnfs():
         gamma = 1.0 / (8 * s + 4)
         formula = random_dnf(n, s, 3, 300 + trial)
         labels = formula.sign_table()
-        trace = []
-        combined = smoothboost_sample(points, labels, epsilon, gamma, exact_sample_wl,
-                                      trace=trace)
+        seen = []
+        combined, estimates = cube_boost(labels, 1.5 * epsilon, gamma, recording(labels, seen),
+                                         budget=math.ceil(2.0 / (epsilon * gamma**2)))
         err = float(np.mean(combined.values(points) != labels))
         assert err < epsilon
         assert len(combined.hypotheses) <= 2.0 / (epsilon * gamma**2)
-        # smoothness: m * D_t never exceeds 1/epsilon
-        margins = np.zeros(1 << n)
-        for (_, mean_weight, hyp) in trace:
-            weights = weight_from_margin(margins, gamma)
+        # smoothness: 2**n D_t never exceeds 1/epsilon
+        for weights, mean_weight in zip(seen, estimates):
             assert weights.max() / (weights.mean()) <= 1.0 / epsilon + 1e-9
             assert abs(weights.mean() - mean_weight) < 1e-12
-            margins += labels * hyp.values(points) - gamma / (2 + gamma)
 
 
 def test_smoothboost_sample_budget_error():
     n = 4
-    points = np.arange(1 << n)
-    labels = chi(5, points).astype(float)
+    labels = chi(5, np.arange(1 << n)).astype(float)
 
-    def useless_wl(points_, labels_, dist, rng):
+    def useless_wl(weights):
         return WeakHypothesis(0, 1, 0.0)  # constant +1 against a balanced parity
 
     with pytest.raises(StageBudgetExceeded):
-        smoothboost_sample(points, labels, 0.2, 0.1, useless_wl)
+        cube_boost(labels, 1.5 * 0.2, 0.1, useless_wl, budget=math.ceil(2.0 / (0.2 * 0.01)))
 
 
 def test_smoothboost_sample_validation():
+    labels = np.ones(4)
     with pytest.raises(ValueError):
-        smoothboost_sample(np.arange(4), np.ones(4), 0.6, 0.1, exact_sample_wl)
+        cube_boost(labels, 0.6, 0.1, recording(labels, []), budget=10)
     with pytest.raises(ValueError):
-        smoothboost_sample(np.arange(4), np.ones(4), 0.1, 0.0, exact_sample_wl)
-
-
-def test_filter_sample_size_formula():
-    assert filter_sample_size(0.1, 0.05) == int(np.ceil(8 * np.log(1 / 0.005 + 2) / 0.01))
+        cube_boost(labels, 0.1, 0.0, recording(labels, []), budget=10)
 
 
 def test_smoothboost_filter_exact_runs():
     n, s, epsilon = 10, 3, 0.1
     gamma = 1.0 / (8 * s + 4)
+    budget = math.ceil(2.0 / (epsilon * gamma**2))
     failures = 0
     for seed in range(100):
         formula = random_dnf(n, s, 3, 400 + seed)
         f_sign = formula.sign_table()
-        combined = smoothboost_filter(n, formula.truth_table(), QueryCounter(),
-                                      epsilon, gamma, make_exact_filter_wl(f_sign, n),
-                                      seeds.derive(seed, 3))
+        sample = SharedSample.draw(n, drawn_sample_size(epsilon, gamma), formula.truth_table(),
+                                   QueryCounter(), seeds.derive(seed, 3))
+        combined, _ = boost(f_sign, sample, epsilon, gamma, budget, recording(f_sign, []))
         err = float(np.mean(combined.sign_table(n) != f_sign))
         failures += (err >= epsilon)
     assert failures <= 5
@@ -168,24 +170,21 @@ def test_smoothboost_filter_exact_runs():
 def test_smoothboost_filter_smoothness_and_estimates():
     n, s, epsilon = 10, 2, 0.1
     gamma = 1.0 / (8 * s + 4)
-    xs = np.arange(1 << n)
+    budget = math.ceil(2.0 / (epsilon * gamma**2))
     within = 0
     total = 0
     for seed in range(10):
         formula = random_dnf(n, s, 3, 500 + seed)
         f_sign = formula.sign_table()
-        trace = []
-        smoothboost_filter(n, formula.truth_table(), QueryCounter(), epsilon, gamma,
-                           make_exact_filter_wl(f_sign, n), seeds.derive(seed, 4),
-                           trace=trace)
-        margins = np.zeros(1 << n)
-        for (_, estimate, hyp) in trace:
-            weights = weight_from_margin(margins, gamma)
+        sample = SharedSample.draw(n, drawn_sample_size(epsilon, gamma), formula.truth_table(),
+                                   QueryCounter(), seeds.derive(seed, 4))
+        seen = []
+        _, estimates = boost(f_sign, sample, epsilon, gamma, budget, recording(f_sign, seen))
+        for weights, estimate in zip(seen, estimates):
             # exact sup norm of 2**n D_t with the estimated normalizer
             assert weights.max() / estimate <= 3.0 / epsilon + 1e-9
             total += 1
             within += (abs(weights.mean() - estimate) <= epsilon / 3.0)
-            margins += f_sign * hyp.values(xs) - gamma / (2 + gamma)
     assert within >= 0.95 * total
 
 
@@ -193,65 +192,17 @@ def test_margin_identity_after_termination():
     """Total margin equals stages times (vote margin minus theta)."""
     n, s, epsilon = 8, 2, 0.15
     gamma = 1.0 / 20
+    theta = gamma / (2 + gamma)
     formula = random_dnf(n, s, 3, 42)
     f_sign = formula.sign_table()
     xs = np.arange(1 << n)
-    state_holder = {}
-
-    def wl(sample, state, estimate, rng):
-        state_holder["state"] = state
-        weights = point_weight(state, f_sign, xs)
-        return exact_weak_parity(f_sign, weights)
-
-    combined = smoothboost_filter(n, formula.truth_table(), QueryCounter(), epsilon,
-                                  gamma, wl, seeds.derive(0, 5))
+    sample = SharedSample.draw(n, drawn_sample_size(epsilon, gamma), formula.truth_table(),
+                               QueryCounter(), seeds.derive(0, 5))
+    combined, _ = boost(f_sign, sample, epsilon, gamma, math.ceil(2.0 / (epsilon * gamma**2)),
+                        recording(f_sign, []))
     stages = len(combined.hypotheses)
-    state = BoostState(gamma, list(combined.hypotheses))
-    total_margin = margin_sum(state, f_sign, xs)
+    total_margin = sum(f_sign * hyp.values(xs) - theta for hyp in combined.hypotheses)
     vote = combined.vote(xs)
-    assert np.allclose(total_margin, stages * (f_sign * vote - state.theta), atol=1e-10)
-    weights = point_weight(state, f_sign, xs)
+    assert np.allclose(total_margin, stages * (f_sign * vote - theta), atol=1e-10)
+    weights = weight_from_margin(total_margin, gamma)
     assert np.all((weights > 0) & (weights <= 1))
-
-
-def test_filter_equals_sample_on_full_cube():
-    """With the exact cube as the shared sample and the loop thresholds
-    aligned (the filter stops at 2 eps / 3), both drivers accept the same
-    hypothesis sequence."""
-    n, s = 8, 2
-    epsilon = 0.15
-    gamma = 1.0 / 20
-    formula = random_dnf(n, s, 3, 77)
-    f_sign = formula.sign_table()
-    bits = formula.truth_table()
-    points = np.arange(1 << n)
-
-    def make_tracking_sample_wl():
-        # same computation path as the filter-side learner, so near-tied
-        # coefficients resolve identically
-        margins = np.zeros(1 << n)
-        theta = gamma / (2 + gamma)
-
-        def wl(points_, labels_, dist, rng):
-            weights = weight_from_margin(margins, gamma)
-            hyp = exact_weak_parity(f_sign, weights)
-            margins[:] += f_sign * hyp.values(points_) - theta
-            return hyp
-
-        return wl
-
-    sample_trace = []
-    smoothboost_sample(points, f_sign, 2 * epsilon / 3, gamma, make_tracking_sample_wl(),
-                       trace=sample_trace)
-
-    cube = SharedSample.full_cube(n, bits)
-    filter_trace = []
-    smoothboost_filter(n, bits, QueryCounter(), epsilon, gamma,
-                       make_exact_filter_wl(f_sign, n), seeds.derive(0, 6),
-                       sample=cube, trace=filter_trace)
-    assert [(h.a, h.sign) for (_, _, h) in sample_trace] == \
-        [(h.a, h.sign) for (_, _, h) in filter_trace]
-
-
-def test_stage_budget_formula():
-    assert stage_budget(0.1, 0.05) == int(np.ceil(2 / (0.1 * 0.0025)))

@@ -7,8 +7,12 @@ import numpy as np
 import pytest
 
 from qhslab import heavy_coeffs, load_dnf, load_state, wht
+from qhslab.checks import SUITES
 from qhslab.cli import (EXIT_IO, EXIT_OK, EXIT_PARAMS, EXIT_STAGE_BUDGET, EXIT_VERIFY,
-                        EXIT_WEAK_LEARNER, main)
+                        EXIT_WEAK_LEARNER, build_parser, main)
+
+BUNDLED_LITERAL = (pathlib.Path(__file__).resolve().parents[1]
+                   / "demos" / "instances" / "single_literal.json")
 
 
 def run_cli(*argv):
@@ -56,9 +60,8 @@ def test_gen_round_trip(tmp_path, instance):
 
 
 def test_learn_classical_exact_on_bundled_literal(tmp_path):
-    bundled = pathlib.Path(__file__).resolve().parents[1] / "demos" / "instances" / "single_literal.json"
     out = tmp_path / "run"
-    code = run_cli("learn", bundled, "--mode", "classical-exact",
+    code = run_cli("learn", BUNDLED_LITERAL, "--mode", "classical-exact",
                    "--epsilon", 0.1, "--seed", 3, "--out", out)
     assert code == EXIT_OK
     report = json.loads((tmp_path / "run.json").read_text())
@@ -103,6 +106,15 @@ def test_weak_subcommand(tmp_path, literal_instance):
     assert payload["quantum_queries"] > 0
 
 
+def test_weak_error_exit_codes(tmp_path, capsys):
+    assert run_cli("weak", BUNDLED_LITERAL, "--mode", "classical-sampled",
+                   "--c2", 1000) == EXIT_WEAK_LEARNER
+    assert "weak-learner failure" in capsys.readouterr().err
+    assert run_cli("weak", tmp_path / "absent.json") == EXIT_IO
+    assert run_cli("weak", BUNDLED_LITERAL, "--epsilon", 0.5) == EXIT_PARAMS
+    assert run_cli("weak", BUNDLED_LITERAL, "--wl-delta", 0.0) == EXIT_PARAMS
+
+
 def test_spectrum_subcommand(tmp_path, literal_instance):
     out = tmp_path / "spectrum.csv"
     assert run_cli("spectrum", literal_instance, "--out", out) == EXIT_OK
@@ -126,6 +138,13 @@ def test_verify_subcommand(tmp_path, capsys):
                    "spectrum-measurement") == EXIT_OK
     out = capsys.readouterr().out
     assert "PASS spectrum-measurement" in out and "PASS signed-digits" in out
+
+
+def test_verify_suite_choices_are_the_checks_suites():
+    for name in SUITES:
+        assert build_parser().parse_args(["verify", "--suite", name]).suite == [name]
+    with pytest.raises(SystemExit):
+        build_parser().parse_args(["verify", "--suite", "no-such-suite"])
 
 
 def test_verify_fault_injection_fails(capsys):

@@ -4,9 +4,9 @@ import math
 import numpy as np
 import pytest
 
-from qhslab import (BoostState, DnfFormula, QhsConfig, QueryCounter, SharedSample,
-                    StageBudgetExceeded, WeakLearnerFailure, estimate_mean_weight,
-                    learn_dnf, query_sweep, random_dnf, to_pm1, weight_from_margin, wht)
+from qhslab import (DnfFormula, QhsConfig, QueryCounter, SharedSample, StageBudgetExceeded,
+                    WeakLearnerFailure, boost, exact_weak_parity, learn_dnf, query_sweep,
+                    random_dnf, to_pm1, weight_from_margin, wht)
 from qhslab import seeds
 from qhslab.sieve import CSV_COLUMNS
 
@@ -29,14 +29,12 @@ def test_config_derivations():
 
 
 def test_config_validation():
-    with pytest.raises(ValueError):
-        QhsConfig(n=10, s=2, epsilon=0.0)
-    with pytest.raises(ValueError):
-        QhsConfig(n=10, s=2, epsilon=0.1, delta=1.5)
-    with pytest.raises(ValueError):
-        QhsConfig(n=10, s=2, epsilon=0.1, mode="wrong")
-    with pytest.raises(ValueError):
-        QhsConfig(n=64, s=2, epsilon=0.1)
+    for bad in (dict(epsilon=0.0), dict(delta=1.5), dict(mode="wrong"), dict(n=64),
+                dict(n=6.0), dict(n=True), dict(s=2.0), dict(s=False),
+                dict(epsilon=0.5), dict(epsilon=0.7),
+                dict(wl_delta=0.0), dict(wl_delta=1.0), dict(wl_delta=5.0)):
+        with pytest.raises(ValueError):
+            QhsConfig(**{**dict(n=10, s=2, epsilon=0.1), **bad})
 
 
 def test_single_literal_learned_exactly():
@@ -123,25 +121,33 @@ def test_reports_are_reproducible():
 
 
 def test_estimate_mean_weight():
-    n = 8
+    """boost()'s shared-sample estimate of the mean weight, against the exact
+    mean of the weights it hands the weak learner."""
+    n, epsilon, gamma = 8, 0.3, 0.05
     formula = random_dnf(n, 2, 3, 3)
     bits = formula.truth_table()
-    state = BoostState(0.05)
+    f_sign = to_pm1(bits).astype(float)
+    budget = math.ceil(2.0 / (epsilon * gamma**2))
+
+    def run(sample):
+        means = []
+
+        def wl(weights):
+            means.append(float(np.mean(weights)))
+            return exact_weak_parity(f_sign, weights)
+
+        _, estimates = boost(f_sign, sample, epsilon, gamma, budget, wl)
+        return estimates, means
+
     sample = SharedSample.draw(n, 5000, bits, QueryCounter(), seeds.derive(0, 0))
-    assert estimate_mean_weight(sample, state) == 1.0  # stage 1 weight is identically 1
-    cube = SharedSample.full_cube(n, bits)
-    rng = np.random.default_rng(4)
-    from qhslab import WeakHypothesis, point_weight
-    for _ in range(5):
-        state.hypotheses.append(WeakHypothesis(int(rng.integers(0, 1 << n)),
-                                               int(rng.choice([-1, 1])), 0.3))
-    exact = float(np.mean(point_weight(state, to_pm1(bits).astype(float),
-                                       np.arange(1 << n))))
-    assert abs(estimate_mean_weight(cube, state) - exact) < 1e-12
+    assert run(sample)[0][0] == 1.0  # stage 1 weight is identically 1
+    estimates, means = run(SharedSample.full_cube(n, bits))
+    assert np.max(np.abs(np.asarray(estimates[:-1]) - means)) < 1e-12
+    exact = means[5]  # after five hypotheses
     deviations = []
     for seed in range(40):
         sample = SharedSample.draw(n, 20000, bits, QueryCounter(), seeds.derive(seed, 1))
-        deviations.append(abs(estimate_mean_weight(sample, state) - exact))
+        deviations.append(abs(run(sample)[0][5] - exact))
     assert np.mean(np.asarray(deviations) <= 0.05) >= 0.95
 
 
@@ -158,6 +164,22 @@ def test_stage_budget_exceeded():
     assert cfg.stage_budget == 1
     with pytest.raises(StageBudgetExceeded):
         learn_dnf(formula, cfg)
+
+
+def test_stage_budget_allows_convergence_on_the_last_stage():
+    # the single literal needs 65 stages; a budget of exactly 65 suffices
+    # because the estimate is checked again after the last stage
+    formula = DnfFormula(6, [[(0, False)]])
+    base = dict(n=6, s=1, epsilon=0.1, mode="classical_exact", seed=3)
+    gamma_sq_eps = QhsConfig(**base).gamma ** 2 * 0.1
+    cfg = QhsConfig(**base, stage_scale=64.5 * gamma_sq_eps)
+    assert cfg.stage_budget == 65
+    _, report = learn_dnf(formula, cfg)
+    assert len(report.stages) == 65 and report.termination == "converged"
+    short = QhsConfig(**base, stage_scale=63.5 * gamma_sq_eps)
+    assert short.stage_budget == 64
+    with pytest.raises(StageBudgetExceeded):
+        learn_dnf(formula, short)
 
 
 def test_query_sweep_rows_fits_and_determinism():

@@ -5,7 +5,7 @@ import pytest
 
 from qhslab import (NoHeavyCoefficient, QueryCounter, SharedSample, chi,
                     exact_weak_parity, planted_parity, quantum_weak_parity, random_dnf,
-                    sample_correlations, sampled_heavy_predicate, sampled_weak_parity,
+                    sample_correlations, sampled_weak_parity,
                     signed_digit_decompose, to_pm1, weighted_weak_parity, wht)
 from qhslab import seeds
 
@@ -26,14 +26,13 @@ def test_shared_sample_draw_accounting_and_labels():
 
 
 def test_sampled_predicate_exact_cube():
+    # the heavy set quantum_weak_parity marks: |sample correlation| >= threshold
     n, b = 6, 21
     bits = parity_bits(n, b)
     sample = SharedSample.full_cube(n, bits)
-    predicate = sampled_heavy_predicate(sample, to_pm1(bits).astype(float), 0.5)
-    assert predicate(b)
-    assert predicate.mask.sum() == 1
-    with pytest.raises(ValueError):
-        sampled_heavy_predicate(sample, to_pm1(bits).astype(float), 0.0)
+    heavy = np.abs(sample_correlations(sample, to_pm1(bits).astype(float))) >= 0.5
+    assert heavy[b]
+    assert heavy.sum() == 1  # a zero threshold: test_quantum_weak_parity_rejects_bad_target
 
 
 def test_sample_correlations_match_direct_sum_bit_for_bit():
@@ -60,7 +59,7 @@ def test_sampled_predicate_hoeffding_frequency():
     hits = 0
     for rep in range(200):
         sample = SharedSample.draw(n, m, bits, QueryCounter(), np.random.default_rng(rep))
-        hits += sampled_heavy_predicate(sample, values, gamma)(b)
+        hits += bool(np.abs(sample_correlations(sample, values)[b]) >= gamma)
     assert hits >= 190
 
 
