@@ -6,8 +6,8 @@ the planted parity shows up with probability exactly (2 gamma)^2.
 """
 import numpy as np
 
-from qhslab import (QueryCounter, index_distribution, measure_index, planted_parity,
-                    prepare_spectrum_state, to_pm1, wht)
+from qhslab import (QueryCounter, index_distribution, planted_parity, prepare_spectrum_state,
+                    to_pm1, wht)
 
 n, target, gamma = 8, 19, 0.125
 bits = planted_parity(n, target, gamma, seed=3)
@@ -23,7 +23,7 @@ print(f"P[measure {target}] = {dist[target]:.10f} (expected 4 gamma^2 = {4*gamma
 print(f"max |distribution - spectrum^2| = {np.max(np.abs(dist - spectrum**2)):.3e}")
 
 rng = np.random.default_rng(0)
-draws = np.array([measure_index(state, rng) for _ in range(2000)])
+draws = rng.choice(dist.size, size=2000, p=dist)
 print(f"\nempirical frequency of {target} over 2000 draws: "
       f"{np.mean(draws == target):.4f}")
 top = np.argsort(dist)[::-1][:5]

@@ -12,29 +12,21 @@ Conventions used throughout the package:
   chi(a, x)`` over the cube.
 
 Tables are dense length ``2**n`` arrays. The variable count is capped
-(default 20, overridable through the ``QHS_LAB_CAP`` environment
-variable) so a typo fails fast instead of allocating terabytes.
+at 20 so a typo fails fast instead of allocating terabytes.
 """
 from __future__ import annotations
 
 import json
-import os
 from dataclasses import dataclass
 
 import numpy as np
 
-DEFAULT_CAP = 20
-
-
-def table_cap() -> int:
-    """Largest variable count for which dense tables may be built."""
-    return int(os.environ.get("QHS_LAB_CAP", DEFAULT_CAP))
+MAX_N = 20  # largest variable count for which dense tables may be built
 
 
 def check_cap(n: int) -> int:
-    cap = table_cap()
-    if not 0 <= n <= cap:
-        raise ValueError(f"n={n} outside [0, {cap}]; set QHS_LAB_CAP to raise the cap")
+    if not 0 <= n <= MAX_N:
+        raise ValueError(f"n={n} outside [0, {MAX_N}]")
     return int(n)
 
 
@@ -153,6 +145,11 @@ def wht(table) -> np.ndarray:
     return a
 
 
+def top_index(values) -> int:
+    """Index of the largest magnitude; ties go to the smaller index."""
+    return int(np.argmax(np.abs(values)))
+
+
 def heavy_coeffs(table, theta: float) -> list:
     """All parities whose coefficient magnitude reaches ``theta``.
 
@@ -167,14 +164,13 @@ def heavy_coeffs(table, theta: float) -> list:
 
 
 def best_parity(table) -> tuple:
-    """The most correlated parity of a table, heavy_coeffs tie rule.
+    """The most correlated parity of a table, :func:`top_index` tie rule.
 
     For the sign table of an s-term DNF the returned magnitude is at
     least 1/(2s+1).
     """
     coeffs = wht(table)
-    mags = np.abs(coeffs)
-    a = int(np.flatnonzero(mags == mags.max()).min())
+    a = top_index(coeffs)
     return a, float(coeffs[a])
 
 
@@ -247,11 +243,6 @@ def dnf_to_json(formula: DnfFormula) -> str:
 
 def dnf_from_json(text: str) -> DnfFormula:
     return DnfFormula.from_dict(json.loads(text))
-
-
-def save_dnf(formula: DnfFormula, path) -> None:
-    with open(path, "w", encoding="utf-8") as handle:
-        handle.write(dnf_to_json(formula))
 
 
 def load_dnf(path) -> DnfFormula:

@@ -36,6 +36,10 @@ class CombinedHypothesis:
 
     hypotheses: list
 
+    def __post_init__(self):
+        if not self.hypotheses:
+            raise ValueError("cannot combine an empty hypothesis list")
+
     def vote(self, xs):
         """Mean hypothesis value, in [-1, 1]."""
         xs = np.asarray(xs, dtype=np.int64)
@@ -50,13 +54,6 @@ class CombinedHypothesis:
 
     def sign_table(self, n: int) -> np.ndarray:
         return self.values(np.arange(1 << n, dtype=np.int64))
-
-
-def combine(hypotheses) -> CombinedHypothesis:
-    hypotheses = list(hypotheses)
-    if not hypotheses:
-        raise ValueError("cannot combine an empty hypothesis list")
-    return CombinedHypothesis(hypotheses)
 
 
 def boost(f_sign, sample: SharedSample, epsilon: float, gamma: float, budget: int,
@@ -85,7 +82,7 @@ def boost(f_sign, sample: SharedSample, epsilon: float, gamma: float, budget: in
         weights = weight_from_margin(margins, gamma)
         estimates.append(float(sample.counts @ weights / sample.size))
         if estimates[-1] <= 2.0 * epsilon / 3.0:
-            return combine(hypotheses), estimates
+            return CombinedHypothesis(hypotheses), estimates
         if len(hypotheses) >= budget:
             raise StageBudgetExceeded(f"estimate above 2*epsilon/3 after all {budget} stages")
         hyp = weak_learner(weights)

@@ -3,9 +3,11 @@
 Each suite runs a batch of cross-checks against independent oracles
 (dense spectra, the closed-form amplification law, exhaustive error
 counts, integer reconstruction) and reports how many checks ran and
-which failed. A fault hook lets the spectrum suite drop the controlled
-phase gate, which must break it; that guards the suites themselves
-against silently passing.
+which failed. The suites run the production code: the spectrum suite
+measures :func:`simulator.prepare_spectrum_state` and the boost-bounds
+suite runs :func:`boosting.boost`. A fault swaps one library function
+for a broken stand-in while the suites run, which must make some suite
+fail; that guards the suites themselves against silently passing.
 """
 from __future__ import annotations
 
@@ -14,16 +16,17 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from . import seeds
+from . import seeds, simulator
 from .boolfn import planted_parity, random_dnf, to_pm1, wht
-from .boosting import weight_from_margin
-from .sieve import QhsConfig, learn_dnf
-from .simulator import (QueryCounter, apply_membership, cz_answer_phase, grover_step,
-                        hadamard_index, index_distribution, init_state,
-                        prepare_spectrum_state, x_phase)
+from .boosting import boost
+from .sieve import QhsConfig, setup_run
+from .simulator import QueryCounter, grover_step, index_distribution, prepare_spectrum_state
 from .weaklearn import signed_digit_decompose
 
-FAULTS = ("drop-cz",)
+# fault name -> (module, attribute, stand-in swapped in while the suites run)
+FAULTS = {
+    "drop-cz": (simulator, "cz_answer_phase", lambda state: state),
+}
 
 
 @dataclass
@@ -37,21 +40,7 @@ class SuiteResult:
         return not self.failures
 
 
-def _spectrum_distribution(bits: np.ndarray, fault: str | None) -> np.ndarray:
-    n = int(bits.size).bit_length() - 1
-    counter = QueryCounter()
-    state = init_state(n)
-    hadamard_index(state)
-    x_phase(state)
-    apply_membership(state, bits, counter)
-    if fault != "drop-cz":
-        cz_answer_phase(state)
-    apply_membership(state, bits, counter)
-    hadamard_index(state)
-    return index_distribution(state)
-
-
-def suite_spectrum_measurement(seed: int = 0, fault: str | None = None) -> SuiteResult:
+def suite_spectrum_measurement(seed: int = 0) -> SuiteResult:
     """Measurement distribution of the prepared state equals the squared
     sign-form spectrum, entrywise to 1e-10."""
     result = SuiteResult("spectrum-measurement")
@@ -59,7 +48,7 @@ def suite_spectrum_measurement(seed: int = 0, fault: str | None = None) -> Suite
     for n in (4, 6, 8):
         for trial in range(5):
             bits = rng.integers(0, 2, size=1 << n).astype(np.uint8)
-            dist = _spectrum_distribution(bits, fault)
+            dist = index_distribution(prepare_spectrum_state(bits, QueryCounter()))
             want = wht(to_pm1(bits).astype(np.float64)) ** 2
             result.checked += 1
             err = float(np.max(np.abs(dist - want)))
@@ -93,9 +82,10 @@ def suite_amplification_law(seed: int = 0) -> SuiteResult:
 
 
 def suite_boost_bounds(seed: int = 0) -> SuiteResult:
-    """Exact-learner runs: final error below epsilon, stage count within
-    2/(epsilon gamma**2), and every stage distribution at most 3/epsilon
-    times uniform (checked exactly over the cube)."""
+    """Exact-learner runs of :func:`boosting.boost`: final error below
+    epsilon, stage count within 2/(epsilon gamma**2), and every stage
+    distribution at most 3/epsilon times uniform (checked exactly over
+    the cube from the weights each stage hands the learner)."""
     result = SuiteResult("boost-bounds")
     n, epsilon = 8, 0.2
     for s in (1, 2):
@@ -103,28 +93,31 @@ def suite_boost_bounds(seed: int = 0) -> SuiteResult:
             run_seed = seeds.derive_int(seed, seeds.VERIFY, 2, s, rep)
             formula = random_dnf(n, s, min(3, n), run_seed)
             cfg = QhsConfig(n=n, s=s, epsilon=epsilon, mode="classical_exact", seed=run_seed)
+            f_sign, sample, _, learn = setup_run(formula, cfg)
+            maxima = []
+
+            def recorded(weights):
+                maxima.append(float(weights.max()))
+                return learn(weights)
+
+            result.checked += 1
             try:
-                combined, report = learn_dnf(formula, cfg)
+                combined, estimates = boost(f_sign, sample, epsilon, cfg.gamma,
+                                            cfg.stage_budget, recorded)
             except Exception as exc:  # a failed run is a failed check, not a crash
-                result.checked += 1
                 result.failures.append(f"s={s} rep={rep}: {type(exc).__name__}: {exc}")
                 continue
+            error = float(np.mean(combined.sign_table(n) != f_sign))
+            if error >= epsilon:
+                result.failures.append(f"s={s} rep={rep}: error {error}")
             result.checked += 1
-            if report.final_error >= epsilon:
-                result.failures.append(f"s={s} rep={rep}: error {report.final_error}")
-            result.checked += 1
-            bound = 2.0 / (epsilon * cfg.gamma**2)
-            if len(report.stages) > bound:
-                result.failures.append(f"s={s} rep={rep}: {len(report.stages)} stages > {bound:g}")
-            f_sign = formula.sign_table()
-            xs = np.arange(1 << n, dtype=np.int64)
-            margins = np.zeros(1 << n)
-            for row, hyp in zip(report.stages, combined.hypotheses):
-                weights = weight_from_margin(margins, cfg.gamma)
+            stages, bound = len(combined.hypotheses), 2.0 / (epsilon * cfg.gamma**2)
+            if stages > bound:
+                result.failures.append(f"s={s} rep={rep}: {stages} stages > {bound:g}")
+            for t, (top, estimate) in enumerate(zip(maxima, estimates), 1):
                 result.checked += 1
-                if float(weights.max()) / row.estimate > 3.0 / epsilon + 1e-12:
-                    result.failures.append(f"s={s} rep={rep} t={row.t}: smoothness broken")
-                margins += f_sign * hyp.values(xs) - cfg.gamma / (2 + cfg.gamma)
+                if top / estimate > 3.0 / epsilon + 1e-12:
+                    result.failures.append(f"s={s} rep={rep} t={t}: smoothness broken")
     return result
 
 
@@ -144,16 +137,25 @@ def suite_signed_digits() -> SuiteResult:
 
 
 SUITES = {
-    "spectrum-measurement": lambda seed, fault: suite_spectrum_measurement(seed, fault),
-    "amplification-law": lambda seed, fault: suite_amplification_law(seed),
-    "boost-bounds": lambda seed, fault: suite_boost_bounds(seed),
-    "signed-digits": lambda seed, fault: suite_signed_digits(),
+    "spectrum-measurement": suite_spectrum_measurement,
+    "amplification-law": suite_amplification_law,
+    "boost-bounds": suite_boost_bounds,
+    "signed-digits": lambda seed: suite_signed_digits(),
 }
 
 
 def run_all(seed: int = 0, fault: str | None = None, names: list | None = None) -> list:
+    """Run the named suites (all by default), with ``fault`` swapped in if given."""
     picked = names or list(SUITES)
     unknown = [name for name in picked if name not in SUITES]
     if unknown:
         raise ValueError(f"unknown suites: {unknown}")
-    return [SUITES[name](seed, fault) for name in picked]
+    if fault is None:
+        return [SUITES[name](seed) for name in picked]
+    module, attr, stand_in = FAULTS[fault]
+    original = getattr(module, attr)
+    setattr(module, attr, stand_in)
+    try:
+        return run_all(seed, None, picked)
+    finally:
+        setattr(module, attr, original)

@@ -21,13 +21,11 @@ import sys
 import numpy as np
 
 from . import seeds
-from .boolfn import (DnfFormula, dnf_to_json, heavy_coeffs, load_dnf, mux_dnf,
-                     random_dnf, to_pm1, wht)
+from .boolfn import dnf_to_json, heavy_coeffs, load_dnf, mux_dnf, random_dnf, wht
 from .boosting import StageBudgetExceeded
 from .checks import FAULTS, SUITES, run_all
-from .sieve import MODES, QhsConfig, WeakLearnerFailure, learn_dnf, query_sweep, weak_learner
+from .sieve import MODES, QhsConfig, WeakLearnerFailure, learn_dnf, query_sweep, setup_run
 from .simulator import QueryCounter, dump_state, prepare_spectrum_state
-from .weaklearn import SharedSample
 
 EXIT_OK = 0
 EXIT_PARAMS = 2
@@ -55,12 +53,19 @@ def _cli_mode(mode: str) -> str:
     return mode.replace("-", "_")
 
 
-def _config_from_args(args, s: int, n: int) -> QhsConfig:
-    return QhsConfig(
-        n=n, s=s, epsilon=args.epsilon, delta=args.delta, mode=_cli_mode(args.mode),
-        stage_scale=args.c1, threshold_scale=args.c2, sample_scale=args.cr,
-        schedule_scale=args.ck, wl_delta=args.wl_delta, seed=args.seed,
-    )
+def _tuning(args) -> dict:
+    """The QhsConfig fields the shared tuning flags set, besides mode and seed."""
+    return {"delta": args.delta, "stage_scale": args.c1, "threshold_scale": args.c2,
+            "sample_scale": args.cr, "schedule_scale": args.ck, "wl_delta": args.wl_delta}
+
+
+def _load_run(args) -> tuple:
+    """The instance and its run config; s defaults to the instance's term count."""
+    formula = load_dnf(args.instance)
+    s = args.s if args.s is not None else formula.size()
+    cfg = QhsConfig(n=formula.n, s=s, epsilon=args.epsilon, mode=_cli_mode(args.mode),
+                    seed=args.seed, **_tuning(args))
+    return formula, cfg
 
 
 def cmd_gen(args) -> int:
@@ -79,10 +84,7 @@ def cmd_gen(args) -> int:
 
 
 def cmd_learn(args) -> int:
-    formula = load_dnf(args.instance)
-    s = args.s if args.s is not None else formula.size()
-    cfg = _config_from_args(args, s, formula.n)
-    _, report = learn_dnf(formula, cfg)
+    _, report = learn_dnf(*_load_run(args))
     write_atomic(args.out + ".json", report.to_json())
     write_atomic(args.out + ".csv", report.to_csv())
     totals = report.totals()
@@ -94,15 +96,8 @@ def cmd_learn(args) -> int:
 
 def cmd_weak(args) -> int:
     """One weak-learning call against the uniform weighting."""
-    formula = load_dnf(args.instance)
-    s = args.s if args.s is not None else formula.size()
-    cfg = _config_from_args(args, s, formula.n)
-    counter = QueryCounter()
-    f_bits = formula.truth_table()
-    f_sign = to_pm1(f_bits).astype(np.float64)
-    sample = SharedSample.draw(cfg.n, cfg.sample_size, f_bits, counter,
-                               seeds.derive(cfg.seed, seeds.SAMPLE_DRAW))
-    learn = weak_learner(cfg, f_sign, sample, counter, seeds.derive(cfg.seed, seeds.WEAK_LEARNER))
+    formula, cfg = _load_run(args)
+    _, _, counter, learn = setup_run(formula, cfg)
     hyp = learn(np.ones(1 << cfg.n))
     payload = {
         "schema": 1,
@@ -165,8 +160,7 @@ def cmd_sweep(args) -> int:
     ss = [int(v) for v in args.s.split(",")]
     epsilons = [float(v) for v in args.epsilon.split(",")]
     grid = [(n, s, eps) for n in ns for s in ss for eps in epsilons]
-    overrides = {"delta": args.delta, "stage_scale": args.c1, "threshold_scale": args.c2,
-                 "sample_scale": args.cr, "schedule_scale": args.ck}
+    overrides = _tuning(args)
     result = query_sweep(grid, args.seeds, mode=_cli_mode(args.mode), base_seed=args.seed,
                          overrides=overrides, jobs=args.jobs)
     columns = ("n", "s", "epsilon", "seed_index", "status", "stages",
@@ -209,15 +203,10 @@ def build_parser() -> argparse.ArgumentParser:
     gen.add_argument("--out", type=str, default="instance.json")
     gen.set_defaults(func=cmd_gen)
 
-    def add_run_options(p, with_mode=True):
-        p.add_argument("instance", help="path to a DNF instance file")
-        p.add_argument("--s", type=int, default=None,
-                       help="term budget (defaults to the instance's own term count)")
-        p.add_argument("--epsilon", type=float, default=0.1)
+    def add_tuning_options(p):
+        p.add_argument("--mode", choices=[m.replace("_", "-") for m in MODES],
+                       default="quantum-sim")
         p.add_argument("--delta", type=float, default=0.1)
-        if with_mode:
-            p.add_argument("--mode", choices=[m.replace("_", "-") for m in MODES],
-                           default="quantum-sim")
         p.add_argument("--seed", type=int, default=0)
         p.add_argument("--c1", type=float, default=4.0, help="stage budget scale")
         p.add_argument("--c2", type=float, default=1.0, help="heaviness threshold scale")
@@ -225,6 +214,13 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--ck", type=float, default=1.0, help="amplification depth scale")
         p.add_argument("--wl-delta", type=float, default=None,
                        help="per-stage weak-learner failure budget (default delta / (2 * stage budget))")
+
+    def add_run_options(p):
+        p.add_argument("instance", help="path to a DNF instance file")
+        p.add_argument("--s", type=int, default=None,
+                       help="term budget (defaults to the instance's own term count)")
+        p.add_argument("--epsilon", type=float, default=0.1)
+        add_tuning_options(p)
 
     learn = sub.add_parser("learn", help="run the full learner on an instance")
     add_run_options(learn)
@@ -260,14 +256,7 @@ def build_parser() -> argparse.ArgumentParser:
     sweep.add_argument("--s", type=str, default="1,2,4", help="comma-separated term counts")
     sweep.add_argument("--epsilon", type=str, default="0.4,0.2", help="comma-separated accuracies")
     sweep.add_argument("--seeds", type=int, default=3, help="runs per cell")
-    sweep.add_argument("--mode", choices=[m.replace("_", "-") for m in MODES],
-                       default="quantum-sim")
-    sweep.add_argument("--delta", type=float, default=0.1)
-    sweep.add_argument("--c1", type=float, default=4.0)
-    sweep.add_argument("--c2", type=float, default=1.0)
-    sweep.add_argument("--cr", type=float, default=131072.0)
-    sweep.add_argument("--ck", type=float, default=1.0)
-    sweep.add_argument("--seed", type=int, default=0)
+    add_tuning_options(sweep)
     sweep.add_argument("--jobs", type=int, default=1)
     sweep.add_argument("--out", type=str, default="sweep", help="output prefix")
     sweep.set_defaults(func=cmd_sweep)

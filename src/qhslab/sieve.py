@@ -17,7 +17,7 @@ import json
 import math
 import numbers
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field, fields
 
 import numpy as np
 
@@ -31,8 +31,6 @@ from .weaklearn import (NoHeavyCoefficient, SharedSample, exact_weak_parity,
 MODES = ("quantum_sim", "classical_exact", "classical_sampled")
 
 REPORT_SCHEMA = 1
-CSV_COLUMNS = ("t", "estimate", "parity", "sign", "advantage",
-               "quantum_queries", "classical_queries")
 
 
 class WeakLearnerFailure(Exception):
@@ -101,11 +99,6 @@ class QhsConfig:
     def verify_threshold(self) -> float:
         return self.big_gamma / 6.0
 
-    @property
-    def sampling_sigma(self) -> float:
-        """Worst-case standard error of one shared-sample correlation."""
-        return 1.0 / math.sqrt(self.sample_size)
-
     def stage_delta(self) -> float:
         if self.wl_delta is not None:
             return self.wl_delta
@@ -113,17 +106,7 @@ class QhsConfig:
 
     def to_dict(self) -> dict:
         return {
-            "n": self.n,
-            "s": self.s,
-            "epsilon": self.epsilon,
-            "delta": self.delta,
-            "mode": self.mode,
-            "stage_scale": self.stage_scale,
-            "threshold_scale": self.threshold_scale,
-            "sample_scale": self.sample_scale,
-            "schedule_scale": self.schedule_scale,
-            "wl_delta": self.wl_delta,
-            "seed": self.seed,
+            **asdict(self),
             "derived": {
                 "gamma": self.gamma,
                 "big_gamma": self.big_gamma,
@@ -146,16 +129,8 @@ class StageRow:
     quantum_queries: int
     classical_queries: int
 
-    def to_dict(self) -> dict:
-        return {
-            "t": self.t,
-            "estimate": self.estimate,
-            "parity": self.parity,
-            "sign": self.sign,
-            "advantage": self.advantage,
-            "quantum_queries": self.quantum_queries,
-            "classical_queries": self.classical_queries,
-        }
+
+CSV_COLUMNS = tuple(f.name for f in fields(StageRow))
 
 
 @dataclass
@@ -180,15 +155,7 @@ class RunReport:
         }
 
     def to_dict(self) -> dict:
-        return {
-            "schema": REPORT_SCHEMA,
-            "config": self.config,
-            "stages": [row.to_dict() for row in self.stages],
-            "termination": self.termination,
-            "final_estimate": self.final_estimate,
-            "final_error": self.final_error,
-            "totals": self.totals(),
-        }
+        return {"schema": REPORT_SCHEMA, **asdict(self), "totals": self.totals()}
 
     def to_json(self) -> str:
         return json.dumps(self.to_dict(), indent=2) + "\n"
@@ -196,41 +163,22 @@ class RunReport:
     def to_csv(self) -> str:
         lines = [",".join(CSV_COLUMNS)]
         for row in self.stages:
-            rec = row.to_dict()
+            rec = asdict(row)
             lines.append(",".join(repr(rec[col]) if isinstance(rec[col], float) else str(rec[col])
                                   for col in CSV_COLUMNS))
         return "\n".join(lines) + "\n"
 
 
-def weak_learner(cfg: QhsConfig, f_sign, sample: SharedSample, counter: QueryCounter, rng):
-    """The configured weak learner as a ``weights -> WeakHypothesis`` callable.
+def setup_run(formula: DnfFormula, cfg: QhsConfig) -> tuple:
+    """Everything a run needs before its first stage.
 
-    The learners are looked up by name at call time, and a stage without
-    a verified parity raises :class:`WeakLearnerFailure`.
-    """
-    stages = itertools.count(1)
-
-    def learn(weights):
-        t = next(stages)
-        try:
-            if cfg.mode == "classical_exact":
-                return exact_weak_parity(f_sign, weights, cfg.big_gamma)
-            if cfg.mode == "classical_sampled":
-                return sampled_weak_parity(sample, weights * f_sign, cfg.verify_threshold)
-            return weighted_weak_parity(f_sign, weights, cfg.big_gamma, cfg.stage_delta(),
-                                        sample, counter, rng, cfg.schedule_scale)
-        except NoHeavyCoefficient as exc:
-            raise WeakLearnerFailure(f"stage {t}: {exc}") from exc
-
-    return learn
-
-
-def learn_dnf(formula: DnfFormula, cfg: QhsConfig) -> tuple:
-    """Run the full learner on one formula; returns (hypothesis, report).
-
-    Raises :class:`WeakLearnerFailure` when a stage yields no verified
-    parity and :class:`StageBudgetExceeded` when the estimate never
-    reaches 2*epsilon/3 within the stage budget.
+    Checks the formula against the config, builds its sign table, draws
+    the shared sample on the ``seeds.SAMPLE_DRAW`` stream (charging it to
+    a fresh counter) and builds the configured weak learner on the
+    ``seeds.WEAK_LEARNER`` stream. Returns ``(f_sign, sample, counter,
+    learn)``, where ``learn`` is a ``weights -> WeakHypothesis`` callable
+    that looks the learners up by name at call time and raises
+    :class:`WeakLearnerFailure` for a stage without a verified parity.
     """
     if formula.n != cfg.n:
         raise ValueError(f"formula has n={formula.n} but the config says n={cfg.n}")
@@ -241,7 +189,32 @@ def learn_dnf(formula: DnfFormula, cfg: QhsConfig) -> tuple:
     f_sign = to_pm1(f_bits).astype(np.float64)
     sample = SharedSample.draw(cfg.n, cfg.sample_size, f_bits, counter,
                                seeds.derive(cfg.seed, seeds.SAMPLE_DRAW))
-    learn = weak_learner(cfg, f_sign, sample, counter, seeds.derive(cfg.seed, seeds.WEAK_LEARNER))
+    rng = seeds.derive(cfg.seed, seeds.WEAK_LEARNER)
+    stages = itertools.count(1)
+
+    def learn(weights):
+        t = next(stages)
+        try:
+            if cfg.mode == "classical_exact":
+                return exact_weak_parity(f_sign, weights)
+            if cfg.mode == "classical_sampled":
+                return sampled_weak_parity(sample, weights * f_sign, cfg.verify_threshold)
+            return weighted_weak_parity(f_sign, weights, cfg.big_gamma, cfg.stage_delta(),
+                                        sample, counter, rng, cfg.schedule_scale)
+        except NoHeavyCoefficient as exc:
+            raise WeakLearnerFailure(f"stage {t}: {exc}") from exc
+
+    return f_sign, sample, counter, learn
+
+
+def learn_dnf(formula: DnfFormula, cfg: QhsConfig) -> tuple:
+    """Run the full learner on one formula; returns (hypothesis, report).
+
+    Raises :class:`WeakLearnerFailure` when a stage yields no verified
+    parity and :class:`StageBudgetExceeded` when the estimate never
+    reaches 2*epsilon/3 within the stage budget.
+    """
+    f_sign, sample, counter, learn = setup_run(formula, cfg)
     spent = [(0, 0)]  # query totals after each stage; stage 1 absorbs the sample draw
 
     def stage(weights):

@@ -79,24 +79,12 @@ def _checked(state: StateVector) -> StateVector:
     return state
 
 
-def as_bit_table(f, n: int) -> np.ndarray:
-    """Dense bit table of an oracle given as a table or a callable."""
-    if callable(f):
-        return np.fromiter((int(f(x)) & 1 for x in range(1 << n)), dtype=np.uint8, count=1 << n)
-    bits = np.asarray(f)
-    if bits.shape != (1 << n,):
-        raise ValueError(f"bit table must have length {1 << n}")
-    return bits.astype(np.uint8)
-
-
-def as_marked_mask(marked, n: int) -> np.ndarray:
-    """Boolean mask over index values from a mask array or predicate."""
-    if callable(marked):
-        return np.fromiter((bool(marked(a)) for a in range(1 << n)), dtype=bool, count=1 << n)
-    mask = np.asarray(marked)
-    if mask.shape != (1 << n,):
-        raise ValueError(f"marked mask must have length {1 << n}")
-    return mask.astype(bool)
+def _index_table(values, n: int, dtype) -> np.ndarray:
+    """A table with one entry per index value (an oracle's bits, a marked mask)."""
+    table = np.asarray(values)
+    if table.shape != (1 << n,):
+        raise ValueError(f"index table must have length {1 << n}")
+    return table.astype(dtype)
 
 
 def hadamard_index(state: StateVector) -> StateVector:
@@ -133,7 +121,7 @@ def apply_membership(state: StateVector, f, counter: QueryCounter) -> StateVecto
     Self-inverse, so the same call serves as the adjoint query (which is
     counted identically).
     """
-    bits = as_bit_table(f, state.n)
+    bits = _index_table(f, state.n, np.uint8)
     v = state.view()
     ones = np.flatnonzero(bits)
     if ones.size:
@@ -145,7 +133,7 @@ def apply_membership(state: StateVector, f, counter: QueryCounter) -> StateVecto
 
 def apply_marked_phase(state: StateVector, marked) -> StateVector:
     """Negate amplitudes whose index value is marked; diagonal, self-inverse."""
-    mask = as_marked_mask(marked, state.n)
+    mask = _index_table(marked, state.n, bool)
     state.amps.reshape(-1, 4)[mask] *= -1.0
     return _checked(state)
 
@@ -177,17 +165,15 @@ def correlation_op_dagger(state: StateVector, f, counter: QueryCounter) -> State
     return state
 
 
-def prepare_spectrum_state(f, counter: QueryCounter, n: int | None = None) -> StateVector:
+def prepare_spectrum_state(f, counter: QueryCounter) -> StateVector:
     """Correlation operator applied to the all-zero state; two queries.
 
-    Measuring the index register of the result samples a parity with
-    probability equal to its squared sign-form correlation coefficient.
+    ``f`` is the oracle's bit table. Measuring the index register of the
+    result samples a parity with probability equal to its squared
+    sign-form correlation coefficient.
     """
-    if n is None:
-        size = np.asarray(f).shape[0]
-        n = int(size).bit_length() - 1
-    bits = as_bit_table(f, n)
-    state = init_state(n)
+    bits = np.asarray(f)
+    state = init_state(int(bits.shape[0]).bit_length() - 1)
     return correlation_op(state, bits, counter)
 
 
@@ -203,33 +189,10 @@ def grover_step(state: StateVector, f, marked, counter: QueryCounter) -> StateVe
     return state
 
 
-def amplify(f, marked, k: int, counter: QueryCounter, n: int | None = None) -> StateVector:
-    """k amplification iterates applied to the prepared spectrum state.
-
-    Costs exactly 2*(2k + 1) queries. With the marked set a union of
-    index outcomes of initial probability ``p0``, the marked probability
-    after k iterates is ``sin((2k+1) asin(sqrt(p0)))**2`` exactly.
-    """
-    if k < 0:
-        raise ValueError("k must be nonnegative")
-    state = prepare_spectrum_state(f, counter, n)
-    bits = as_bit_table(f, state.n)
-    mask = as_marked_mask(marked, state.n)
-    for _ in range(int(k)):
-        grover_step(state, bits, mask, counter)
-    return _checked(state)
-
-
 def index_distribution(state: StateVector) -> np.ndarray:
     """Measurement distribution of the index register; sums to 1."""
     probs = np.abs(state.amps.reshape(-1, 4)) ** 2
     return probs.sum(axis=1)
-
-
-def measure_index(state: StateVector, rng: np.random.Generator) -> int:
-    """Sample one index-register outcome."""
-    probs = index_distribution(state)
-    return int(rng.choice(probs.size, p=probs / probs.sum()))
 
 
 def dump_state(state: StateVector) -> bytes:

@@ -15,8 +15,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .boolfn import best_parity, chi, to_pm1, wht_unscaled
+from .boolfn import best_parity, chi, to_pm1, top_index, wht_unscaled
 from .simulator import QueryCounter, grover_step, index_distribution, prepare_spectrum_state
+
+
+RETRIES = 4  # weighted_weak_parity passes before it gives up
 
 
 class NoHeavyCoefficient(Exception):
@@ -54,10 +57,6 @@ class SharedSample:
     @property
     def size(self) -> int:
         return int(self.counts.sum())
-
-    @property
-    def support(self) -> np.ndarray:
-        return np.flatnonzero(self.counts)
 
     @classmethod
     def draw(cls, n, m, f_bits, counter: QueryCounter, rng) -> "SharedSample":
@@ -119,6 +118,8 @@ def quantum_weak_parity(n, gamma_target, delta, g_sign, sample, counter, rng,
     """
     if not 0.0 < gamma_target < 0.5:
         raise ValueError("gamma_target must lie in (0, 1/2)")
+    if not 0.0 < delta < 1.0:
+        raise ValueError("delta must lie in (0, 1)")
     g_sign = np.asarray(g_sign, dtype=np.float64)
     est = sample_correlations(sample, g_sign)
     heavy = np.abs(est) >= gamma_target
@@ -126,11 +127,11 @@ def quantum_weak_parity(n, gamma_target, delta, g_sign, sample, counter, rng,
         raise NoHeavyCoefficient(f"no sampled correlation reaches {gamma_target:g}")
     k_max = max(1, math.ceil(schedule_scale / gamma_target))
     depths = _doubling_depths(k_max)
-    reps = max(1, math.ceil(math.log2(1.0 / delta))) if 0.0 < delta < 1.0 else 1
+    reps = max(1, math.ceil(math.log2(1.0 / delta)))
 
     bits = ((1.0 - g_sign) / 2.0).astype(np.uint8)
     scratch = QueryCounter()  # raw gate tally of the shared simulation; attempts charge protocol cost
-    state = prepare_spectrum_state(bits, scratch, n)
+    state = prepare_spectrum_state(bits, scratch)
     dists = {0: index_distribution(state)}
     deepest = 0
     for _ in range(reps):
@@ -196,7 +197,7 @@ def signed_digit_decompose(m_values, d: int) -> SignedDigits:
 
 
 def weighted_weak_parity(f_sign, m_values, big_gamma, delta, sample, counter, rng,
-                         schedule_scale: float = 1.0, max_retries: int = 4) -> WeakHypothesis:
+                         schedule_scale: float = 1.0) -> WeakHypothesis:
     """Find a parity correlated with the weighted target M * f.
 
     Truncates the weights at depth d = ceil(log2(3 / big_gamma)) and
@@ -209,7 +210,7 @@ def weighted_weak_parity(f_sign, m_values, big_gamma, delta, sample, counter, rn
     verified against the sampled weighted correlation at threshold
     big_gamma / 6 and the best verified one is returned, ties toward the
     smaller index. The whole pass retries with fresh randomness up to
-    ``max_retries`` times before giving up.
+    ``RETRIES`` times before giving up.
     """
     if not 0.0 < big_gamma < 1.0:
         raise ValueError("big_gamma must lie in (0, 1)")
@@ -231,7 +232,7 @@ def weighted_weak_parity(f_sign, m_values, big_gamma, delta, sample, counter, rn
             distinct.append(j)
     delta_bit = max(delta / len(distinct), 1e-12)
 
-    for _ in range(max(1, max_retries)):
+    for _ in range(RETRIES):
         candidates = set()
         for j in distinct:
             try:
@@ -240,23 +241,20 @@ def weighted_weak_parity(f_sign, m_values, big_gamma, delta, sample, counter, rn
             except NoHeavyCoefficient:
                 continue
             candidates.add(hyp.a)
-        best = None
-        for a in sorted(candidates):
-            if abs(weighted_est[a]) >= accept and (best is None or abs(weighted_est[a]) > abs(weighted_est[best])):
-                best = a
-        if best is not None:
+        if candidates:
+            ordered = sorted(candidates)
+            best = ordered[top_index(weighted_est[ordered])]
             value = weighted_est[best]
-            return WeakHypothesis(int(best), 1 if value >= 0 else -1, float(abs(value)))
+            if abs(value) >= accept:
+                return WeakHypothesis(int(best), 1 if value >= 0 else -1, float(abs(value)))
     raise NoHeavyCoefficient(
         f"no candidate parity verified at weighted threshold {accept:g}")
 
 
-def exact_weak_parity(f_sign, m_values, big_gamma: float | None = None) -> WeakHypothesis:
+def exact_weak_parity(f_sign, m_values) -> WeakHypothesis:
     """Exact argmax of the weighted correlation over the full cube.
 
     The oracle baseline: never fails while a heavy coefficient exists.
-    ``big_gamma`` is accepted for signature parity with the other
-    learners and does not influence the argmax.
     """
     table = np.asarray(m_values, dtype=np.float64) * np.asarray(f_sign, dtype=np.float64)
     a, coeff = best_parity(table)
@@ -266,9 +264,8 @@ def exact_weak_parity(f_sign, m_values, big_gamma: float | None = None) -> WeakH
 def sampled_weak_parity(sample: SharedSample, weighted_values, accept: float) -> WeakHypothesis:
     """Argmax of the sampled weighted correlations, verified at ``accept``."""
     est = sample_correlations(sample, weighted_values)
-    mags = np.abs(est)
-    a = int(np.flatnonzero(mags == mags.max()).min())
-    if mags[a] < accept:
+    a = top_index(est)
+    if abs(est[a]) < accept:
         raise NoHeavyCoefficient(
-            f"best sampled correlation {mags[a]:g} below threshold {accept:g}")
-    return WeakHypothesis(a, 1 if est[a] >= 0 else -1, float(mags[a]))
+            f"best sampled correlation {abs(est[a]):g} below threshold {accept:g}")
+    return WeakHypothesis(a, 1 if est[a] >= 0 else -1, float(abs(est[a])))

@@ -11,10 +11,12 @@ from contextlib import contextmanager
 import numpy as np
 import pytest
 
-from qhslab import (QhsConfig, QueryCounter, chi, grover_step, index_distribution,
-                    learn_dnf, planted_parity, prepare_spectrum_state, random_dnf,
-                    signed_digit_decompose, to_pm1, weight_from_margin, wht)
+from qhslab import (QhsConfig, QueryCounter, grover_step, index_distribution, learn_dnf,
+                    planted_parity, prepare_spectrum_state, random_dnf, to_pm1, wht)
 from qhslab import seeds
+from qhslab.boolfn import chi
+from qhslab.boosting import weight_from_margin
+from qhslab.weaklearn import signed_digit_decompose
 
 
 @contextmanager
@@ -146,7 +148,7 @@ def test_criterion_6_end_to_end_quantum_runs(quantum_grid):
         failures = 0
         for formula, cfg, combined, report in quantum_grid["runs"]:
             failures += (report.final_error >= GRID_EPSILON)
-            floor = cfg.verify_threshold - 5.0 * cfg.sampling_sigma
+            floor = cfg.verify_threshold - 5.0 / math.sqrt(cfg.sample_size)
             assert floor > 0
             for row, exact, _, _ in stage_exact_advantages(formula, cfg, combined, report):
                 assert exact >= floor
@@ -173,7 +175,7 @@ def test_criterion_8_mode_agreement(quantum_grid):
                                       seed=cfg.seed)
             classical_combined, classical_report = learn_dnf(formula, classical_cfg)
             assert abs(classical_report.final_error - report.final_error) < cfg.epsilon
-            floor = cfg.verify_threshold - 5.0 * cfg.sampling_sigma
+            floor = cfg.verify_threshold - 5.0 / math.sqrt(cfg.sample_size)
             for _, exact, _, _ in stage_exact_advantages(
                     formula, classical_cfg, classical_combined, classical_report):
                 assert exact >= floor

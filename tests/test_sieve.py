@@ -4,11 +4,12 @@ import math
 import numpy as np
 import pytest
 
-from qhslab import (DnfFormula, QhsConfig, QueryCounter, SharedSample, StageBudgetExceeded,
-                    WeakLearnerFailure, boost, exact_weak_parity, learn_dnf, query_sweep,
-                    random_dnf, to_pm1, weight_from_margin, wht)
+from qhslab import (QhsConfig, QueryCounter, SharedSample, boost, exact_weak_parity, learn_dnf,
+                    query_sweep, random_dnf, to_pm1, wht)
 from qhslab import seeds
-from qhslab.sieve import CSV_COLUMNS
+from qhslab.boolfn import DnfFormula
+from qhslab.boosting import StageBudgetExceeded, weight_from_margin
+from qhslab.sieve import CSV_COLUMNS, WeakLearnerFailure
 
 
 def small_cfg(**kw):
@@ -81,7 +82,7 @@ def test_quantum_mode_learns_and_verifies():
     f_sign = formula.sign_table()
     xs = np.arange(1 << n)
     margins = np.zeros(1 << n)
-    floor = cfg.verify_threshold - 5 * cfg.sampling_sigma
+    floor = cfg.verify_threshold - 5 / math.sqrt(cfg.sample_size)
     assert floor > 0
     for row, hyp in zip(report.stages, combined.hypotheses):
         weights = weight_from_margin(margins, cfg.gamma)
