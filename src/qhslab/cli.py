@@ -56,7 +56,7 @@ def _cli_mode(mode: str) -> str:
 def _tuning(args) -> dict:
     """The QhsConfig fields the shared tuning flags set, besides mode and seed."""
     return {"delta": args.delta, "stage_scale": args.c1, "threshold_scale": args.c2,
-            "sample_scale": args.cr, "schedule_scale": args.ck, "wl_delta": args.wl_delta}
+            "sample_scale": args.cr, "wl_delta": args.wl_delta}
 
 
 def _load_run(args) -> tuple:
@@ -211,7 +211,6 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--c1", type=float, default=4.0, help="stage budget scale")
         p.add_argument("--c2", type=float, default=1.0, help="heaviness threshold scale")
         p.add_argument("--cr", type=float, default=131072.0, help="shared sample scale")
-        p.add_argument("--ck", type=float, default=1.0, help="amplification depth scale")
         p.add_argument("--wl-delta", type=float, default=None,
                        help="per-stage weak-learner failure budget (default delta / (2 * stage budget))")
 

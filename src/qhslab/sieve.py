@@ -47,7 +47,8 @@ class QhsConfig:
     learner's per-stage failure budget defaults to delta / (2 * budget)
     and can be overridden through wl_delta. Construction rejects a
     non-integer n or s, epsilon outside (0, 1/2) (the range
-    :func:`boosting.boost` accepts), and delta or wl_delta outside (0, 1).
+    :func:`boosting.boost` accepts), delta or wl_delta outside (0, 1),
+    and a nonpositive scale.
     """
 
     n: int
@@ -58,7 +59,6 @@ class QhsConfig:
     stage_scale: float = 4.0
     threshold_scale: float = 1.0
     sample_scale: float = 131072.0
-    schedule_scale: float = 1.0
     wl_delta: float | None = None
     seed: int = 0
 
@@ -74,6 +74,9 @@ class QhsConfig:
             raise ValueError("epsilon must lie in (0, 1/2)")
         if not 0.0 < self.delta < 1.0:
             raise ValueError("delta must lie in (0, 1)")
+        for name in ("stage_scale", "threshold_scale", "sample_scale"):
+            if not getattr(self, name) > 0.0:
+                raise ValueError(f"{name} must be positive")
         if self.wl_delta is not None and not 0.0 < self.wl_delta < 1.0:
             raise ValueError("wl_delta must lie in (0, 1)")
         if self.mode not in MODES:
@@ -200,7 +203,7 @@ def setup_run(formula: DnfFormula, cfg: QhsConfig) -> tuple:
             if cfg.mode == "classical_sampled":
                 return sampled_weak_parity(sample, weights * f_sign, cfg.verify_threshold)
             return weighted_weak_parity(f_sign, weights, cfg.big_gamma, cfg.stage_delta(),
-                                        sample, counter, rng, cfg.schedule_scale)
+                                        sample, counter, rng)
         except NoHeavyCoefficient as exc:
             raise WeakLearnerFailure(f"stage {t}: {exc}") from exc
 

@@ -8,6 +8,8 @@ n index qubits, one answer qubit, one phase qubit, packed as
 
 so the amplitude array has length ``2**(n + 2)`` and reshapes to
 ``(2**n, 2, 2)``. Operations mutate the state in place and return it.
+Every gate is real (H, X, CZ, the membership permutation, the marked
+phase), so the amplitudes are float64.
 
 Nothing here renormalizes silently. Every public operation checks the
 L2 norm on exit and raises :class:`StateNormError` past a drift of
@@ -30,7 +32,7 @@ import numpy as np
 from .boolfn import butterfly_axis0, check_cap
 
 _NORM_TOL = 1e-9
-_DUMP_MAGIC = b"QHSSTATE"
+_DUMP_MAGIC = b"QHSREAL1"
 
 
 class StateNormError(RuntimeError):
@@ -68,13 +70,13 @@ def init_state(n: int) -> StateVector:
     if n < 1:
         raise ValueError("need at least one index qubit")
     check_cap(n)
-    amps = np.zeros(1 << (n + 2), dtype=np.complex128)
+    amps = np.zeros(1 << (n + 2), dtype=np.float64)
     amps[0] = 1.0
     return StateVector(n, amps)
 
 
 def _checked(state: StateVector) -> StateVector:
-    if abs(np.linalg.norm(state.amps) - 1.0) > _NORM_TOL:
+    if abs(state.norm() - 1.0) > _NORM_TOL:
         raise StateNormError("state norm drifted beyond 1e-9")
     return state
 
@@ -97,9 +99,7 @@ def hadamard_index(state: StateVector) -> StateVector:
 def x_phase(state: StateVector) -> StateVector:
     """Pauli X on the phase qubit."""
     v = state.amps.reshape(-1, 2)
-    tmp = v[:, 0].copy()
-    v[:, 0] = v[:, 1]
-    v[:, 1] = tmp
+    v[:] = v[:, ::-1].copy()
     return _checked(state)
 
 
@@ -124,9 +124,7 @@ def apply_membership(state: StateVector, f, counter: QueryCounter) -> StateVecto
     bits = _index_table(f, state.n, np.uint8)
     v = state.view()
     ones = np.flatnonzero(bits)
-    if ones.size:
-        flipped = v[ones][:, ::-1, :]
-        v[ones] = flipped
+    v[ones] = v[ones][:, ::-1, :]
     counter.quantum_queries += 1
     return _checked(state)
 
@@ -191,26 +189,23 @@ def grover_step(state: StateVector, f, marked, counter: QueryCounter) -> StateVe
 
 def index_distribution(state: StateVector) -> np.ndarray:
     """Measurement distribution of the index register; sums to 1."""
-    probs = np.abs(state.amps.reshape(-1, 4)) ** 2
-    return probs.sum(axis=1)
+    return (state.amps.reshape(-1, 4) ** 2).sum(axis=1)
 
 
 def dump_state(state: StateVector) -> bytes:
-    """Binary dump: 16-byte header (magic, n) then little-endian
-    (real, imag) double pairs in basis order."""
+    """Binary dump: 16-byte header (magic, n) then the amplitudes as
+    little-endian doubles in basis order."""
     header = _DUMP_MAGIC + int(state.n).to_bytes(8, "little")
-    pairs = np.empty(2 * state.amps.size, dtype="<f8")
-    pairs[0::2] = state.amps.real
-    pairs[1::2] = state.amps.imag
-    return header + pairs.tobytes()
+    return header + state.amps.astype("<f8").tobytes()
 
 
 def load_state(buf: bytes) -> StateVector:
+    """Inverse of :func:`dump_state`, checked like any other state."""
     if buf[:8] != _DUMP_MAGIC:
         raise ValueError("bad state dump magic")
-    n = int.from_bytes(buf[8:16], "little")
-    pairs = np.frombuffer(buf[16:], dtype="<f8")
-    if pairs.size != 2 * (1 << (n + 2)):
+    state = init_state(int.from_bytes(buf[8:16], "little"))
+    amps = np.frombuffer(buf[16:], dtype="<f8")
+    if amps.size != state.amps.size:
         raise ValueError("state dump length does not match its header")
-    amps = (pairs[0::2] + 1j * pairs[1::2]).astype(np.complex128)
-    return StateVector(n, amps)
+    state.amps[:] = amps
+    return _checked(state)

@@ -99,8 +99,7 @@ def _doubling_depths(k_max: int) -> list:
     return depths
 
 
-def quantum_weak_parity(n, gamma_target, delta, g_sign, sample, counter, rng,
-                        schedule_scale: float = 1.0) -> WeakHypothesis:
+def quantum_weak_parity(n, gamma_target, delta, g_sign, sample, counter, rng) -> WeakHypothesis:
     """Find a parity whose sample correlation with g reaches gamma_target.
 
     Succeeds with probability at least 1 - delta whenever some parity has
@@ -108,10 +107,11 @@ def quantum_weak_parity(n, gamma_target, delta, g_sign, sample, counter, rng,
     threshold sits at gamma_target, splitting that premise in half.
 
     The initial marked probability is unknown, so attempts follow the
-    doubling schedule k = 0, 1, 2, 4, ... capped at
-    ceil(schedule_scale / gamma_target). Every attempt at depth k is
-    charged its full fresh-preparation cost of 2*(2k + 1) queries, and
-    the attempt loop repeats ceil(log2(1/delta)) times before giving up.
+    doubling schedule k = 0, 1, 2, 4, ... capped at ceil(1 / gamma_target).
+    Every attempt at depth k is charged its full fresh-preparation cost
+    of 2*(2k + 1) queries, and the attempt loop repeats
+    ceil(log2(1/delta)) times before giving up. ``n`` must match the
+    sample's cube and ``g_sign`` must have one entry per point.
     The simulation itself extends one evolving state and caches the
     measurement distribution per depth, which draws from exactly the
     same joint law as independent preparations.
@@ -121,11 +121,13 @@ def quantum_weak_parity(n, gamma_target, delta, g_sign, sample, counter, rng,
     if not 0.0 < delta < 1.0:
         raise ValueError("delta must lie in (0, 1)")
     g_sign = np.asarray(g_sign, dtype=np.float64)
+    if n != sample.n or g_sign.shape != (1 << n,):
+        raise ValueError(f"n={n} needs a sample and a target on 2**{n} points")
     est = sample_correlations(sample, g_sign)
     heavy = np.abs(est) >= gamma_target
     if not heavy.any():
         raise NoHeavyCoefficient(f"no sampled correlation reaches {gamma_target:g}")
-    k_max = max(1, math.ceil(schedule_scale / gamma_target))
+    k_max = max(1, math.ceil(1.0 / gamma_target))
     depths = _doubling_depths(k_max)
     reps = max(1, math.ceil(math.log2(1.0 / delta)))
 
@@ -196,8 +198,7 @@ def signed_digit_decompose(m_values, d: int) -> SignedDigits:
     return SignedDigits(d, alpha, k, v)
 
 
-def weighted_weak_parity(f_sign, m_values, big_gamma, delta, sample, counter, rng,
-                         schedule_scale: float = 1.0) -> WeakHypothesis:
+def weighted_weak_parity(f_sign, m_values, big_gamma, delta, sample, counter, rng) -> WeakHypothesis:
     """Find a parity correlated with the weighted target M * f.
 
     Truncates the weights at depth d = ceil(log2(3 / big_gamma)) and
@@ -236,8 +237,7 @@ def weighted_weak_parity(f_sign, m_values, big_gamma, delta, sample, counter, rn
         candidates = set()
         for j in distinct:
             try:
-                hyp = quantum_weak_parity(n, gamma_bit, delta_bit, rows[j], sample,
-                                          counter, rng, schedule_scale)
+                hyp = quantum_weak_parity(n, gamma_bit, delta_bit, rows[j], sample, counter, rng)
             except NoHeavyCoefficient:
                 continue
             candidates.add(hyp.a)

@@ -95,6 +95,8 @@ def test_learn_error_exit_codes(tmp_path, instance):
                    "--epsilon", 0.15, "--out", tmp_path / "z") == EXIT_STAGE_BUDGET
     assert run_cli("learn", instance, "--epsilon", 7.0,
                    "--out", tmp_path / "w") == EXIT_PARAMS
+    assert run_cli("learn", instance, "--c1", -1, "--out", tmp_path / "v") == EXIT_PARAMS
+    assert run_cli("learn", instance, "--cr", 0, "--out", tmp_path / "u") == EXIT_PARAMS
 
 
 def test_weak_subcommand(tmp_path, literal_instance):

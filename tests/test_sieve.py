@@ -33,7 +33,9 @@ def test_config_validation():
     for bad in (dict(epsilon=0.0), dict(delta=1.5), dict(mode="wrong"), dict(n=64),
                 dict(n=6.0), dict(n=True), dict(s=2.0), dict(s=False),
                 dict(epsilon=0.5), dict(epsilon=0.7),
-                dict(wl_delta=0.0), dict(wl_delta=1.0), dict(wl_delta=5.0)):
+                dict(wl_delta=0.0), dict(wl_delta=1.0), dict(wl_delta=5.0),
+                dict(stage_scale=-1.0), dict(stage_scale=0.0), dict(sample_scale=0.0),
+                dict(sample_scale=-5.0), dict(threshold_scale=0.0), dict(threshold_scale=-1.0)):
         with pytest.raises(ValueError):
             QhsConfig(**{**dict(n=10, s=2, epsilon=0.1), **bad})
 

@@ -13,7 +13,7 @@ from qhslab.simulator import (StateNormError, apply_marked_phase, apply_membersh
 
 def random_state(n, seed):
     rng = np.random.default_rng(seed)
-    amps = rng.standard_normal(1 << (n + 2)) + 1j * rng.standard_normal(1 << (n + 2))
+    amps = rng.standard_normal(1 << (n + 2))
     amps /= np.linalg.norm(amps)
     state = init_state(n)
     state.amps[:] = amps
@@ -49,7 +49,12 @@ def apply_c_matrix_free(state_vec, n, bits):
 
 def test_init_state():
     state = init_state(1)
+    assert state.amps.dtype == np.float64
     assert state.amps[0] == 1.0 and np.all(state.amps[1:] == 0)
+    bits = np.array([0, 1], dtype=np.uint8)
+    stepped = grover_step(prepare_spectrum_state(bits, QueryCounter()), bits,
+                          np.array([False, True]), QueryCounter())
+    assert stepped.amps.dtype == np.float64
     assert abs(state.norm() - 1.0) < 1e-12
     assert init_state(3).amps.size == 32
     with pytest.raises(ValueError):
@@ -275,12 +280,17 @@ def test_dump_round_trip():
     state = prepare_spectrum_state(
         planted_parity(5, 9, 0.25, seed=20), QueryCounter())
     blob = dump_state(state)
-    assert blob[:8] == b"QHSSTATE"
-    assert len(blob) == 16 + 16 * state.amps.size
+    assert blob[:8] == b"QHSREAL1"
+    assert len(blob) == 16 + 8 * state.amps.size
     again = load_state(blob)
     assert again.n == state.n
     assert np.array_equal(again.amps, state.amps)
+    hadamard_index(again)  # the loaded state is writable
     with pytest.raises(ValueError):
         load_state(b"BADMAGIC" + blob[8:])
     with pytest.raises(ValueError):
         load_state(blob[:-8])
+    with pytest.raises(ValueError):
+        load_state(b"QHSREAL1" + (0).to_bytes(8, "little") + bytes(8 * 4))  # n=0
+    with pytest.raises(StateNormError):
+        load_state(blob[:16] + bytes(len(blob) - 16))

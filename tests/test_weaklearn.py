@@ -110,6 +110,12 @@ def test_quantum_weak_parity_rejects_bad_target():
         with pytest.raises(ValueError):
             quantum_weak_parity(4, gamma_target, delta, to_pm1(bits).astype(float), sample,
                                 QueryCounter(), np.random.default_rng(6))
+    planted = planted_parity(8, 19, 0.125, seed=7)
+    planted_sample = SharedSample.full_cube(8, planted)
+    for n, g_sign in ((3, to_pm1(planted)), (8, to_pm1(bits))):  # n or target off the sample's cube
+        with pytest.raises(ValueError):
+            quantum_weak_parity(n, 0.1, 0.05, g_sign.astype(float), planted_sample,
+                                QueryCounter(), np.random.default_rng(6))
 
 
 def test_signed_digits_worked_examples():
