@@ -83,16 +83,7 @@ class DnfFormula:
 
     @classmethod
     def from_dict(cls, data: dict) -> "DnfFormula":
-        terms = [[(int(v), bool(neg)) for v, neg in term] for term in data["terms"]]
-        return cls(int(data["n"]), terms)
-
-
-def eval_dnf(formula: DnfFormula, x: int) -> int:
-    """1 iff some term has every literal satisfied; the empty formula is 0."""
-    for term in formula.terms:
-        if all(((x >> var) & 1) != neg for var, neg in term):
-            return 1
-    return 0
+        return cls(int(data["n"]), data["terms"])
 
 
 def to_pm1(bit):

@@ -13,10 +13,12 @@ the weak learner needs.
 """
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
 
 import numpy as np
 
+from .boolfn import chi
 from .weaklearn import SharedSample
 
 
@@ -27,12 +29,12 @@ class StageBudgetExceeded(Exception):
 def weight_from_margin(margins, gamma: float):
     """1 below zero margin, geometric decay (1 - gamma)**(margin/2) above."""
     margins = np.asarray(margins, dtype=np.float64)
-    return np.where(margins < 0.0, 1.0, (1.0 - gamma) ** (np.maximum(margins, 0.0) / 2.0))
+    return (1.0 - gamma) ** (np.maximum(margins, 0.0) / 2.0)
 
 
 @dataclass
 class CombinedHypothesis:
-    """Majority vote over the accepted signed parities."""
+    """Majority vote over the accepted signed parities, one per stage."""
 
     hypotheses: list
 
@@ -41,19 +43,19 @@ class CombinedHypothesis:
             raise ValueError("cannot combine an empty hypothesis list")
 
     def vote(self, xs):
-        """Mean hypothesis value, in [-1, 1]."""
+        """Mean hypothesis value, in [-1, 1], tallied exactly per distinct parity."""
         xs = np.asarray(xs, dtype=np.int64)
-        total = np.zeros(xs.shape, dtype=np.float64)
+        tally = Counter()
         for hyp in self.hypotheses:
-            total += hyp.values(xs)
+            tally[hyp.a] += hyp.sign
+        total = np.zeros(xs.shape, dtype=np.int64)
+        for a, count in tally.items():
+            total += count * chi(a, xs)
         return total / len(self.hypotheses)
 
-    def values(self, xs):
-        """Majority sign; a tied vote resolves to +1."""
-        return np.where(self.vote(xs) >= 0.0, 1.0, -1.0)
-
     def sign_table(self, n: int) -> np.ndarray:
-        return self.values(np.arange(1 << n, dtype=np.int64))
+        """Majority sign over the cube; a tied vote resolves to +1."""
+        return np.where(self.vote(np.arange(1 << n, dtype=np.int64)) >= 0.0, 1.0, -1.0)
 
 
 def boost(f_sign, sample: SharedSample, epsilon: float, gamma: float, budget: int,
@@ -74,10 +76,14 @@ def boost(f_sign, sample: SharedSample, epsilon: float, gamma: float, budget: in
     if not 0.0 < gamma < 0.5:
         raise ValueError("gamma must lie in (0, 1/2)")
     f_sign = np.asarray(f_sign, dtype=np.float64)
-    xs = np.arange(f_sign.size, dtype=np.int64)
+    if not np.all(np.abs(f_sign) == 1.0):
+        raise ValueError("f_sign must be a +-1 table")
     theta = gamma / (2.0 + gamma)
     margins = np.zeros(f_sign.size, dtype=np.float64)
     hypotheses, estimates = [], []
+    # Where f_sign * h_t is -1, one bit per point and distinct signed parity:
+    # runs accept few distinct parities, and float tables take 64x the memory.
+    wrong = {}
     while True:
         weights = weight_from_margin(margins, gamma)
         estimates.append(float(sample.counts @ weights / sample.size))
@@ -87,4 +93,8 @@ def boost(f_sign, sample: SharedSample, epsilon: float, gamma: float, budget: in
             raise StageBudgetExceeded(f"estimate above 2*epsilon/3 after all {budget} stages")
         hyp = weak_learner(weights)
         hypotheses.append(hyp)
-        margins += f_sign * hyp.values(xs) - theta
+        key = (hyp.a, hyp.sign)
+        if key not in wrong:
+            wrong[key] = np.packbits(f_sign * hyp.values(np.arange(f_sign.size)) < 0.0)
+        margins += np.where(np.unpackbits(wrong[key], count=f_sign.size),
+                            -1.0 - theta, 1.0 - theta)

@@ -24,7 +24,8 @@ from . import seeds
 from .boolfn import dnf_to_json, heavy_coeffs, load_dnf, mux_dnf, random_dnf, wht
 from .boosting import StageBudgetExceeded
 from .checks import FAULTS, SUITES, run_all
-from .sieve import MODES, QhsConfig, WeakLearnerFailure, learn_dnf, query_sweep, setup_run
+from .sieve import (MODES, QhsConfig, WeakLearnerFailure, csv_field, learn_dnf, query_sweep,
+                    setup_run)
 from .simulator import QueryCounter, dump_state, prepare_spectrum_state
 
 EXIT_OK = 0
@@ -41,12 +42,6 @@ def write_atomic(path: str, data) -> None:
     with open(tmp, mode) as handle:
         handle.write(data)
     os.replace(tmp, path)
-
-
-def _fmt(value) -> str:
-    if isinstance(value, float):
-        return repr(value)
-    return str(value)
 
 
 def _cli_mode(mode: str) -> str:
@@ -88,7 +83,7 @@ def cmd_learn(args) -> int:
     write_atomic(args.out + ".json", report.to_json())
     write_atomic(args.out + ".csv", report.to_csv())
     totals = report.totals()
-    print(f"converged in {totals['stages']} stages, final error {_fmt(report.final_error)}, "
+    print(f"converged in {totals['stages']} stages, final error {csv_field(report.final_error)}, "
           f"{totals['quantum_queries']} quantum / {totals['classical_queries']} classical queries")
     print(f"wrote {args.out}.json and {args.out}.csv")
     return EXIT_OK
@@ -126,7 +121,7 @@ def cmd_spectrum(args) -> int:
         coeffs = wht(formula.sign_table())
         rows = [(a, float(c)) for a, c in enumerate(coeffs)]
     for a, coeff in rows:
-        lines.append(f"{a},{_fmt(coeff)}")
+        lines.append(f"{a},{csv_field(coeff)}")
     text = "\n".join(lines) + "\n"
     if args.out:
         write_atomic(args.out, text)
@@ -167,7 +162,7 @@ def cmd_sweep(args) -> int:
                "quantum_queries", "classical_queries", "sample_size", "final_error")
     lines = [",".join(columns)]
     for row in result["rows"]:
-        lines.append(",".join("" if row[col] is None else _fmt(row[col]) for col in columns))
+        lines.append(",".join("" if row[col] is None else csv_field(row[col]) for col in columns))
     write_atomic(args.out + ".csv", "\n".join(lines) + "\n")
     payload = {
         "schema": 1,

@@ -136,6 +136,11 @@ class StageRow:
 CSV_COLUMNS = tuple(f.name for f in fields(StageRow))
 
 
+def csv_field(value) -> str:
+    """The CSV form of a value: ``repr`` for a float, ``str`` otherwise."""
+    return repr(value) if isinstance(value, float) else str(value)
+
+
 @dataclass
 class RunReport:
     """Per-stage telemetry plus the exact final error.
@@ -166,9 +171,7 @@ class RunReport:
     def to_csv(self) -> str:
         lines = [",".join(CSV_COLUMNS)]
         for row in self.stages:
-            rec = asdict(row)
-            lines.append(",".join(repr(rec[col]) if isinstance(rec[col], float) else str(rec[col])
-                                  for col in CSV_COLUMNS))
+            lines.append(",".join(csv_field(getattr(row, col)) for col in CSV_COLUMNS))
         return "\n".join(lines) + "\n"
 
 

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from qhslab import best_parity, heavy_coeffs, planted_parity, random_dnf, to_pm1, wht
-from qhslab.boolfn import (DnfFormula, chi, dnf_from_json, dnf_to_json, eval_dnf, load_dnf,
+from qhslab.boolfn import (DnfFormula, chi, dnf_from_json, dnf_to_json, load_dnf,
                            mux_dnf, wht_unscaled)
 
 
@@ -33,22 +33,23 @@ def naive_spectrum(table):
 
 def test_eval_single_term():
     formula = DnfFormula(2, [[(0, False), (1, True)]])  # x0 and not x1
-    assert eval_dnf(formula, 0b01) == 1
-    assert eval_dnf(formula, 0b11) == 0
-    assert eval_dnf(formula, 0b00) == 0
+    table = formula.truth_table()
+    assert table[0b01] == 1
+    assert table[0b11] == 0
+    assert table[0b00] == 0
 
 
 def test_eval_empty_formula_is_false():
     formula = DnfFormula(3, [])
-    assert all(eval_dnf(formula, x) == 0 for x in range(8))
+    assert np.array_equal(formula.truth_table(), np.zeros(8))
 
 
 def test_eval_matches_brute_force():
-    formula = DnfFormula(3, [[(0, False), (2, True)], [(1, False)]])
-    for x in range(8):
-        assert eval_dnf(formula, x) == brute_force_eval(formula, x)
-    assert np.array_equal(formula.truth_table(),
-                          [brute_force_eval(formula, x) for x in range(8)])
+    formulas = [DnfFormula(3, [[(0, False), (2, True)], [(1, False)]])]
+    formulas += [random_dnf(6, s, 3, 60 + s) for s in (1, 2, 4)]
+    for formula in formulas:
+        assert np.array_equal(formula.truth_table(),
+                              [brute_force_eval(formula, x) for x in range(1 << formula.n)])
 
 
 def test_formula_validation():
@@ -64,7 +65,7 @@ def test_to_pm1():
     formula = DnfFormula(3, [[(0, False)], [(1, True), (2, False)]])
     table = formula.truth_table()
     for x in range(8):
-        assert to_pm1(int(table[x])) == (-1) ** eval_dnf(formula, x)
+        assert to_pm1(int(table[x])) == (-1) ** brute_force_eval(formula, x)
 
 
 def test_chi_basics():
@@ -266,6 +267,7 @@ def test_json_round_trip(tmp_path):
     path.write_text(dnf_to_json(formula))
     again = load_dnf(path)
     assert again.to_dict() == formula.to_dict()
+    assert again.terms == formula.terms  # (int, bool) pairs, as the constructor makes them
     assert dnf_from_json(dnf_to_json(formula)).to_dict() == formula.to_dict()
     data = json.loads(path.read_text())
     assert set(data) == {"n", "terms"}

@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from qhslab import QueryCounter, SharedSample, boost, exact_weak_parity, random_dnf
 from qhslab import seeds
@@ -70,7 +72,7 @@ def test_margin_matches_incremental_table():
 
     def random_wl(weights):
         nonlocal table, stages
-        assert np.allclose(weights, weight_from_margin(table, gamma), atol=1e-12)
+        assert np.array_equal(weights, weight_from_margin(table, gamma))  # bit for bit
         hyp = WeakHypothesis(int(rng.integers(0, 1 << n)), int(rng.choice([-1, 1])), 0.5)
         table = table + f_sign * hyp.values(xs) - theta
         stages += 1
@@ -94,11 +96,11 @@ def test_combine_trivials_and_tie():
     b = 5
     single = CombinedHypothesis([WeakHypothesis(b, 1, 1.0)])
     xs = np.arange(16)
-    assert np.array_equal(single.values(xs), chi(b, xs))
+    assert np.array_equal(single.sign_table(4), chi(b, xs))
     triple = CombinedHypothesis([WeakHypothesis(b, 1, 1.0)] * 3)
-    assert np.array_equal(triple.values(xs), chi(b, xs))
+    assert np.array_equal(triple.sign_table(4), chi(b, xs))
     tied = CombinedHypothesis([WeakHypothesis(0, 1, 1.0), WeakHypothesis(0, -1, 1.0)])
-    assert np.all(tied.values(xs) == 1.0)  # vote sums to zero everywhere
+    assert np.all(tied.sign_table(4) == 1.0)  # vote sums to zero everywhere
     with pytest.raises(ValueError):
         CombinedHypothesis([])
 
@@ -111,12 +113,11 @@ def test_smoothboost_sample_perfect_learner():
     labels = chi(b, points).astype(float)
     combined, _ = cube_boost(labels, 1.5 * 0.1, 1.0 / 12, recording(labels, []))
     assert {(h.a, h.sign) for h in combined.hypotheses} == {(b, 1)}
-    assert np.array_equal(combined.values(points), labels)
+    assert np.array_equal(combined.sign_table(n), labels)
 
 
 def test_smoothboost_sample_random_dnfs():
     n, epsilon = 10, 0.1
-    points = np.arange(1 << n)
     for trial in range(5):
         s = 1 + trial % 4
         gamma = 1.0 / (8 * s + 4)
@@ -125,7 +126,7 @@ def test_smoothboost_sample_random_dnfs():
         seen = []
         combined, estimates = cube_boost(labels, 1.5 * epsilon, gamma, recording(labels, seen),
                                          budget=math.ceil(2.0 / (epsilon * gamma**2)))
-        err = float(np.mean(combined.values(points) != labels))
+        err = float(np.mean(combined.sign_table(n) != labels))
         assert err < epsilon
         assert len(combined.hypotheses) <= 2.0 / (epsilon * gamma**2)
         # smoothness: 2**n D_t never exceeds 1/epsilon
@@ -151,6 +152,9 @@ def test_smoothboost_sample_validation():
         cube_boost(labels, 0.6, 0.1, recording(labels, []), budget=10)
     with pytest.raises(ValueError):
         cube_boost(labels, 0.1, 0.0, recording(labels, []), budget=10)
+    bits = np.array([0.0, 1.0, 1.0, 0.0])  # a bit table passed where signs belong
+    with pytest.raises(ValueError):
+        boost(bits, SharedSample.full_cube(2, bits), 0.1, 0.1, 10, recording(bits, []))
 
 
 def test_smoothboost_filter_exact_runs():
@@ -208,3 +212,40 @@ def test_margin_identity_after_termination():
     assert np.allclose(total_margin, stages * (f_sign * vote - theta), atol=1e-10)
     weights = weight_from_margin(total_margin, gamma)
     assert np.all((weights > 0) & (weights <= 1))
+
+
+signed_parities = st.lists(st.tuples(st.integers(0, 15), st.sampled_from([-1, 1])),
+                           min_size=1, max_size=40)
+
+
+@settings(max_examples=200, deadline=None)
+@given(signed_parities, st.data())
+def test_vote_tally_matches_per_hypothesis_sum(pairs, data):
+    """The tallied vote equals a float sum over the hypotheses, bit for bit."""
+    # repeat and cancel some signed parities on purpose
+    pairs += [(a, data.draw(st.sampled_from([sign, -sign]))) for a, sign in pairs[:3]]
+    hyps = [WeakHypothesis(a, sign, 0.5) for a, sign in pairs]
+    xs = np.arange(16)
+    reference = np.zeros(16)
+    for hyp in hyps:
+        reference += hyp.values(xs)
+    reference /= len(hyps)
+    combined = CombinedHypothesis(hyps)
+    assert combined.vote(xs).tobytes() == reference.tobytes()
+    signs = np.where(reference >= 0.0, 1.0, -1.0)
+    assert combined.sign_table(4).tobytes() == signs.tobytes()
+
+
+margins = st.lists(st.one_of(st.floats(-50, 50), st.sampled_from([0.0, -0.0, 1e-300, -1e-300])),
+                   min_size=1, max_size=64)
+
+
+@settings(max_examples=200, deadline=None)
+@given(margins, st.floats(1e-6, 0.5, exclude_max=True))
+def test_weight_rule_matches_two_branch_form(values, gamma):
+    """One clipped power equals the rule with an explicit 1 below zero margin."""
+    values = np.array(values)
+    reference = np.where(values < 0.0, 1.0, (1.0 - gamma) ** (np.maximum(values, 0.0) / 2.0))
+    weights = weight_from_margin(values, gamma)
+    assert weights.tobytes() == reference.tobytes()
+    assert np.all(weights[values < 0.0] == 1.0)
