@@ -103,29 +103,58 @@ def chi(a, x):
 
 
 def wht_unscaled(values) -> np.ndarray:
-    """Unnormalized Walsh-Hadamard butterfly of a length 2**n vector.
+    """Unnormalized Walsh-Hadamard transform of a length 2**n vector.
 
     Returns a new float64 array whose entry ``a`` is the plain sum of
     ``values[x] * chi(a, x)``. Applying it twice multiplies by 2**n.
     """
     a = np.array(values, dtype=np.float64)
-    if a.ndim != 1 or a.size == 0 or a.size & (a.size - 1):
-        raise ValueError("input length must be a power of two")
+    if a.ndim != 1:
+        raise ValueError("input must be one-dimensional")
     butterfly_axis0(a)
     return a
 
 
+BLOCK_BITS = 7  # widest dense Hadamard block: 2**7 x 2**7 doubles, 128 KB
+
+
+def _hadamard_block(b: int) -> np.ndarray:
+    """The 2**b x 2**b Sylvester matrix ``chi(i, j)``, read-only."""
+    i = np.arange(1 << b)
+    block = chi(i[:, None], i[None, :]).astype(np.float64)
+    block.flags.writeable = False
+    return block
+
+
+_BLOCKS = tuple(_hadamard_block(b) for b in range(BLOCK_BITS + 1))
+
+
 def butterfly_axis0(a: np.ndarray) -> np.ndarray:
-    """In-place unnormalized butterfly along axis 0 (any trailing axes)."""
-    m = a.shape[0]
-    rest = a.shape[1:]
-    h = 1
-    while h < m:
-        a4 = a.reshape((m // (2 * h), 2, h) + rest)
-        low = a4[:, 0] - a4[:, 1]
-        a4[:, 0] += a4[:, 1]
-        a4[:, 1] = low
-        h *= 2
+    """In-place unnormalized Walsh-Hadamard transform along axis 0.
+
+    ``a`` must be C-contiguous with a power-of-two first axis; trailing
+    axes are transformed independently. The n index bits are split into
+    ceil(n / BLOCK_BITS) chunks of nearly equal width, and each chunk's
+    dense Hadamard block is applied as one BLAS matmul on a reshaped view
+    (Fino & Algazi, IEEE Trans. Computers 1976). The entries are +-1, so
+    integer input transforms exactly; other input differs from any other
+    summation order by roundoff alone.
+    """
+    m = a.shape[0] if a.ndim else 0
+    if m == 0 or m & (m - 1) or not a.flags.c_contiguous:
+        raise ValueError("need a C-contiguous array whose first axis is a power of two")
+    n = m.bit_length() - 1
+    inner = a.size // m
+    chunks = -(-n // BLOCK_BITS)
+    for i in range(chunks):
+        lo, hi = n * i // chunks, n * (i + 1) // chunks
+        block = _BLOCKS[hi - lo]
+        view = a.reshape(m >> hi, 1 << (hi - lo), inner << lo)
+        if view.shape[2] == 1:
+            flat = view.reshape(m >> hi, 1 << (hi - lo))
+            flat[...] = flat @ block
+        else:
+            view[...] = block @ view
     return a
 
 
@@ -136,21 +165,50 @@ def wht(table) -> np.ndarray:
     return a
 
 
+TIE_TOL = 1e-9  # relative gap below which two magnitudes tie
+
+
+def _tie_floor(top: float) -> float:
+    """Smallest magnitude that ties with ``top``.
+
+    Transform roundoff sits near 1e-13 relative, far below TIE_TOL, so it
+    cannot decide a tie: the winner is the same under any kernel.
+    """
+    return top - TIE_TOL * top
+
+
 def top_index(values) -> int:
-    """Index of the largest magnitude; ties go to the smaller index."""
-    return int(np.argmax(np.abs(values)))
+    """Index of the largest magnitude.
+
+    Magnitudes within ``TIE_TOL * max|v|`` of the maximum tie with it, and
+    the smallest tied index wins. Raises ``ValueError`` on an empty or
+    non-finite input.
+    """
+    mags = np.abs(np.asarray(values, dtype=np.float64))
+    if mags.size == 0 or not np.isfinite(mags).all():
+        raise ValueError("top_index needs a nonempty, finite input")
+    return int(np.argmax(mags >= _tie_floor(mags.max())))
 
 
 def heavy_coeffs(table, theta: float) -> list:
     """All parities whose coefficient magnitude reaches ``theta``.
 
-    Sorted by descending magnitude, ties broken toward the smaller index.
+    Sorted by descending magnitude under the :func:`top_index` tie rule:
+    each run of magnitudes that tie with the run's largest is listed by
+    index, so the first entry is ``top_index`` of the spectrum.
     """
     if theta <= 0:
         raise ValueError("theta must be positive")
     coeffs = wht(table)
-    found = np.flatnonzero(np.abs(coeffs) >= theta)
-    order = sorted(found, key=lambda a: (-abs(coeffs[a]), a))
+    mags = np.abs(coeffs)
+    found = np.flatnonzero(mags >= theta)
+    found = found[np.argsort(-mags[found], kind="stable")]
+    negated = -mags[found]  # ascending, for searchsorted
+    order, i = [], 0
+    while i < found.size:
+        j = int(np.searchsorted(negated, -_tie_floor(mags[found[i]]), side="right"))
+        order.extend(np.sort(found[i:j]))
+        i = j
     return [(int(a), float(coeffs[a])) for a in order]
 
 

@@ -82,7 +82,7 @@ def sample_correlations(sample: SharedSample, values) -> np.ndarray:
 
     Transforms the count-weighted value vector and divides by the draw
     count. This equals the per-parity sum over the sample term for term:
-    the mass vector is accumulated exactly before the butterfly runs.
+    the mass vector is accumulated exactly before the transform runs.
     """
     if sample.size == 0:
         raise ValueError("sample is empty")

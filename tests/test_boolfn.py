@@ -3,10 +3,14 @@ import json
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
-from qhslab import best_parity, heavy_coeffs, planted_parity, random_dnf, to_pm1, wht
-from qhslab.boolfn import (DnfFormula, chi, dnf_from_json, dnf_to_json, load_dnf,
-                           mux_dnf, wht_unscaled)
+from qhslab import (best_parity, boolfn, heavy_coeffs, planted_parity, random_dnf, seeds,
+                    simulator, to_pm1, wht)
+from qhslab.boolfn import (DnfFormula, butterfly_axis0, chi, dnf_from_json, dnf_to_json,
+                           load_dnf, mux_dnf, top_index, wht_unscaled)
+from qhslab.sieve import QhsConfig, learn_dnf
 
 
 def brute_force_eval(formula, x):
@@ -29,6 +33,20 @@ def naive_spectrum(table):
             total += table[x] * (-1) ** bin(a & x).count("1")
         out[a] = total / size
     return out
+
+
+def radix2_axis0(a):
+    """Reference kernel: the in-place radix-2 butterfly, one pass per index bit."""
+    m = a.shape[0]
+    rest = a.shape[1:]
+    h = 1
+    while h < m:
+        a4 = a.reshape((m // (2 * h), 2, h) + rest)
+        low = a4[:, 0] - a4[:, 1]
+        a4[:, 0] += a4[:, 1]
+        a4[:, 1] = low
+        h *= 2
+    return a
 
 
 def test_eval_single_term():
@@ -109,11 +127,87 @@ def test_wht_rejects_bad_length():
         wht(np.ones(12))
 
 
-def test_unscaled_butterfly_is_scaled_involution():
-    rng = np.random.default_rng(3)
-    table = rng.standard_normal(1 << 6)
+def transform_tolerance(n, scale):
+    """Each output sums 2**n terms of magnitude at most ``scale``; 1e-13 of
+    that bound is about 450 ulps, above the roundoff of any summation order
+    the kernels use and far below the error of a misplaced index."""
+    return 1e-13 * (1 << n) * scale
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(0, 14), st.sampled_from([(), (4,), (2, 3)]),
+       st.sampled_from([1e-3, 1.0, 1e6]), st.integers(0, 2**32))
+@example(6, (), 1.0, 0)
+@example(7, (), 1.0, 0)
+@example(8, (), 1.0, 0)
+@example(7, (4,), 1.0, 0)
+@example(8, (2, 3), 1.0, 0)
+@example(14, (4,), 1.0, 0)
+def test_blocked_kernel_matches_radix2_reference(n, trailing, scale, seed):
+    rng = np.random.default_rng(seed)
+    values = scale * rng.standard_normal((1 << n,) + trailing)
+    got = values.copy()
+    assert butterfly_axis0(got) is got
+    want = radix2_axis0(values.copy())
+    assert np.allclose(got, want, rtol=0.0, atol=transform_tolerance(n, np.abs(values).max()))
+    # +-1 input has integer sums, exact under any summation order
+    signs = np.where(values >= 0.0, 1.0, -1.0)
+    assert np.array_equal(butterfly_axis0(signs.copy()), radix2_axis0(signs.copy()))
+
+
+def test_kernel_rejects_bad_layout():
+    with pytest.raises(ValueError):
+        butterfly_axis0(np.ones(12))
+    with pytest.raises(ValueError):
+        butterfly_axis0(np.ones((8, 2))[:, 0])  # strided: a reshape would copy, not write back
+
+
+@settings(max_examples=30, deadline=None)
+@given(st.integers(0, 14), st.integers(0, 2**32))
+@example(7, 0)
+@example(8, 0)
+def test_unscaled_butterfly_is_scaled_involution(n, seed):
+    rng = np.random.default_rng(seed)
+    table = rng.standard_normal(1 << n)
     twice = wht_unscaled(wht_unscaled(table))
-    assert np.allclose(twice, (1 << 6) * table, atol=1e-10)
+    tol = transform_tolerance(n, (1 << n) * np.abs(table).max())
+    assert np.allclose(twice, (1 << n) * table, rtol=0.0, atol=tol)
+    block = rng.standard_normal((1 << n, 4))
+    twice = butterfly_axis0(butterfly_axis0(block.copy()))
+    tol = transform_tolerance(n, (1 << n) * np.abs(block).max())
+    assert np.allclose(twice, (1 << n) * block, rtol=0.0, atol=tol)
+
+
+def test_exact_learner_parities_do_not_depend_on_the_kernel(monkeypatch):
+    """Exact-mode ties are decided by the tie rule, not by the kernel's roundoff.
+
+    The formula has the shape of the benchmark's exact ladder base; with a
+    plain argmax tie rule this run's parities differ between the kernels
+    from stage 27 on.
+    """
+    formula = random_dnf(14, 2, 3, seeds.derive_int(0, 10, 2))
+    cfg = QhsConfig(n=14, s=2, epsilon=0.1, mode="classical_exact", seed=0)
+    blocked = learn_dnf(formula, cfg)[1]
+    monkeypatch.setattr(boolfn, "butterfly_axis0", radix2_axis0)
+    monkeypatch.setattr(simulator, "butterfly_axis0", radix2_axis0)
+    radix2 = learn_dnf(formula, cfg)[1]
+    assert [(r.parity, r.sign) for r in blocked.stages] == [(r.parity, r.sign) for r in radix2.stages]
+
+
+def test_top_index_tie_rule():
+    assert top_index([1.0, 1.0 + 1e-13]) == 0  # roundoff-sized gap: a tie, smaller index
+    assert top_index([-1.0 - 1e-13, 1.0]) == 0
+    assert top_index([1.0, -(1.0 + 1e-6)]) == 1  # a real gap: the larger magnitude
+    assert top_index([0.0, 0.0]) == 0
+    assert top_index([0.5, 2.0, 2.0 - 1e-12, 2.0]) == 1
+
+
+def test_top_index_rejects_empty_and_non_finite():
+    with pytest.raises(ValueError):
+        top_index([])
+    for bad in (np.nan, np.inf, -np.inf):
+        with pytest.raises(ValueError):
+            top_index([0.5, bad, 0.25])
 
 
 def test_parseval():
@@ -151,6 +245,13 @@ def test_heavy_coeffs_ordering():
     table += 0.5 * chi(3, np.arange(8)) + 0.25 * chi(5, np.arange(8)) + 0.25 * chi(6, np.arange(8))
     found = heavy_coeffs(table, 0.2)
     assert [a for a, _ in found] == [3, 5, 6]
+    # gaps of 1e-13 relative tie and go by index; gaps of 1e-6 do not
+    xs = np.arange(16)
+    table = (0.4 * chi(6, xs) + 0.25 * chi(3, xs) + 0.25 * (1 + 1e-13) * chi(5, xs)
+             + 0.1 * chi(9, xs) + 0.1 * (1 + 1e-6) * chi(12, xs))
+    found = heavy_coeffs(table, 0.05)
+    assert [a for a, _ in found] == [6, 3, 5, 12, 9]
+    assert found[0][0] == top_index(wht(table))
 
 
 def test_best_parity_exact_and_hand_enumerated():

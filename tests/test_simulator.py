@@ -74,12 +74,14 @@ def test_hadamard_uniform_and_involution():
 
 
 def test_hadamard_matches_dense_matrix():
-    n = 3
-    state = random_state(n, 1)
-    before = state.amps.copy()
-    hadamard_index(state)
-    dense = np.kron(dense_hadamard(n), np.eye(4)) @ before
-    assert np.allclose(state.amps, dense, atol=1e-12)
+    for n in (3, 8):  # one transform block, and two
+        state = random_state(n, 1)
+        amps = state.amps
+        before = amps.copy()
+        hadamard_index(state)
+        dense = np.kron(dense_hadamard(n), np.eye(4)) @ before
+        assert state.amps is amps  # transformed in place, through a reshaped view
+        assert np.allclose(amps, dense, atol=1e-12)
 
 
 def test_x_phase_and_cz():
