@@ -272,9 +272,11 @@ def planted_parity(n: int, target: int, gamma: float, seed: int) -> np.ndarray:
     """Bit table whose sign form correlates with ``chi(target)`` at exactly
     2*gamma: the parity with a seeded (1/2 - gamma) fraction of outputs
     flipped. Requires (1/2 - gamma) * 2**n to be an integer so the
-    correlation is exact, not approximate.
+    correlation is exact, not approximate, and target in [0, 2**n).
     """
     check_cap(n)
+    if not 0 <= target < (1 << n):
+        raise ValueError(f"target {target} is not a parity on {n} variables")
     flips = (0.5 - gamma) * (1 << n)
     if not 0 < gamma < 0.5 or flips != int(flips):
         raise ValueError("need gamma in (0, 1/2) with (1/2 - gamma) * 2**n integral")

@@ -14,9 +14,11 @@ seed. Files are written atomically (temp file plus rename). Exit codes:
 from __future__ import annotations
 
 import argparse
+import contextlib
 import json
 import os
 import sys
+from dataclasses import fields
 
 import numpy as np
 
@@ -24,8 +26,8 @@ from . import seeds
 from .boolfn import dnf_to_json, heavy_coeffs, load_dnf, mux_dnf, random_dnf, wht
 from .boosting import StageBudgetExceeded
 from .checks import FAULTS, SUITES, run_all
-from .sieve import (MODES, QhsConfig, WeakLearnerFailure, csv_field, learn_dnf, query_sweep,
-                    setup_run)
+from .sieve import (MODES, REPORT_SCHEMA, SWEEP_COLUMNS, QhsConfig, WeakLearnerFailure, csv_field,
+                    csv_text, learn_dnf, query_sweep, setup_run)
 from .simulator import QueryCounter, dump_state, prepare_spectrum_state
 
 EXIT_OK = 0
@@ -37,21 +39,42 @@ EXIT_VERIFY = 6
 
 
 def write_atomic(path: str, data) -> None:
+    """Write ``data`` to a temp file beside ``path``, then rename it over
+    ``path``; on any failure the temp file is removed and the error raised."""
     tmp = f"{path}.tmp{os.getpid()}"
     mode = "wb" if isinstance(data, bytes) else "w"
-    with open(tmp, mode) as handle:
-        handle.write(data)
-    os.replace(tmp, path)
+    try:
+        with open(tmp, mode) as handle:
+            handle.write(data)
+        os.replace(tmp, path)
+    except BaseException:
+        with contextlib.suppress(OSError):
+            os.remove(tmp)
+        raise
+
+
+def _emit(out, text: str, note: str = "") -> None:
+    """Write ``text`` to the file ``out`` and say so, or to stdout when ``out`` is unset."""
+    if out:
+        write_atomic(out, text)
+        print(f"wrote {out}{note}")
+    else:
+        sys.stdout.write(text)
 
 
 def _cli_mode(mode: str) -> str:
     return mode.replace("-", "_")
 
 
+# the shared tuning flags besides --mode and --seed: (flag, QhsConfig field it sets, help)
+TUNING_FLAGS = (("--delta", "delta", None), ("--c1", "stage_scale", "stage budget scale"),
+                ("--c2", "threshold_scale", "heaviness threshold scale"),
+                ("--cr", "sample_scale", "shared sample scale"))
+
+
 def _tuning(args) -> dict:
     """The QhsConfig fields the shared tuning flags set, besides mode and seed."""
-    return {"delta": args.delta, "stage_scale": args.c1, "threshold_scale": args.c2,
-            "sample_scale": args.cr, "wl_delta": args.wl_delta}
+    return {name: getattr(args, name) for _, name, _ in TUNING_FLAGS}
 
 
 def _load_run(args) -> tuple:
@@ -95,7 +118,7 @@ def cmd_weak(args) -> int:
     _, _, counter, learn = setup_run(formula, cfg)
     hyp = learn(np.ones(1 << cfg.n))
     payload = {
-        "schema": 1,
+        "schema": REPORT_SCHEMA,
         "config": cfg.to_dict(),
         "parity": hyp.a,
         "sign": hyp.sign,
@@ -103,31 +126,17 @@ def cmd_weak(args) -> int:
         "quantum_queries": counter.quantum_queries,
         "classical_queries": counter.classical_queries,
     }
-    text = json.dumps(payload, indent=2) + "\n"
-    if args.out:
-        write_atomic(args.out, text)
-        print(f"wrote {args.out}")
-    else:
-        sys.stdout.write(text)
+    _emit(args.out, json.dumps(payload, indent=2) + "\n")
     return EXIT_OK
 
 
 def cmd_spectrum(args) -> int:
     formula = load_dnf(args.instance)
-    lines = ["parity,coefficient"]
     if args.theta is not None:
         rows = heavy_coeffs(formula.sign_table(), args.theta)
     else:
-        coeffs = wht(formula.sign_table())
-        rows = [(a, float(c)) for a, c in enumerate(coeffs)]
-    for a, coeff in rows:
-        lines.append(f"{a},{csv_field(coeff)}")
-    text = "\n".join(lines) + "\n"
-    if args.out:
-        write_atomic(args.out, text)
-        print(f"wrote {args.out} ({len(rows)} rows)")
-    else:
-        sys.stdout.write(text)
+        rows = list(enumerate(wht(formula.sign_table()).tolist()))
+    _emit(args.out, csv_text(("parity", "coefficient"), rows), f" ({len(rows)} rows)")
     return EXIT_OK
 
 
@@ -158,14 +167,10 @@ def cmd_sweep(args) -> int:
     overrides = _tuning(args)
     result = query_sweep(grid, args.seeds, mode=_cli_mode(args.mode), base_seed=args.seed,
                          overrides=overrides, jobs=args.jobs)
-    columns = ("n", "s", "epsilon", "seed_index", "status", "stages",
-               "quantum_queries", "classical_queries", "sample_size", "final_error")
-    lines = [",".join(columns)]
-    for row in result["rows"]:
-        lines.append(",".join("" if row[col] is None else csv_field(row[col]) for col in columns))
-    write_atomic(args.out + ".csv", "\n".join(lines) + "\n")
+    write_atomic(args.out + ".csv",
+                 csv_text(SWEEP_COLUMNS, (row.values() for row in result["rows"])))
     payload = {
-        "schema": 1,
+        "schema": REPORT_SCHEMA,
         "parameters": {"n": ns, "s": ss, "epsilon": epsilons, "seeds": args.seeds,
                        "mode": _cli_mode(args.mode), "seed": args.seed, **overrides},
         "fits": result["fits"],
@@ -199,15 +204,12 @@ def build_parser() -> argparse.ArgumentParser:
     gen.set_defaults(func=cmd_gen)
 
     def add_tuning_options(p):
+        default = {f.name: f.default for f in fields(QhsConfig)}
         p.add_argument("--mode", choices=[m.replace("_", "-") for m in MODES],
-                       default="quantum-sim")
-        p.add_argument("--delta", type=float, default=0.1)
-        p.add_argument("--seed", type=int, default=0)
-        p.add_argument("--c1", type=float, default=4.0, help="stage budget scale")
-        p.add_argument("--c2", type=float, default=1.0, help="heaviness threshold scale")
-        p.add_argument("--cr", type=float, default=131072.0, help="shared sample scale")
-        p.add_argument("--wl-delta", type=float, default=None,
-                       help="per-stage weak-learner failure budget (default delta / (2 * stage budget))")
+                       default=default["mode"].replace("_", "-"))
+        p.add_argument("--seed", type=int, default=default["seed"])
+        for flag, name, help_text in TUNING_FLAGS:
+            p.add_argument(flag, dest=name, type=float, default=default[name], help=help_text)
 
     def add_run_options(p):
         p.add_argument("instance", help="path to a DNF instance file")

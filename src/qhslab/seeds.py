@@ -17,19 +17,19 @@ SWEEP_CELL = 2
 VERIFY = 3
 
 
-def derive(root_seed: int, *path: int) -> np.random.Generator:
-    """PCG64 generator for the given purpose path under ``root_seed``."""
-    ss = np.random.SeedSequence(
+def _sequence(root_seed: int, path) -> np.random.SeedSequence:
+    return np.random.SeedSequence(
         entropy=int(root_seed) & (2**64 - 1),
         spawn_key=tuple(int(p) for p in path),
     )
-    return np.random.Generator(np.random.PCG64(ss))
+
+
+def derive(root_seed: int, *path: int) -> np.random.Generator:
+    """PCG64 generator for the given purpose path under ``root_seed``."""
+    return np.random.Generator(np.random.PCG64(_sequence(root_seed, path)))
 
 
 def derive_int(root_seed: int, *path: int) -> int:
     """A single derived 64-bit integer, for seeding nested runs."""
-    ss = np.random.SeedSequence(
-        entropy=int(root_seed) & (2**64 - 1),
-        spawn_key=tuple(int(p) for p in path),
-    )
+    ss = _sequence(root_seed, path)
     return int(ss.generate_state(2, dtype=np.uint32).view(np.uint64)[0])

@@ -17,7 +17,7 @@ import json
 import math
 import numbers
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import asdict, dataclass, field, fields
+from dataclasses import asdict, astuple, dataclass, field, fields
 
 import numpy as np
 
@@ -25,12 +25,12 @@ from . import seeds
 from .boolfn import DnfFormula, check_cap, random_dnf, to_pm1
 from .boosting import StageBudgetExceeded, boost
 from .simulator import QueryCounter
-from .weaklearn import (NoHeavyCoefficient, SharedSample, exact_weak_parity,
+from .weaklearn import (NoHeavyCoefficient, SharedSample, bit_threshold, exact_weak_parity,
                         sampled_weak_parity, weighted_weak_parity)
 
 MODES = ("quantum_sim", "classical_exact", "classical_sampled")
 
-REPORT_SCHEMA = 1
+REPORT_SCHEMA = 2  # of every JSON artifact: run report, weak result, sweep parameters
 
 
 class WeakLearnerFailure(Exception):
@@ -44,11 +44,13 @@ class QhsConfig:
     Derivations: gamma = 1/(8s+4), big_gamma = threshold_scale * epsilon
     / (3 (2s+1)), stage budget ceil(stage_scale / (gamma**2 epsilon)),
     shared sample ceil(sample_scale * s**2 / epsilon**2). The weak
-    learner's per-stage failure budget defaults to delta / (2 * budget)
-    and can be overridden through wl_delta. Construction rejects a
-    non-integer n or s, epsilon outside (0, 1/2) (the range
-    :func:`boosting.boost` accepts), delta or wl_delta outside (0, 1),
-    and a nonpositive scale.
+    learner's per-stage failure budget is delta / (2 * budget).
+    Construction rejects a non-integer n or s, epsilon outside (0, 1/2)
+    (the range :func:`boosting.boost` accepts), delta outside (0, 1), a
+    nonpositive scale, a stage budget or sample size that is not finite
+    or a sample size above 2**63 - 1, and in quantum_sim mode a
+    big_gamma of 1 or more (:func:`weaklearn.weighted_weak_parity`
+    needs it below 1).
     """
 
     n: int
@@ -59,7 +61,6 @@ class QhsConfig:
     stage_scale: float = 4.0
     threshold_scale: float = 1.0
     sample_scale: float = 131072.0
-    wl_delta: float | None = None
     seed: int = 0
 
     def __post_init__(self):
@@ -77,10 +78,17 @@ class QhsConfig:
         for name in ("stage_scale", "threshold_scale", "sample_scale"):
             if not getattr(self, name) > 0.0:
                 raise ValueError(f"{name} must be positive")
-        if self.wl_delta is not None and not 0.0 < self.wl_delta < 1.0:
-            raise ValueError("wl_delta must lie in (0, 1)")
         if self.mode not in MODES:
             raise ValueError(f"mode must be one of {MODES}")
+        for name in ("stage_budget", "sample_size"):
+            try:
+                getattr(self, name)  # fails here, not partway through a run
+            except (OverflowError, ZeroDivisionError):
+                raise ValueError(f"{name} is not finite") from None
+        if self.sample_size > 2**63 - 1:
+            raise ValueError("sample_size exceeds 2**63 - 1")
+        if self.mode == "quantum_sim" and not self.big_gamma < 1.0:
+            raise ValueError("threshold_scale puts big_gamma at 1 or above")
 
     @property
     def gamma(self) -> float:
@@ -100,11 +108,9 @@ class QhsConfig:
 
     @property
     def verify_threshold(self) -> float:
-        return self.big_gamma / 6.0
+        return bit_threshold(self.big_gamma)
 
     def stage_delta(self) -> float:
-        if self.wl_delta is not None:
-            return self.wl_delta
         return self.delta / (2.0 * self.stage_budget)
 
     def to_dict(self) -> dict:
@@ -137,8 +143,16 @@ CSV_COLUMNS = tuple(f.name for f in fields(StageRow))
 
 
 def csv_field(value) -> str:
-    """The CSV form of a value: ``repr`` for a float, ``str`` otherwise."""
+    """The CSV form of a value: ``repr`` for a float, empty for None, else ``str``."""
+    if value is None:
+        return ""
     return repr(value) if isinstance(value, float) else str(value)
+
+
+def csv_text(columns, rows) -> str:
+    """A header line of ``columns``, then one line per row of values."""
+    lines = [",".join(columns)] + [",".join(map(csv_field, row)) for row in rows]
+    return "\n".join(lines) + "\n"
 
 
 @dataclass
@@ -169,10 +183,7 @@ class RunReport:
         return json.dumps(self.to_dict(), indent=2) + "\n"
 
     def to_csv(self) -> str:
-        lines = [",".join(CSV_COLUMNS)]
-        for row in self.stages:
-            lines.append(",".join(csv_field(getattr(row, col)) for col in CSV_COLUMNS))
-        return "\n".join(lines) + "\n"
+        return csv_text(CSV_COLUMNS, map(astuple, self.stages))
 
 
 def setup_run(formula: DnfFormula, cfg: QhsConfig) -> tuple:
@@ -237,30 +248,41 @@ def learn_dnf(formula: DnfFormula, cfg: QhsConfig) -> tuple:
     return combined, report
 
 
+GRID_AXES = ("n", "s", "epsilon")
+SWEEP_COLUMNS = GRID_AXES + ("seed_index", "status", "stages", "quantum_queries",
+                             "classical_queries", "sample_size", "final_error")
+
+
 def _sweep_cell(args: tuple) -> dict:
+    """One row in ``SWEEP_COLUMNS`` order; a failed run's result columns are None."""
     n, s, epsilon, seed_index, cell_seed, mode, overrides, term_len = args
     formula = random_dnf(n, s, min(term_len, n), cell_seed)
     cfg = QhsConfig(n=n, s=s, epsilon=epsilon, mode=mode, seed=cell_seed, **overrides)
-    row = {
-        "n": n, "s": s, "epsilon": epsilon, "seed_index": seed_index,
-        "sample_size": cfg.sample_size,
-    }
+    row = dict(zip(GRID_AXES, (n, s, epsilon)), seed_index=seed_index,
+               sample_size=cfg.sample_size)
     try:
         _, report = learn_dnf(formula, cfg)
     except (WeakLearnerFailure, StageBudgetExceeded) as exc:
-        row.update(status=type(exc).__name__, stages=None, quantum_queries=None,
-                   classical_queries=None, final_error=None)
-        return row
-    totals = report.totals()
-    row.update(status="ok", stages=totals["stages"],
-               quantum_queries=totals["quantum_queries"],
-               classical_queries=totals["classical_queries"],
-               final_error=report.final_error)
-    return row
+        row["status"] = type(exc).__name__
+    else:
+        row.update(report.totals(), status="ok", final_error=report.final_error)
+    return {col: row.get(col) for col in SWEEP_COLUMNS}
 
 
-def _loglog_slope(xs, ys) -> float:
-    return float(np.polyfit(np.log(np.asarray(xs, float)), np.log(np.asarray(ys, float)), 1)[0])
+def _loglog_fits(grid, rows, key: str, axis: str, x_of=float) -> list:
+    """Log-log slopes of the mean ``key`` total of successful runs against
+    grid axis ``axis`` (x is ``x_of`` of its value): one fit per setting
+    of the other two axes that has two or more cells of nonzero mean."""
+    i = GRID_AXES.index(axis)
+    groups = {}
+    for cell in sorted(set(grid)):
+        totals = [row[key] for row in rows
+                  if row["status"] == "ok" and tuple(row[a] for a in GRID_AXES) == cell]
+        if totals and (mean := np.mean(totals)):
+            groups.setdefault(cell[:i] + cell[i + 1:], []).append((x_of(cell[i]), mean))
+    others = GRID_AXES[:i] + GRID_AXES[i + 1:]
+    return [{**dict(zip(others, group)), "slope": float(np.polyfit(*np.log(pts).T, 1)[0])}
+            for group, pts in sorted(groups.items()) if len(pts) >= 2]
 
 
 def query_sweep(grid, n_seeds: int, mode: str = "quantum_sim", base_seed: int = 0,
@@ -286,29 +308,8 @@ def query_sweep(grid, n_seeds: int, mode: str = "quantum_sim", base_seed: int = 
     else:
         rows = [_sweep_cell(cell) for cell in cells]
 
-    def mean_total(n, s, eps, key):
-        values = [row[key] for row in rows
-                  if (row["n"], row["s"], row["epsilon"]) == (n, s, eps) and row["status"] == "ok"]
-        return float(np.mean(values)) if values else None
-
-    fits = {"quantum_vs_s": [], "classical_vs_inv_epsilon": []}
-    for n in sorted({c[0] for c in grid}):
-        for eps in sorted({c[2] for c in grid if c[0] == n}):
-            ss = sorted({c[1] for c in grid if (c[0], c[2]) == (n, eps)})
-            pts = [(s, mean_total(n, s, eps, "quantum_queries")) for s in ss]
-            pts = [(s, q) for s, q in pts if q]
-            if len(pts) >= 2:
-                fits["quantum_vs_s"].append({
-                    "n": n, "epsilon": eps,
-                    "slope": _loglog_slope([p[0] for p in pts], [p[1] for p in pts]),
-                })
-        for s in sorted({c[1] for c in grid if c[0] == n}):
-            eps_list = sorted({c[2] for c in grid if (c[0], c[1]) == (n, s)})
-            pts = [(1.0 / eps, mean_total(n, s, eps, "classical_queries")) for eps in eps_list]
-            pts = [(inv, q) for inv, q in pts if q]
-            if len(pts) >= 2:
-                fits["classical_vs_inv_epsilon"].append({
-                    "n": n, "s": s,
-                    "slope": _loglog_slope([p[0] for p in pts], [p[1] for p in pts]),
-                })
-    return {"rows": rows, "fits": fits}
+    return {"rows": rows, "fits": {
+        "quantum_vs_s": _loglog_fits(grid, rows, "quantum_queries", "s"),
+        "classical_vs_inv_epsilon": _loglog_fits(grid, rows, "classical_queries", "epsilon",
+                                                 lambda eps: 1.0 / eps),
+    }}

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .boolfn import best_parity, chi, to_pm1, top_index, wht_unscaled
+from .boolfn import chi, to_pm1, top_index, wht, wht_unscaled
 from .simulator import QueryCounter, grover_step, index_distribution, prepare_spectrum_state
 
 
@@ -36,6 +36,26 @@ class WeakHypothesis:
 
     def values(self, xs):
         return self.sign * chi(self.a, xs)
+
+
+def verdict(est, accept: float = 0.0, among=None) -> WeakHypothesis:
+    """The signed parity (sign +1 at zero) best correlated among ``among``
+    (default all) under the ``top_index`` tie rule, with its magnitude as
+    advantage; :class:`NoHeavyCoefficient` when that is below ``accept``."""
+    if among is None:
+        a = top_index(est)
+    else:  # a lone candidate (each quantum search's) skips top_index's array passes
+        among = sorted(among)
+        a = among[0] if len(among) == 1 else among[top_index(est[among])]
+    value = est[a]
+    if abs(value) < accept:
+        raise NoHeavyCoefficient(f"best correlation {abs(value):g} below threshold {accept:g}")
+    return WeakHypothesis(int(a), 1 if value >= 0 else -1, float(abs(value)))
+
+
+def bit_threshold(big_gamma: float) -> float:
+    """Per-bit search target and verification threshold of :func:`weighted_weak_parity`."""
+    return big_gamma / 6.0
 
 
 @dataclass
@@ -108,13 +128,13 @@ def quantum_weak_parity(n, gamma_target, delta, g_sign, sample, counter, rng) ->
 
     The initial marked probability is unknown, so attempts follow the
     doubling schedule k = 0, 1, 2, 4, ... capped at ceil(1 / gamma_target).
-    Every attempt at depth k is charged its full fresh-preparation cost
-    of 2*(2k + 1) queries, and the attempt loop repeats
+    Every attempt at depth k is charged the oracle calls the circuit made
+    to reach depth k: 2(2k + 1) with this circuit. The attempt loop repeats
     ceil(log2(1/delta)) times before giving up. ``n`` must match the
     sample's cube and ``g_sign`` must have one entry per point.
     The simulation itself extends one evolving state and caches the
-    measurement distribution per depth, which draws from exactly the
-    same joint law as independent preparations.
+    measurement distribution and the oracle tally per depth, which
+    draws from exactly the same joint law as independent preparations.
     """
     if not 0.0 < gamma_target < 0.5:
         raise ValueError("gamma_target must lie in (0, 1/2)")
@@ -132,9 +152,9 @@ def quantum_weak_parity(n, gamma_target, delta, g_sign, sample, counter, rng) ->
     reps = max(1, math.ceil(math.log2(1.0 / delta)))
 
     bits = ((1.0 - g_sign) / 2.0).astype(np.uint8)
-    scratch = QueryCounter()  # raw gate tally of the shared simulation; attempts charge protocol cost
+    scratch = QueryCounter()  # oracle calls of the shared simulation, read off per depth
     state = prepare_spectrum_state(bits, scratch)
-    dists = {0: index_distribution(state)}
+    dists = {0: (index_distribution(state), scratch.quantum_queries)}
     deepest = 0
     for _ in range(reps):
         for k in depths:
@@ -142,13 +162,12 @@ def quantum_weak_parity(n, gamma_target, delta, g_sign, sample, counter, rng) ->
                 while deepest < k:
                     grover_step(state, bits, heavy, scratch)
                     deepest += 1
-                dists[k] = index_distribution(state)
-            counter.quantum_queries += 2 * (2 * k + 1)
-            probs = dists[k]
+                dists[k] = (index_distribution(state), scratch.quantum_queries)
+            probs, cost = dists[k]
+            counter.quantum_queries += cost
             a = int(rng.choice(probs.size, p=probs / probs.sum()))
             if heavy[a]:
-                sign = 1 if est[a] >= 0 else -1
-                return WeakHypothesis(a, sign, float(abs(est[a])))
+                return verdict(est, among=(a,))
     raise NoHeavyCoefficient(
         f"attempt budget exhausted without a verified parity (target {gamma_target:g})")
 
@@ -205,11 +224,11 @@ def weighted_weak_parity(f_sign, m_values, big_gamma, delta, sample, counter, rn
     splits them into sign bits; whenever some parity has weighted
     correlation at least big_gamma, one bit function carries correlation
     at least big_gamma / 3 with it, which is twice the per-bit search
-    target of big_gamma / 6. Each distinct bit function (duplicates
+    target :func:`bit_threshold`. Each distinct bit function (duplicates
     collapse, and early boosting stages produce few distinct weights) is
     searched with :func:`quantum_weak_parity`; candidates are then
-    verified against the sampled weighted correlation at threshold
-    big_gamma / 6 and the best verified one is returned, ties toward the
+    verified against the sampled weighted correlation at that same
+    threshold and the best verified one is returned, ties toward the
     smaller index. The whole pass retries with fresh randomness up to
     ``RETRIES`` times before giving up.
     """
@@ -221,8 +240,7 @@ def weighted_weak_parity(f_sign, m_values, big_gamma, delta, sample, counter, rn
     digits = signed_digit_decompose(m_values, d)
     rows = digits.alpha.astype(np.float64) * f_sign[None, :]
     weighted_est = sample_correlations(sample, np.asarray(m_values, dtype=np.float64) * f_sign)
-    gamma_bit = big_gamma / 6.0
-    accept = big_gamma / 6.0
+    gamma_bit = bit_threshold(big_gamma)
 
     distinct = []
     seen = set()
@@ -242,13 +260,12 @@ def weighted_weak_parity(f_sign, m_values, big_gamma, delta, sample, counter, rn
                 continue
             candidates.add(hyp.a)
         if candidates:
-            ordered = sorted(candidates)
-            best = ordered[top_index(weighted_est[ordered])]
-            value = weighted_est[best]
-            if abs(value) >= accept:
-                return WeakHypothesis(int(best), 1 if value >= 0 else -1, float(abs(value)))
+            try:
+                return verdict(weighted_est, gamma_bit, candidates)
+            except NoHeavyCoefficient:
+                continue
     raise NoHeavyCoefficient(
-        f"no candidate parity verified at weighted threshold {accept:g}")
+        f"no candidate parity verified at weighted threshold {gamma_bit:g}")
 
 
 def exact_weak_parity(f_sign, m_values) -> WeakHypothesis:
@@ -257,15 +274,9 @@ def exact_weak_parity(f_sign, m_values) -> WeakHypothesis:
     The oracle baseline: never fails while a heavy coefficient exists.
     """
     table = np.asarray(m_values, dtype=np.float64) * np.asarray(f_sign, dtype=np.float64)
-    a, coeff = best_parity(table)
-    return WeakHypothesis(a, 1 if coeff >= 0 else -1, abs(coeff))
+    return verdict(wht(table))
 
 
 def sampled_weak_parity(sample: SharedSample, weighted_values, accept: float) -> WeakHypothesis:
     """Argmax of the sampled weighted correlations, verified at ``accept``."""
-    est = sample_correlations(sample, weighted_values)
-    a = top_index(est)
-    if abs(est[a]) < accept:
-        raise NoHeavyCoefficient(
-            f"best sampled correlation {abs(est[a]):g} below threshold {accept:g}")
-    return WeakHypothesis(a, 1 if est[a] >= 0 else -1, float(abs(est[a])))
+    return verdict(sample_correlations(sample, weighted_values), accept)

@@ -360,6 +360,10 @@ def test_planted_parity_exact_correlation():
     assert coeff == 2 * gamma
     with pytest.raises(ValueError):
         planted_parity(6, 1, 0.21, seed=0)  # (1/2 - gamma) * 64 not integral
+    for target in (-1, 16, 19):  # 19 used to plant 19 & 15
+        with pytest.raises(ValueError):
+            planted_parity(4, target, 0.25, seed=0)
+    assert planted_parity(4, 15, 0.25, seed=0).shape == (16,)
 
 
 def test_json_round_trip(tmp_path):

@@ -2,15 +2,16 @@ import json
 import pathlib
 import subprocess
 import sys
+from dataclasses import fields
 
 import numpy as np
 import pytest
 
-from qhslab import heavy_coeffs, simulator, wht
+from qhslab import QhsConfig, cli, heavy_coeffs, simulator, wht
 from qhslab.boolfn import load_dnf
 from qhslab.checks import SUITES, run_all
 from qhslab.cli import (EXIT_IO, EXIT_OK, EXIT_PARAMS, EXIT_STAGE_BUDGET, EXIT_VERIFY,
-                        EXIT_WEAK_LEARNER, build_parser, main)
+                        EXIT_WEAK_LEARNER, build_parser, main, write_atomic)
 from qhslab.simulator import load_state
 
 BUNDLED_LITERAL = (pathlib.Path(__file__).resolve().parents[1]
@@ -68,7 +69,7 @@ def test_learn_classical_exact_on_bundled_literal(tmp_path):
     assert code == EXIT_OK
     report = json.loads((tmp_path / "run.json").read_text())
     assert report["final_error"] == 0.0
-    assert report["schema"] == 1
+    assert report["schema"] == 2
     csv = (tmp_path / "run.csv").read_text().splitlines()
     assert csv[0].startswith("t,estimate,parity")
     assert len(csv) == 1 + report["totals"]["stages"]
@@ -97,6 +98,11 @@ def test_learn_error_exit_codes(tmp_path, instance):
                    "--out", tmp_path / "w") == EXIT_PARAMS
     assert run_cli("learn", instance, "--c1", -1, "--out", tmp_path / "v") == EXIT_PARAMS
     assert run_cli("learn", instance, "--cr", 0, "--out", tmp_path / "u") == EXIT_PARAMS
+    # derived sizes a run could not build: rejected before the sample is drawn
+    for bad in (("--cr", "inf"), ("--c1", "inf"), ("--cr", 1e300), ("--epsilon", 1e-200),
+                ("--c2", 1000.0)):  # big_gamma above 1 in quantum-sim mode
+        assert run_cli("learn", instance, *bad, "--out", tmp_path / "t") == EXIT_PARAMS
+    assert not list(tmp_path.glob("t*"))
 
 
 def test_weak_subcommand(tmp_path, literal_instance):
@@ -116,7 +122,6 @@ def test_weak_error_exit_codes(tmp_path, capsys, instance):
     assert "weak-learner failure" in capsys.readouterr().err
     assert run_cli("weak", tmp_path / "absent.json") == EXIT_IO
     assert run_cli("weak", BUNDLED_LITERAL, "--epsilon", 0.5) == EXIT_PARAMS
-    assert run_cli("weak", BUNDLED_LITERAL, "--wl-delta", 0.0) == EXIT_PARAMS
     assert run_cli("weak", instance, "--s", 1) == EXIT_PARAMS  # 2 terms above s=1
 
 
@@ -174,7 +179,7 @@ def test_verify_dump_state(tmp_path):
 def test_sweep_subcommand(tmp_path):
     out = tmp_path / "sweep"
     args = ("sweep", "--n", "8", "--s", "1,2", "--epsilon", "0.4,0.2", "--seeds", 2,
-            "--mode", "classical-exact", "--cr", 2048.0, "--wl-delta", 0.05, "--seed", 4,
+            "--mode", "classical-exact", "--cr", 2048.0, "--seed", 4,
             "--out", out)
     assert run_cli(*args) == EXIT_OK
     rows = (tmp_path / "sweep.csv").read_text().splitlines()
@@ -184,7 +189,29 @@ def test_sweep_subcommand(tmp_path):
     assert run_cli(*args) == EXIT_OK
     assert (tmp_path / "sweep.csv").read_bytes() == first
     assert (tmp_path / "sweep.json").read_bytes() == fits_first
-    assert json.loads(fits_first)["parameters"]["wl_delta"] == 0.05
+    assert json.loads(fits_first)["schema"] == 2
+
+
+def test_tuning_flag_defaults_are_the_config_defaults():
+    rest = {"n", "s", "epsilon", "mode", "seed"}  # set by run options or the instance
+    for argv in (["learn", "f.json"], ["weak", "f.json"], ["sweep"]):
+        args = build_parser().parse_args(argv)
+        tuning = cli._tuning(args)
+        assert set(tuning) | rest == {f.name for f in fields(QhsConfig)}
+        from_flags = QhsConfig(n=6, s=1, epsilon=0.1, mode=cli._cli_mode(args.mode),
+                               seed=args.seed, **tuning)
+        assert from_flags == QhsConfig(n=6, s=1, epsilon=0.1)
+
+
+def test_write_atomic_removes_its_temp_file(tmp_path):
+    taken = tmp_path / "taken"
+    taken.mkdir()
+    assert run_cli("gen", "--n", 4, "--s", 1, "--out", taken) == EXIT_IO  # rename fails
+    with pytest.raises(TypeError):
+        write_atomic(str(tmp_path / "text"), 12)  # write fails
+    assert [p.name for p in tmp_path.iterdir()] == ["taken"]
+    write_atomic(str(tmp_path / "text"), "ok\n")
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["taken", "text"]
 
 
 def test_console_entry_help():

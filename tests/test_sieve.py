@@ -26,18 +26,26 @@ def test_config_derivations():
     assert cfg.sample_size == math.ceil(cfg.sample_scale * 9 / 0.01)
     assert cfg.verify_threshold == cfg.big_gamma / 6
     assert cfg.stage_delta() == 0.1 / (2 * cfg.stage_budget)
-    assert QhsConfig(n=8, s=1, epsilon=0.2, wl_delta=0.02).stage_delta() == 0.02
 
 
 def test_config_validation():
     for bad in (dict(epsilon=0.0), dict(delta=1.5), dict(mode="wrong"), dict(n=64),
                 dict(n=6.0), dict(n=True), dict(s=2.0), dict(s=False),
                 dict(epsilon=0.5), dict(epsilon=0.7),
-                dict(wl_delta=0.0), dict(wl_delta=1.0), dict(wl_delta=5.0),
                 dict(stage_scale=-1.0), dict(stage_scale=0.0), dict(sample_scale=0.0),
-                dict(sample_scale=-5.0), dict(threshold_scale=0.0), dict(threshold_scale=-1.0)):
+                dict(sample_scale=-5.0), dict(threshold_scale=0.0), dict(threshold_scale=-1.0),
+                # derived sizes a run could not build
+                dict(stage_scale=math.inf), dict(sample_scale=math.inf),
+                dict(sample_scale=1e300), dict(epsilon=1e-200), dict(epsilon=1e-160),
+                dict(sample_scale=2.0**63 / 399), dict(threshold_scale=150.0),
+                dict(s=0, epsilon=0.25, threshold_scale=12.0)):  # big_gamma exactly 1
         with pytest.raises(ValueError):
             QhsConfig(**{**dict(n=10, s=2, epsilon=0.1), **bad})
+    # the edges that still build; big_gamma >= 1 is only rejected for quantum_sim
+    assert QhsConfig(n=10, s=2, epsilon=0.1, sample_scale=2.0**63 / 400).sample_size == 2**63 - 2048
+    assert QhsConfig(n=10, s=0, epsilon=0.25, threshold_scale=11.9).big_gamma < 1
+    for mode in ("classical_exact", "classical_sampled"):
+        assert QhsConfig(n=10, s=2, epsilon=0.1, threshold_scale=150.0, mode=mode).big_gamma >= 1
 
 
 def test_single_literal_learned_exactly():
@@ -98,7 +106,7 @@ def test_report_structure_and_totals():
     cfg = small_cfg(seed=9)
     _, report = learn_dnf(formula, cfg)
     data = report.to_dict()
-    assert data["schema"] == 1
+    assert data["schema"] == 2
     assert data["termination"] == "converged"
     assert data["final_estimate"] <= 2 * cfg.epsilon / 3
     ts = [row["t"] for row in data["stages"]]

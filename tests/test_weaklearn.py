@@ -5,10 +5,11 @@ import pytest
 
 from qhslab import (QueryCounter, SharedSample, exact_weak_parity, planted_parity,
                     quantum_weak_parity, random_dnf, to_pm1, wht)
-from qhslab import seeds
+from qhslab import seeds, simulator
 from qhslab.boolfn import chi
-from qhslab.weaklearn import (NoHeavyCoefficient, sample_correlations, sampled_weak_parity,
-                              signed_digit_decompose, weighted_weak_parity)
+from qhslab.weaklearn import (NoHeavyCoefficient, WeakHypothesis, sample_correlations,
+                              sampled_weak_parity, signed_digit_decompose, verdict,
+                              weighted_weak_parity)
 
 
 def parity_bits(n, b):
@@ -74,6 +75,46 @@ def test_quantum_weak_parity_exact_parity_immediate():
                               counter, np.random.default_rng(4))
     assert (hyp.a, hyp.sign, hyp.est_advantage) == (b, 1, 1.0)
     assert counter.quantum_queries == 2  # the depth-0 attempt alone
+
+
+def test_verdict_is_the_one_sign_and_selection_rule():
+    est = np.array([0.0, -0.5, 0.25, 0.5, -0.1])
+    assert verdict(np.zeros(4)) == WeakHypothesis(0, 1, 0.0)  # sign +1 at zero
+    assert verdict(est) == WeakHypothesis(1, -1, 0.5)  # |-0.5| ties 0.5: smaller index
+    assert verdict(est, among={4, 3, 2}) == WeakHypothesis(3, 1, 0.5)
+    assert verdict(est, 0.1, among=[4]) == WeakHypothesis(4, -1, 0.1)
+    with pytest.raises(NoHeavyCoefficient):
+        verdict(est, 0.3, among=[2, 4])
+
+
+def test_quantum_weak_parity_bills_the_circuits_own_oracle_calls(monkeypatch):
+    # a stand-in membership map that charges each application twice leaves
+    # the state, hence every draw, unchanged and must double every bill
+    exact = parity_bits(8, 140)
+    planted = planted_parity(10, 37, 1 / 16, seed=11)
+    cases = ((8, 0.25, exact, 4), (10, 1 / 16, planted, 0))  # (n, target, bits, rng seed)
+
+    def run():
+        out = []
+        for n, gamma_target, bits, seed in cases:
+            counter = QueryCounter()
+            hyp = quantum_weak_parity(n, gamma_target, 0.01, to_pm1(bits).astype(float),
+                                      SharedSample.full_cube(n, bits), counter,
+                                      np.random.default_rng(seed))
+            out.append((hyp.a, counter.quantum_queries))
+        return out
+
+    plain = run()
+    assert plain == [(140, 2), (198, 2 + 6)]  # depth 0 alone; depth 0, then depth 1
+    membership = simulator.apply_membership
+
+    def charged_twice(state, f, counter):
+        membership(state, f, counter)
+        counter.quantum_queries += 1
+        return state
+
+    monkeypatch.setattr(simulator, "apply_membership", charged_twice)
+    assert run() == [(a, 2 * queries) for a, queries in plain]
 
 
 def test_quantum_weak_parity_planted_recovery_rate():
