@@ -2,7 +2,8 @@
 weak learning, exact spectra, invariant verification, and query sweeps.
 
 Every subcommand's output is a pure function of its inputs and the
-seed. Files are written atomically (temp file plus rename). Exit codes:
+seed. Files are written atomically (temp files plus rename), and a
+subcommand's files all or none. Exit codes:
 
     0  success
     2  invalid parameters or usage
@@ -38,25 +39,31 @@ EXIT_STAGE_BUDGET = 5
 EXIT_VERIFY = 6
 
 
-def write_atomic(path: str, data) -> None:
-    """Write ``data`` to a temp file beside ``path``, then rename it over
-    ``path``; on any failure the temp file is removed and the error raised."""
-    tmp = f"{path}.tmp{os.getpid()}"
-    mode = "wb" if isinstance(data, bytes) else "w"
+def write_atomic(files: dict) -> None:
+    """Write each ``{path: data}`` entry to a temp file beside its path, then,
+    once every temp file is written, rename each over its path. On any
+    failure every temp file is removed, and so is every path already
+    renamed into place, and the error is raised."""
+    tmps = {path: f"{path}.tmp{os.getpid()}" for path in files}
+    placed = []
     try:
-        with open(tmp, mode) as handle:
-            handle.write(data)
-        os.replace(tmp, path)
+        for path, data in files.items():
+            with open(tmps[path], "wb" if isinstance(data, bytes) else "w") as handle:
+                handle.write(data)
+        for path, tmp in tmps.items():
+            os.replace(tmp, path)
+            placed.append(path)
     except BaseException:
-        with contextlib.suppress(OSError):
-            os.remove(tmp)
+        for leftover in (*tmps.values(), *placed):
+            with contextlib.suppress(OSError):
+                os.remove(leftover)
         raise
 
 
 def _emit(out, text: str, note: str = "") -> None:
     """Write ``text`` to the file ``out`` and say so, or to stdout when ``out`` is unset."""
     if out:
-        write_atomic(out, text)
+        write_atomic({out: text})
         print(f"wrote {out}{note}")
     else:
         sys.stdout.write(text)
@@ -96,15 +103,14 @@ def cmd_gen(args) -> int:
         if args.t is None or args.u is None or args.word is None:
             raise ValueError("mux family needs --t, --u and --word")
         formula = mux_dnf(args.t, args.u, [w for w in args.word.split(",")])
-    write_atomic(args.out, dnf_to_json(formula))
+    write_atomic({args.out: dnf_to_json(formula)})
     print(f"wrote {args.out} ({formula.size()} terms over {formula.n} variables)")
     return EXIT_OK
 
 
 def cmd_learn(args) -> int:
     _, report = learn_dnf(*_load_run(args))
-    write_atomic(args.out + ".json", report.to_json())
-    write_atomic(args.out + ".csv", report.to_csv())
+    write_atomic({args.out + ".json": report.to_json(), args.out + ".csv": report.to_csv()})
     totals = report.totals()
     print(f"converged in {totals['stages']} stages, final error {csv_field(report.final_error)}, "
           f"{totals['quantum_queries']} quantum / {totals['classical_queries']} classical queries")
@@ -145,7 +151,7 @@ def cmd_verify(args) -> int:
         rng = seeds.derive(args.seed, seeds.VERIFY, 99)
         bits = rng.integers(0, 2, size=1 << args.n).astype(np.uint8)
         state = prepare_spectrum_state(bits, QueryCounter())
-        write_atomic(args.dump_state, dump_state(state))
+        write_atomic({args.dump_state: dump_state(state)})
         print(f"wrote state dump for a seeded random oracle on n={args.n} to {args.dump_state}")
     results = run_all(seed=args.seed, fault=args.inject_fault, names=args.suite or None)
     failed = 0
@@ -167,15 +173,14 @@ def cmd_sweep(args) -> int:
     overrides = _tuning(args)
     result = query_sweep(grid, args.seeds, mode=_cli_mode(args.mode), base_seed=args.seed,
                          overrides=overrides, jobs=args.jobs)
-    write_atomic(args.out + ".csv",
-                 csv_text(SWEEP_COLUMNS, (row.values() for row in result["rows"])))
     payload = {
         "schema": REPORT_SCHEMA,
         "parameters": {"n": ns, "s": ss, "epsilon": epsilons, "seeds": args.seeds,
                        "mode": _cli_mode(args.mode), "seed": args.seed, **overrides},
         "fits": result["fits"],
     }
-    write_atomic(args.out + ".json", json.dumps(payload, indent=2) + "\n")
+    write_atomic({args.out + ".csv": csv_text(SWEEP_COLUMNS, (r.values() for r in result["rows"])),
+                  args.out + ".json": json.dumps(payload, indent=2) + "\n"})
     print(f"swept {len(grid)} cells x {args.seeds} seeds; wrote {args.out}.csv and {args.out}.json")
     return EXIT_OK
 

@@ -47,8 +47,8 @@ class QhsConfig:
     learner's per-stage failure budget is delta / (2 * budget).
     Construction rejects a non-integer n or s, epsilon outside (0, 1/2)
     (the range :func:`boosting.boost` accepts), delta outside (0, 1), a
-    nonpositive scale, a stage budget or sample size that is not finite
-    or a sample size above 2**63 - 1, and in quantum_sim mode a
+    nonpositive scale, a stage budget, sample size or big_gamma that
+    overflows, a sample size above 2**63 - 1, and in quantum_sim mode a
     big_gamma of 1 or more (:func:`weaklearn.weighted_weak_parity`
     needs it below 1).
     """
@@ -80,7 +80,7 @@ class QhsConfig:
                 raise ValueError(f"{name} must be positive")
         if self.mode not in MODES:
             raise ValueError(f"mode must be one of {MODES}")
-        for name in ("stage_budget", "sample_size"):
+        for name in ("stage_budget", "sample_size", "big_gamma"):
             try:
                 getattr(self, name)  # fails here, not partway through a run
             except (OverflowError, ZeroDivisionError):
@@ -255,8 +255,8 @@ SWEEP_COLUMNS = GRID_AXES + ("seed_index", "status", "stages", "quantum_queries"
 
 def _sweep_cell(args: tuple) -> dict:
     """One row in ``SWEEP_COLUMNS`` order; a failed run's result columns are None."""
-    n, s, epsilon, seed_index, cell_seed, mode, overrides, term_len = args
-    formula = random_dnf(n, s, min(term_len, n), cell_seed)
+    n, s, epsilon, seed_index, cell_seed, mode, overrides = args
+    formula = random_dnf(n, s, min(3, n), cell_seed)
     cfg = QhsConfig(n=n, s=s, epsilon=epsilon, mode=mode, seed=cell_seed, **overrides)
     row = dict(zip(GRID_AXES, (n, s, epsilon)), seed_index=seed_index,
                sample_size=cfg.sample_size)
@@ -286,7 +286,7 @@ def _loglog_fits(grid, rows, key: str, axis: str, x_of=float) -> list:
 
 
 def query_sweep(grid, n_seeds: int, mode: str = "quantum_sim", base_seed: int = 0,
-                overrides: dict | None = None, term_len: int = 3, jobs: int = 1) -> dict:
+                overrides: dict | None = None, jobs: int = 1) -> dict:
     """Run the learner over (n, s, epsilon) cells and fit log-log slopes.
 
     ``grid`` is an iterable of (n, s, epsilon). Per-cell failures are
@@ -301,7 +301,7 @@ def query_sweep(grid, n_seeds: int, mode: str = "quantum_sim", base_seed: int = 
     for index, (n, s, eps) in enumerate(grid):
         for seed_index in range(n_seeds):
             cell_seed = seeds.derive_int(base_seed, seeds.SWEEP_CELL, index, seed_index)
-            cells.append((n, s, eps, seed_index, cell_seed, mode, overrides, term_len))
+            cells.append((n, s, eps, seed_index, cell_seed, mode, overrides))
     if jobs > 1:
         with ProcessPoolExecutor(max_workers=jobs) as pool:
             rows = list(pool.map(_sweep_cell, cells))

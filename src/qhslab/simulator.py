@@ -136,30 +136,29 @@ def apply_marked_phase(state: StateVector, marked) -> StateVector:
     return _checked(state)
 
 
-def correlation_op(state: StateVector, f, counter: QueryCounter) -> StateVector:
-    """The two-query correlation operator.
+def _correlation_gates(f, counter: QueryCounter) -> tuple:
+    """The correlation operator's gates in order: index Hadamards with the
+    phase-qubit flip, the membership query, the controlled phase flip, the
+    adjoint query, and the closing index Hadamards. Each is a real
+    involution, so the same gates in reverse order are the adjoint. The
+    gates are looked up per call, so a gate swapped into this module
+    takes effect in both directions."""
+    def query(state):
+        return apply_membership(state, f, counter)
+    return (hadamard_index, x_phase, query, cz_answer_phase, query, hadamard_index)
 
-    Applied in order: index Hadamards with the phase-qubit flip, the
-    membership query, the controlled phase flip, the adjoint query, and
-    the closing index Hadamards.
-    """
-    hadamard_index(state)
-    x_phase(state)
-    apply_membership(state, f, counter)
-    cz_answer_phase(state)
-    apply_membership(state, f, counter)
-    hadamard_index(state)
+
+def correlation_op(state: StateVector, f, counter: QueryCounter) -> StateVector:
+    """The two-query correlation operator."""
+    for gate in _correlation_gates(f, counter):
+        gate(state)
     return state
 
 
 def correlation_op_dagger(state: StateVector, f, counter: QueryCounter) -> StateVector:
-    """Adjoint of :func:`correlation_op`; also two queries."""
-    hadamard_index(state)
-    apply_membership(state, f, counter)
-    cz_answer_phase(state)
-    apply_membership(state, f, counter)
-    x_phase(state)
-    hadamard_index(state)
+    """Adjoint of :func:`correlation_op`: its gates in reverse; also two queries."""
+    for gate in reversed(_correlation_gates(f, counter)):
+        gate(state)
     return state
 
 

@@ -131,7 +131,7 @@ def quantum_weak_parity(n, gamma_target, delta, g_sign, sample, counter, rng) ->
     Every attempt at depth k is charged the oracle calls the circuit made
     to reach depth k: 2(2k + 1) with this circuit. The attempt loop repeats
     ceil(log2(1/delta)) times before giving up. ``n`` must match the
-    sample's cube and ``g_sign`` must have one entry per point.
+    sample's cube and ``g_sign`` must be a +-1 table with one entry per point.
     The simulation itself extends one evolving state and caches the
     measurement distribution and the oracle tally per depth, which
     draws from exactly the same joint law as independent preparations.
@@ -143,6 +143,8 @@ def quantum_weak_parity(n, gamma_target, delta, g_sign, sample, counter, rng) ->
     g_sign = np.asarray(g_sign, dtype=np.float64)
     if n != sample.n or g_sign.shape != (1 << n,):
         raise ValueError(f"n={n} needs a sample and a target on 2**{n} points")
+    if not np.all(np.abs(g_sign) == 1.0):
+        raise ValueError("g_sign must be a +-1 table")
     est = sample_correlations(sample, g_sign)
     heavy = np.abs(est) >= gamma_target
     if not heavy.any():
@@ -151,7 +153,7 @@ def quantum_weak_parity(n, gamma_target, delta, g_sign, sample, counter, rng) ->
     depths = _doubling_depths(k_max)
     reps = max(1, math.ceil(math.log2(1.0 / delta)))
 
-    bits = ((1.0 - g_sign) / 2.0).astype(np.uint8)
+    bits = (g_sign < 0).astype(np.uint8)
     scratch = QueryCounter()  # oracle calls of the shared simulation, read off per depth
     state = prepare_spectrum_state(bits, scratch)
     dists = {0: (index_distribution(state), scratch.quantum_queries)}
@@ -194,8 +196,10 @@ class SignedDigits:
 def signed_digit_decompose(m_values, d: int) -> SignedDigits:
     """Decompose weights in (0, 1] at bit depth d.
 
-    Picks the odd integer w nearest v with |w| <= 2**d - 1, assigns the
-    leftover v - w to k, and derives the alpha signs greedily from w.
+    Picks the odd integer w nearest v with 1 <= w <= 2**d - 1 and assigns
+    the leftover v - w to k. Writing alpha_j = 2 b_j - 1 turns
+    w = sum_j alpha_j 2**(d-1-j) into u = (w + 2**d - 1) / 2 = sum_j b_j
+    2**(d-1-j), so alpha_j is +1 exactly where bit d-1-j of u is set.
     """
     if d < 1:
         raise ValueError("d must be at least 1")
@@ -205,16 +209,12 @@ def signed_digit_decompose(m_values, d: int) -> SignedDigits:
     v = np.floor(np.ldexp(m, d)).astype(np.int64)
     top = (1 << d) - 1
     w = np.where(v % 2 == 1, v, np.where(v + 1 <= top, v + 1, v - 1))
-    k = v - w
-    alpha = np.empty((d, m.size), dtype=np.int8)
-    r = w.copy()
-    for j in range(d):
-        sign_j = np.where(r > 0, 1, -1).astype(np.int8)
-        alpha[j] = sign_j
-        r = r - sign_j.astype(np.int64) * (1 << (d - 1 - j))
-    if np.any(r != 0) or np.any(np.abs(k) > 1):
+    u = (w + top) >> 1
+    alpha = (((u >> np.arange(d - 1, -1, -1)[:, None]) & 1) * 2 - 1).astype(np.int8)
+    digits = SignedDigits(d, alpha, v - w, v)
+    if np.any(digits.reconstruct() != v) or np.any(np.abs(digits.k) > 1):
         raise AssertionError("signed-digit decomposition failed")
-    return SignedDigits(d, alpha, k, v)
+    return digits
 
 
 def weighted_weak_parity(f_sign, m_values, big_gamma, delta, sample, counter, rng) -> WeakHypothesis:
@@ -238,24 +238,21 @@ def weighted_weak_parity(f_sign, m_values, big_gamma, delta, sample, counter, rn
     n = sample.n
     d = max(1, math.ceil(math.log2(3.0 / big_gamma)))
     digits = signed_digit_decompose(m_values, d)
-    rows = digits.alpha.astype(np.float64) * f_sign[None, :]
     weighted_est = sample_correlations(sample, np.asarray(m_values, dtype=np.float64) * f_sign)
     gamma_bit = bit_threshold(big_gamma)
 
-    distinct = []
-    seen = set()
-    for j in range(d):
-        key = rows[j].tobytes()
-        if key not in seen:
-            seen.add(key)
-            distinct.append(j)
+    first = {}  # f is +-1, so two digit rows alpha[j] * f are equal exactly when alpha[j] are
+    for j, row in enumerate(digits.alpha):
+        first.setdefault(row.tobytes(), j)
+    distinct = list(first.values())
     delta_bit = max(delta / len(distinct), 1e-12)
 
     for _ in range(RETRIES):
         candidates = set()
         for j in distinct:
             try:
-                hyp = quantum_weak_parity(n, gamma_bit, delta_bit, rows[j], sample, counter, rng)
+                hyp = quantum_weak_parity(n, gamma_bit, delta_bit, digits.alpha[j] * f_sign, sample,
+                                          counter, rng)
             except NoHeavyCoefficient:
                 continue
             candidates.add(hyp.a)

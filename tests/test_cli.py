@@ -208,10 +208,26 @@ def test_write_atomic_removes_its_temp_file(tmp_path):
     taken.mkdir()
     assert run_cli("gen", "--n", 4, "--s", 1, "--out", taken) == EXIT_IO  # rename fails
     with pytest.raises(TypeError):
-        write_atomic(str(tmp_path / "text"), 12)  # write fails
+        write_atomic({str(tmp_path / "text"): 12})  # write fails
     assert [p.name for p in tmp_path.iterdir()] == ["taken"]
-    write_atomic(str(tmp_path / "text"), "ok\n")
+    write_atomic({str(tmp_path / "text"): "ok\n"})
     assert sorted(p.name for p in tmp_path.iterdir()) == ["taken", "text"]
+
+
+def test_learn_and_sweep_write_both_artifacts_or_neither(tmp_path):
+    # the second rename fails on a directory: the first file, already in
+    # place, is removed with every temp file
+    (tmp_path / "run.csv").mkdir()
+    assert run_cli("learn", BUNDLED_LITERAL, "--mode", "classical-exact",
+                   "--out", tmp_path / "run") == EXIT_IO
+    assert [p.name for p in tmp_path.iterdir()] == ["run.csv"]
+    assert not any((tmp_path / "run.csv").iterdir())
+    (tmp_path / "run.csv").rmdir()
+    (tmp_path / "sweep.json").mkdir()
+    assert run_cli("sweep", "--n", 6, "--s", 1, "--epsilon", 0.4, "--seeds", 1,
+                   "--mode", "classical-exact", "--out", tmp_path / "sweep") == EXIT_IO
+    assert [p.name for p in tmp_path.iterdir()] == ["sweep.json"]
+    assert not any((tmp_path / "sweep.json").iterdir())
 
 
 def test_console_entry_help():

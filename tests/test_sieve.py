@@ -3,13 +3,15 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from qhslab import (QhsConfig, QueryCounter, SharedSample, boost, exact_weak_parity, learn_dnf,
                     query_sweep, random_dnf, to_pm1, wht)
 from qhslab import seeds
 from qhslab.boolfn import DnfFormula
 from qhslab.boosting import StageBudgetExceeded, weight_from_margin
-from qhslab.sieve import CSV_COLUMNS, WeakLearnerFailure
+from qhslab.sieve import CSV_COLUMNS, MODES, WeakLearnerFailure
 
 
 def small_cfg(**kw):
@@ -46,6 +48,35 @@ def test_config_validation():
     assert QhsConfig(n=10, s=0, epsilon=0.25, threshold_scale=11.9).big_gamma < 1
     for mode in ("classical_exact", "classical_sampled"):
         assert QhsConfig(n=10, s=2, epsilon=0.1, threshold_scale=150.0, mode=mode).big_gamma >= 1
+
+
+# any number, and the ranges each field accepts, to reach the derived sizes often
+any_number = (st.floats(allow_nan=True, allow_infinity=True) | st.integers(-2**70, 2**1100)
+              | st.booleans())
+unit = st.floats(0.0, 1.0) | st.floats(0.0, 1e-150)
+scale = st.floats(0.0, 1e300) | st.floats(0.0, 1e-300) | st.integers(1, 2**1100)
+
+
+@settings(max_examples=300, deadline=None)
+@given(n=st.integers(-2, 70) | any_number, s=st.integers(-2, 2**1100) | any_number,
+       epsilon=unit | any_number, delta=unit | any_number, stage_scale=scale | any_number,
+       threshold_scale=scale | any_number, sample_scale=scale | any_number,
+       mode=st.sampled_from(MODES + ("wrong",)))
+@example(n=10, s=2, epsilon=0.1, delta=0.1, stage_scale=4.0, threshold_scale=2**1100,
+         sample_scale=1.0, mode="quantum_sim")  # big_gamma overflows a float
+@example(n=10, s=2, epsilon=0.1, delta=0.1, stage_scale=4.0, threshold_scale=2**1100,
+         sample_scale=1.0, mode="classical_exact")
+def test_config_builds_or_raises_value_error(n, s, epsilon, delta, stage_scale,
+                                             threshold_scale, sample_scale, mode):
+    try:
+        cfg = QhsConfig(n=n, s=s, epsilon=epsilon, delta=delta, mode=mode,
+                        stage_scale=stage_scale, threshold_scale=threshold_scale,
+                        sample_scale=sample_scale)
+    except ValueError:
+        return
+    assert isinstance(cfg.stage_budget, int) and cfg.stage_budget >= 1
+    assert 1 <= cfg.sample_size <= 2**63 - 1
+    cfg.to_dict()  # every derived quantity is computable
 
 
 def test_single_literal_learned_exactly():

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from qhslab import (QueryCounter, grover_step, index_distribution, planted_parity,
-                    prepare_spectrum_state, to_pm1, wht)
+                    prepare_spectrum_state, simulator, to_pm1, wht)
 from qhslab.simulator import (StateNormError, apply_marked_phase, apply_membership,
                               correlation_op, correlation_op_dagger, cz_answer_phase,
                               dump_state, hadamard_index, init_state, load_state,
@@ -177,6 +177,28 @@ def test_correlation_op_unitary_and_dagger():
     correlation_op_dagger(phi, bits, QueryCounter())
     again = random_state(n, 10)
     assert np.allclose(phi.amps, again.amps, atol=1e-12)
+
+
+def test_both_directions_apply_a_gate_swapped_into_the_module(monkeypatch):
+    n = 4
+    bits = np.random.default_rng(11).integers(0, 2, size=1 << n).astype(np.uint8)
+    flips = []
+    x = simulator.x_phase
+
+    def counting_x_phase(state):
+        flips.append(state.n)
+        return x(state)
+
+    monkeypatch.setattr(simulator, "x_phase", counting_x_phase)
+    state = random_state(n, 12)
+    before = state.amps.copy()
+    counter = QueryCounter()
+    correlation_op(state, bits, counter)
+    assert flips == [n]
+    correlation_op_dagger(state, bits, counter)
+    assert flips == [n, n]
+    assert counter.quantum_queries == 4
+    assert np.allclose(state.amps, before, atol=1e-12)
 
 
 def test_spectrum_state_exact_parity():

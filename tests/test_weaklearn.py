@@ -2,18 +2,36 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from qhslab import (QueryCounter, SharedSample, exact_weak_parity, planted_parity,
                     quantum_weak_parity, random_dnf, to_pm1, wht)
-from qhslab import seeds, simulator
+from qhslab import seeds, simulator, weaklearn
 from qhslab.boolfn import chi
-from qhslab.weaklearn import (NoHeavyCoefficient, WeakHypothesis, sample_correlations,
+from qhslab.weaklearn import (RETRIES, NoHeavyCoefficient, WeakHypothesis, sample_correlations,
                               sampled_weak_parity, signed_digit_decompose, verdict,
                               weighted_weak_parity)
 
 
 def parity_bits(n, b):
     return ((np.bitwise_count(np.arange(1 << n) & b)) & 1).astype(np.uint8)
+
+
+def greedy_signed_digits(m_values, d):
+    """Reference split: v = floor(2**d m), the odd w nearest v within
+    [1, 2**d - 1], then each sign from the remainder of w, one digit
+    position at a time; returns (alpha, k, v)."""
+    v = np.floor(np.ldexp(np.asarray(m_values, dtype=np.float64), d)).astype(np.int64)
+    top = (1 << d) - 1
+    w = np.where(v % 2 == 1, v, np.where(v + 1 <= top, v + 1, v - 1))
+    alpha = np.empty((d, v.size), dtype=np.int8)
+    r = w.copy()
+    for j in range(d):
+        alpha[j] = np.where(r > 0, 1, -1)
+        r = r - alpha[j].astype(np.int64) * (1 << (d - 1 - j))
+    assert not np.any(r)
+    return alpha, v - w, v
 
 
 def test_shared_sample_draw_accounting_and_labels():
@@ -153,7 +171,8 @@ def test_quantum_weak_parity_rejects_bad_target():
                                 QueryCounter(), np.random.default_rng(6))
     planted = planted_parity(8, 19, 0.125, seed=7)
     planted_sample = SharedSample.full_cube(8, planted)
-    for n, g_sign in ((3, to_pm1(planted)), (8, to_pm1(bits))):  # n or target off the sample's cube
+    for n, g_sign in ((3, to_pm1(planted)), (8, to_pm1(bits)),  # n or target off the sample's cube
+                      (8, to_pm1(planted) * 0.5)):  # a target that is not +-1
         with pytest.raises(ValueError):
             quantum_weak_parity(n, 0.1, 0.05, g_sign.astype(float), planted_sample,
                                 QueryCounter(), np.random.default_rng(6))
@@ -180,6 +199,18 @@ def test_signed_digits_exhaustive_small_depth():
     assert np.all(np.abs(digits.k) <= 1)
 
 
+@settings(max_examples=150, deadline=None)
+@given(st.integers(1, 16),
+       st.lists(st.floats(0.0, 1.0, exclude_min=True), min_size=1, max_size=64))
+def test_signed_digits_closed_form_matches_greedy_reference(d, weights):
+    digits = signed_digit_decompose(weights, d)
+    alpha, k, v = greedy_signed_digits(weights, d)
+    assert digits.alpha.dtype == np.int8
+    assert np.array_equal(digits.alpha, alpha)
+    assert np.array_equal(digits.k, k) and np.array_equal(digits.v, v)
+    assert np.array_equal(digits.reconstruct(), v)
+
+
 def test_signed_digits_validation():
     with pytest.raises(ValueError):
         signed_digit_decompose(np.array([0.0]), 2)
@@ -202,6 +233,32 @@ def test_weighted_reduces_to_plain_search_when_weights_are_one():
                                 QueryCounter(), seeds.derive(0, 1))
     assert hyp.a == plain.a == b
     assert hyp.sign == 1 and hyp.est_advantage == 1.0
+
+
+def test_weighted_searches_each_distinct_digit_row_once_in_order(monkeypatch):
+    n = 6
+    f_sign = to_pm1(parity_bits(n, 9)).astype(float)
+    m_values = np.repeat([1.0, 0.5, 0.75, 0.5], 16)  # digits 1111, 1100, 1110 at d = 4
+    digits = signed_digit_decompose(m_values, 4)
+    rows = []  # the distinct rows alpha[j] * f, first occurrence first
+    for row in digits.alpha * f_sign:
+        if not any(np.array_equal(row, seen) for seen in rows):
+            rows.append(row)
+    assert len(rows) == 3
+    searched = []
+
+    def recording(n, gamma_target, delta, g_sign, sample, counter, rng):
+        searched.append((delta, g_sign))
+        raise NoHeavyCoefficient("recorded")
+
+    monkeypatch.setattr(weaklearn, "quantum_weak_parity", recording)
+    sample = SharedSample.full_cube(n, parity_bits(n, 9))
+    with pytest.raises(NoHeavyCoefficient):  # d = ceil(log2(3 / 0.3)) = 4
+        weighted_weak_parity(f_sign, m_values, 0.3, 0.06, sample, QueryCounter(),
+                             seeds.derive(0, 1))
+    assert len(searched) == RETRIES * len(rows)
+    for (delta, g_sign), row in zip(searched, rows * RETRIES):
+        assert delta == 0.06 / 3 and np.array_equal(g_sign, row)
 
 
 def test_weighted_candidate_meets_exact_pigeonhole_floor():
