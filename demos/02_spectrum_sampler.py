@@ -15,7 +15,7 @@ bits = planted_parity(n, target, gamma, seed=3)
 counter = QueryCounter()
 state = prepare_spectrum_state(bits, counter)
 dist = index_distribution(state)
-spectrum = wht(to_pm1(bits).astype(float))
+spectrum = wht(to_pm1(bits))
 
 print(f"planted parity {target} with agreement 1/2 + {gamma}")
 print(f"queries used to prepare the state: {counter.quantum_queries}")

@@ -15,7 +15,7 @@ from qhslab import (QueryCounter, SharedSample, grover_step, index_distribution,
 
 n, target, gamma = 10, 37, 0.125
 bits = planted_parity(n, target, gamma, seed=21)
-coeffs = wht(to_pm1(bits).astype(float))
+coeffs = wht(to_pm1(bits))
 marked = np.abs(coeffs) >= gamma
 p0 = float(np.sum(coeffs[marked] ** 2))
 theta = math.asin(math.sqrt(p0))
@@ -32,8 +32,7 @@ for k in range(0, 9):
 print("\nfull search with sampled verification:")
 sample = SharedSample.full_cube(n, bits)
 counter = QueryCounter()
-hyp = quantum_weak_parity(n, gamma, 0.05, to_pm1(bits).astype(float), sample,
-                          counter, np.random.default_rng(4))
+hyp = quantum_weak_parity(n, gamma, 0.05, to_pm1(bits), sample, counter, np.random.default_rng(4))
 print(f"found parity {hyp.a} (planted {target}), sign {hyp.sign:+d}, "
       f"estimated correlation {hyp.est_advantage:.4f}, "
       f"{counter.quantum_queries} quantum queries")

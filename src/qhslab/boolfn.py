@@ -73,7 +73,7 @@ class DnfFormula:
 
     def sign_table(self) -> np.ndarray:
         """Truth table in sign form (0 -> +1, 1 -> -1), float64."""
-        return to_pm1(self.truth_table()).astype(np.float64)
+        return to_pm1(self.truth_table())
 
     def to_dict(self) -> dict:
         return {
@@ -82,24 +82,36 @@ class DnfFormula:
         }
 
     @classmethod
-    def from_dict(cls, data: dict) -> "DnfFormula":
-        return cls(int(data["n"]), data["terms"])
+    def from_dict(cls, data) -> "DnfFormula":
+        """The formula of a :meth:`to_dict` mapping. Raises ``ValueError``
+        unless n is an int (not a bool) and each literal is an
+        ``[int, 0|1|bool]`` pair; nothing is coerced."""
+        terms = data.get("terms") if isinstance(data, dict) else None
+        if not (isinstance(terms, list) and _is_int(data.get("n"))
+                and all(isinstance(term, list) and all(map(_is_literal, term)) for term in terms)):
+            raise ValueError('an instance is {"n": int, "terms": [[[variable, 0|1], ...], ...]}')
+        return cls(data["n"], terms)
 
 
-def to_pm1(bit):
-    """Sign form of a bit or bit array: 0 -> +1, 1 -> -1."""
-    if isinstance(bit, (int, np.integer)):
-        return 1 - 2 * int(bit)
-    return 1 - 2 * np.asarray(bit).astype(np.int64)
+def _is_int(value) -> bool:
+    return isinstance(value, int) and not isinstance(value, bool)
 
 
-def chi(a, x):
-    """Parity character (-1)**popcount(a & x) on scalars or arrays."""
+def _is_literal(literal) -> bool:
+    """An ``[int, 0|1|bool]`` pair, the JSON form of ``(variable, negated)``."""
+    return (isinstance(literal, list) and len(literal) == 2 and _is_int(literal[0])
+            and isinstance(literal[1], int) and literal[1] in (0, 1))
+
+
+def to_pm1(bits) -> np.ndarray:
+    """Sign form of a bit array as float64: 0 -> +1, 1 -> -1."""
+    return 1.0 - 2.0 * np.asarray(bits, dtype=np.float64)
+
+
+def chi(a, x) -> np.ndarray:
+    """Parity character (-1)**popcount(a & x) as int64, broadcast over a and x."""
     par = np.bitwise_count(np.bitwise_and(np.asarray(a, dtype=np.int64), np.asarray(x, dtype=np.int64)))
-    out = 1 - 2 * (par.astype(np.int64) & 1)
-    if out.ndim == 0:
-        return int(out)
-    return out
+    return 1 - 2 * (par.astype(np.int64) & 1)
 
 
 def wht_unscaled(values) -> np.ndarray:
@@ -197,7 +209,7 @@ def heavy_coeffs(table, theta: float) -> list:
     each run of magnitudes that tie with the run's largest is listed by
     index, so the first entry is ``top_index`` of the spectrum.
     """
-    if theta <= 0:
+    if not theta > 0:  # a NaN theta fails too
         raise ValueError("theta must be positive")
     coeffs = wht(table)
     mags = np.abs(coeffs)
@@ -225,8 +237,8 @@ def best_parity(table) -> tuple:
 
 def random_dnf(n: int, s: int, term_len: int, seed: int) -> DnfFormula:
     """Random s-term DNF, each term over term_len distinct variables."""
-    if term_len > n:
-        raise ValueError("term_len cannot exceed n")
+    if s < 0 or not 1 <= term_len <= n:
+        raise ValueError("need s >= 0 and 1 <= term_len <= n")
     rng = np.random.default_rng(int(seed) & (2**64 - 1))
     terms = []
     for _ in range(s):

@@ -2,12 +2,14 @@
 
 Each suite runs a batch of cross-checks against independent oracles
 (dense spectra, the closed-form amplification law, exhaustive error
-counts, integer reconstruction) and reports how many checks ran and
-which failed. The suites run the production code: the spectrum suite
-measures :func:`simulator.prepare_spectrum_state` and the boost-bounds
-suite runs :func:`boosting.boost`. A fault swaps one library function
-for a broken stand-in while the suites run, which must make some suite
-fail; that guards the suites themselves against silently passing.
+counts, integer reconstruction) and yields one ``(ok, message)`` pair
+per check, ``ok`` stating the condition that must hold (so a NaN fails
+it). :func:`collect` counts the pairs and keeps the failed messages.
+The suites run the production code: the spectrum suite measures
+:func:`simulator.prepare_spectrum_state` and the boost-bounds suite
+runs :func:`boosting.boost`. A fault swaps one library function for a
+broken stand-in while the suites run, which must make some suite fail;
+that guards the suites themselves against silently passing.
 """
 from __future__ import annotations
 
@@ -40,31 +42,42 @@ class SuiteResult:
         return not self.failures
 
 
-def suite_spectrum_measurement(seed: int = 0) -> SuiteResult:
+def collect(name: str, checks) -> SuiteResult:
+    """Count the ``(ok, message)`` pairs a suite yields, keeping the message
+    of each pair whose ``ok`` is false. An exception that escapes the suite
+    is one more failed check, so a broken layer fails the suite instead of
+    crashing the run."""
+    result = SuiteResult(name)
+    try:
+        for ok, message in checks:
+            result.checked += 1
+            if not ok:
+                result.failures.append(message)
+    except Exception as exc:
+        result.checked += 1
+        result.failures.append(f"raised {type(exc).__name__}: {exc}")
+    return result
+
+
+def suite_spectrum_measurement(seed: int = 0):
     """Measurement distribution of the prepared state equals the squared
     sign-form spectrum, entrywise to 1e-10."""
-    result = SuiteResult("spectrum-measurement")
     rng = seeds.derive(seed, seeds.VERIFY, 0)
     for n in (4, 6, 8):
         for trial in range(5):
             bits = rng.integers(0, 2, size=1 << n).astype(np.uint8)
             dist = index_distribution(prepare_spectrum_state(bits, QueryCounter()))
-            want = wht(to_pm1(bits).astype(np.float64)) ** 2
-            result.checked += 1
-            err = float(np.max(np.abs(dist - want)))
-            if err > 1e-10:
-                result.failures.append(f"n={n} trial={trial}: deviation {err:.3e}")
-    return result
+            err = float(np.max(np.abs(dist - wht(to_pm1(bits)) ** 2)))
+            yield err <= 1e-10, f"n={n} trial={trial}: deviation {err:.3e}"
 
 
-def suite_amplification_law(seed: int = 0) -> SuiteResult:
+def suite_amplification_law(seed: int = 0):
     """Marked-set probability after k iterates matches
     sin((2k+1) asin sqrt(p0))**2 to 1e-9."""
-    result = SuiteResult("amplification-law")
     n = 8
     for idx, gamma in enumerate((0.25, 0.125)):
         bits = planted_parity(n, 19, gamma, seeds.derive_int(seed, seeds.VERIFY, 1, idx))
-        coeffs = wht(to_pm1(bits).astype(np.float64))
+        coeffs = wht(to_pm1(bits))
         marked = np.abs(coeffs) >= 1.8 * gamma
         p0 = float(np.sum(coeffs[marked] ** 2))
         counter = QueryCounter()
@@ -75,18 +88,14 @@ def suite_amplification_law(seed: int = 0) -> SuiteResult:
                 grover_step(state, bits, marked, counter)
             hit = float(index_distribution(state)[marked].sum())
             want = math.sin((2 * k + 1) * theta) ** 2
-            result.checked += 1
-            if abs(hit - want) > 1e-9:
-                result.failures.append(f"gamma={gamma} k={k}: |{hit:.12f} - {want:.12f}|")
-    return result
+            yield abs(hit - want) <= 1e-9, f"gamma={gamma} k={k}: |{hit:.12f} - {want:.12f}|"
 
 
-def suite_boost_bounds(seed: int = 0) -> SuiteResult:
+def suite_boost_bounds(seed: int = 0):
     """Exact-learner runs of :func:`boosting.boost`: final error below
     epsilon, stage count within 2/(epsilon gamma**2), and every stage
     distribution at most 3/epsilon times uniform (checked exactly over
     the cube from the weights each stage hands the learner)."""
-    result = SuiteResult("boost-bounds")
     n, epsilon = 8, 0.2
     for s in (1, 2):
         for rep in range(2):
@@ -100,47 +109,38 @@ def suite_boost_bounds(seed: int = 0) -> SuiteResult:
                 maxima.append(float(weights.max()))
                 return learn(weights)
 
-            result.checked += 1
             try:
                 combined, estimates = boost(f_sign, sample, epsilon, cfg.gamma,
                                             cfg.stage_budget, recorded)
-            except Exception as exc:  # a failed run is a failed check, not a crash
-                result.failures.append(f"s={s} rep={rep}: {type(exc).__name__}: {exc}")
+            except Exception as exc:  # a failed run is one failed check; the next run still runs
+                yield False, f"s={s} rep={rep}: {type(exc).__name__}: {exc}"
                 continue
             error = float(np.mean(combined.sign_table(n) != f_sign))
-            if error >= epsilon:
-                result.failures.append(f"s={s} rep={rep}: error {error}")
-            result.checked += 1
+            yield error < epsilon, f"s={s} rep={rep}: error {error}"
             stages, bound = len(combined.hypotheses), 2.0 / (epsilon * cfg.gamma**2)
-            if stages > bound:
-                result.failures.append(f"s={s} rep={rep}: {stages} stages > {bound:g}")
+            yield stages <= bound, f"s={s} rep={rep}: {stages} stages > {bound:g}"
             for t, (top, estimate) in enumerate(zip(maxima, estimates), 1):
-                result.checked += 1
-                if top / estimate > 3.0 / epsilon + 1e-12:
-                    result.failures.append(f"s={s} rep={rep} t={t}: smoothness broken")
-    return result
+                yield (top / estimate <= 3.0 / epsilon + 1e-12,
+                       f"s={s} rep={rep} t={t}: smoothness broken")
 
 
-def suite_signed_digits() -> SuiteResult:
-    """Exhaustive exact reconstruction for every depth d in 1..8."""
-    result = SuiteResult("signed-digits")
+def suite_signed_digits(seed: int = 0):
+    """Exhaustive exact reconstruction for every depth d in 1..8, with
+    every digit in range; the depths are fixed, so ``seed`` is unused."""
     for d in range(1, 9):
         values = (np.arange(0, (1 << d) + 1, dtype=np.float64) + 0.5) / (1 << d)
-        values = np.minimum(values, 1.0)
-        digits = signed_digit_decompose(values, d)
-        result.checked += 1
-        if not np.array_equal(digits.reconstruct(), digits.v):
-            result.failures.append(f"d={d}: reconstruction mismatch")
-        if not np.all(np.abs(digits.alpha) == 1) or np.any(np.abs(digits.k) > 1):
-            result.failures.append(f"d={d}: digit range broken")
-    return result
+        digits = signed_digit_decompose(np.minimum(values, 1.0), d)
+        ok = (np.array_equal(digits.reconstruct(), digits.v) and np.all(np.abs(digits.alpha) == 1)
+              and np.all(np.abs(digits.k) <= 1))
+        yield ok, f"d={d}: reconstruction mismatch or digit out of range"
 
 
+# suite name -> seed -> the suite's (ok, message) checks
 SUITES = {
     "spectrum-measurement": suite_spectrum_measurement,
     "amplification-law": suite_amplification_law,
     "boost-bounds": suite_boost_bounds,
-    "signed-digits": lambda seed: suite_signed_digits(),
+    "signed-digits": suite_signed_digits,
 }
 
 
@@ -151,7 +151,7 @@ def run_all(seed: int = 0, fault: str | None = None, names: list | None = None) 
     if unknown:
         raise ValueError(f"unknown suites: {unknown}")
     if fault is None:
-        return [SUITES[name](seed) for name in picked]
+        return [collect(name, SUITES[name](seed)) for name in picked]
     module, attr, stand_in = FAULTS[fault]
     original = getattr(module, attr)
     setattr(module, attr, stand_in)

@@ -48,9 +48,10 @@ class QhsConfig:
     Construction rejects a non-integer n or s, epsilon outside (0, 1/2)
     (the range :func:`boosting.boost` accepts), delta outside (0, 1), a
     nonpositive scale, a stage budget, sample size or big_gamma that
-    overflows, a sample size above 2**63 - 1, and in quantum_sim mode a
-    big_gamma of 1 or more (:func:`weaklearn.weighted_weak_parity`
-    needs it below 1).
+    overflows, a stage budget so large that ``stage_delta()`` is not
+    positive, a sample size above 2**63 - 1, and in quantum_sim mode
+    n = 0 (the circuit needs an index qubit) or a big_gamma of 1 or more
+    (:func:`weaklearn.weighted_weak_parity` needs it below 1).
     """
 
     n: int
@@ -85,8 +86,12 @@ class QhsConfig:
                 getattr(self, name)  # fails here, not partway through a run
             except (OverflowError, ZeroDivisionError):
                 raise ValueError(f"{name} is not finite") from None
+        if not self.stage_delta() > 0.0:
+            raise ValueError("stage_budget is so large that stage_delta is 0")
         if self.sample_size > 2**63 - 1:
             raise ValueError("sample_size exceeds 2**63 - 1")
+        if self.mode == "quantum_sim" and self.n < 1:
+            raise ValueError("quantum_sim needs n >= 1: the circuit has no index qubit")
         if self.mode == "quantum_sim" and not self.big_gamma < 1.0:
             raise ValueError("threshold_scale puts big_gamma at 1 or above")
 
@@ -203,7 +208,7 @@ def setup_run(formula: DnfFormula, cfg: QhsConfig) -> tuple:
         raise ValueError(f"formula has {formula.size()} terms, above the configured s={cfg.s}")
     counter = QueryCounter()
     f_bits = formula.truth_table()
-    f_sign = to_pm1(f_bits).astype(np.float64)
+    f_sign = to_pm1(f_bits)
     sample = SharedSample.draw(cfg.n, cfg.sample_size, f_bits, counter,
                                seeds.derive(cfg.seed, seeds.SAMPLE_DRAW))
     rng = seeds.derive(cfg.seed, seeds.WEAK_LEARNER)

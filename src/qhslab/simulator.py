@@ -76,7 +76,7 @@ def init_state(n: int) -> StateVector:
 
 
 def _checked(state: StateVector) -> StateVector:
-    if abs(state.norm() - 1.0) > _NORM_TOL:
+    if not abs(state.norm() - 1.0) <= _NORM_TOL:  # a NaN amplitude fails too
         raise StateNormError("state norm drifted beyond 1e-9")
     return state
 

@@ -84,8 +84,7 @@ class SharedSample:
         if m < 1:
             raise ValueError("sample size must be positive")
         counts = rng.multinomial(int(m), np.full(1 << n, 1.0 / (1 << n))).astype(np.int64)
-        signs = to_pm1(np.asarray(f_bits)).astype(np.float64)
-        labels = np.where(counts > 0, signs, 0.0)
+        labels = np.where(counts > 0, to_pm1(f_bits), 0.0)
         counter.classical_queries += int(m)
         return cls(n, counts, labels)
 
@@ -94,7 +93,7 @@ class SharedSample:
         """Every assignment exactly once; the exact-sample case used by
         oracle tests (no query charge is recorded)."""
         counts = np.ones(1 << n, dtype=np.int64)
-        return cls(n, counts, to_pm1(np.asarray(f_bits)).astype(np.float64))
+        return cls(n, counts, to_pm1(f_bits))
 
 
 def sample_correlations(sample: SharedSample, values) -> np.ndarray:
@@ -204,7 +203,7 @@ def signed_digit_decompose(m_values, d: int) -> SignedDigits:
     if d < 1:
         raise ValueError("d must be at least 1")
     m = np.asarray(m_values, dtype=np.float64)
-    if np.any(m <= 0.0) or np.any(m > 1.0):
+    if not np.all((m > 0.0) & (m <= 1.0)):
         raise ValueError("weights must lie in (0, 1]")
     v = np.floor(np.ldexp(m, d)).astype(np.int64)
     top = (1 << d) - 1

@@ -86,6 +86,16 @@ def test_to_pm1():
         assert to_pm1(int(table[x])) == (-1) ** brute_force_eval(formula, x)
 
 
+@settings(max_examples=100, deadline=None)
+@given(st.lists(st.integers(0, 1), min_size=1, max_size=256))
+def test_to_pm1_is_a_float64_sign_table(bits):
+    bits = np.array(bits, dtype=np.uint8)
+    signs = to_pm1(bits)
+    assert signs.dtype == np.float64 and signs.shape == bits.shape
+    assert np.all(np.abs(signs) == 1.0)
+    assert np.array_equal(signs < 0, bits == 1)
+
+
 def test_chi_basics():
     assert all(chi(0, x) == 1 for x in range(16))
     assert chi(1, 1) == -1
@@ -222,8 +232,9 @@ def test_heavy_coeffs_exact_parity():
     n, b = 4, 9
     table = chi(b, np.arange(1 << n)).astype(float)
     assert heavy_coeffs(table, 0.5) == [(b, 1.0)]
-    with pytest.raises(ValueError):
-        heavy_coeffs(table, 0.0)
+    for theta in (0.0, float("nan")):
+        with pytest.raises(ValueError):
+            heavy_coeffs(table, theta)
 
 
 def test_heavy_coeffs_planted_and_parseval_cap():
@@ -285,8 +296,9 @@ def test_random_dnf_seed_stability_and_shape():
     assert f1.size() == 3
     assert all(len(t) == 4 and len({v for v, _ in t}) == 4 for t in f1.terms)
     assert random_dnf(6, 0, 3, 1).truth_table().sum() == 0
-    with pytest.raises(ValueError):
-        random_dnf(3, 2, 4, 0)
+    for n, s, term_len in ((3, 2, 4), (6, -1, 3), (6, 2, 0), (6, 2, -1)):
+        with pytest.raises(ValueError):
+            random_dnf(n, s, term_len, 0)
 
 
 def test_random_dnf_variable_frequencies():
@@ -376,6 +388,18 @@ def test_json_round_trip(tmp_path):
     assert dnf_from_json(dnf_to_json(formula)).to_dict() == formula.to_dict()
     data = json.loads(path.read_text())
     assert set(data) == {"n", "terms"}
+
+
+def test_from_dict_rejects_what_it_would_coerce_or_crash_on():
+    for bad in ({"n": 3, "terms": [[1]]}, {"n": 3, "terms": 5}, [1, 2], {"terms": []},
+                {"n": 3.7, "terms": [[[0.5, 0]]]}, {"n": 3.0, "terms": []},
+                {"n": True, "terms": []}, {"n": 3, "terms": [[[0, "0"]]]},
+                {"n": 3, "terms": [[[0.0, 0]]]}, {"n": 3, "terms": [[[0, 2]]]},
+                {"n": 3, "terms": [[[0, 1, 1]]]}, {"n": 3, "terms": [[[True, 0]]]}):
+        with pytest.raises(ValueError):
+            DnfFormula.from_dict(bad)
+    good = DnfFormula.from_dict({"n": 3, "terms": [[[0, 1], [2, False]], []]})
+    assert good.terms == [[(0, True), (2, False)], []]
 
 
 def test_table_cap_env_override():

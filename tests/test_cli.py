@@ -7,7 +7,7 @@ from dataclasses import fields
 import numpy as np
 import pytest
 
-from qhslab import QhsConfig, cli, heavy_coeffs, simulator, wht
+from qhslab import QhsConfig, checks, cli, heavy_coeffs, simulator, wht
 from qhslab.boolfn import load_dnf
 from qhslab.checks import SUITES, run_all
 from qhslab.cli import (EXIT_IO, EXIT_OK, EXIT_PARAMS, EXIT_STAGE_BUDGET, EXIT_VERIFY,
@@ -53,6 +53,13 @@ def test_gen_mux_family(tmp_path):
     assert formula.n == 6 and formula.size() <= 4
     assert run_cli("gen", "--family", "mux", "--t", 2, "--u", 4,
                    "--word", "y9,0,1,1", "--out", path) == EXIT_PARAMS
+
+
+def test_gen_rejects_negative_s_and_empty_terms(tmp_path):
+    path = tmp_path / "bad.json"
+    assert run_cli("gen", "--n", 6, "--s", -1, "--out", path) == EXIT_PARAMS
+    assert run_cli("gen", "--n", 6, "--s", 2, "--term-len", 0, "--out", path) == EXIT_PARAMS
+    assert not path.exists()
 
 
 def test_gen_round_trip(tmp_path, instance):
@@ -103,6 +110,15 @@ def test_learn_error_exit_codes(tmp_path, instance):
                 ("--c2", 1000.0)):  # big_gamma above 1 in quantum-sim mode
         assert run_cli("learn", instance, *bad, "--out", tmp_path / "t") == EXIT_PARAMS
     assert not list(tmp_path.glob("t*"))
+    # instance files that crashed with a TypeError, or were read by coercion
+    for i, text in enumerate(('{"n": 3, "terms": [[1]]}', '{"n": 3, "terms": 5}', "[1, 2]",
+                              '{"n": 3.7, "terms": [[[0.5, 0]]]}',
+                              '{"n": 3, "terms": [[[0, "0"]]]}')):
+        bad = tmp_path / f"bad{i}.json"
+        bad.write_text(text)
+        assert run_cli("learn", bad, "--mode", "classical-exact",
+                       "--out", tmp_path / "s") == EXIT_PARAMS
+    assert not list(tmp_path.glob("s.*"))
 
 
 def test_weak_subcommand(tmp_path, literal_instance):
@@ -141,6 +157,40 @@ def test_spectrum_subcommand(tmp_path, literal_instance):
     got = [line.split(",") for line in filtered.read_text().splitlines()[1:]]
     want = heavy_coeffs(formula.sign_table(), 0.25)
     assert [(int(a), float(c)) for a, c in got] == [(a, c) for a, c in want]
+    nan_out = tmp_path / "nan.csv"
+    assert run_cli("spectrum", literal_instance, "--theta", "nan", "--out", nan_out) == EXIT_PARAMS
+    assert not nan_out.exists()
+
+
+def test_verify_full_run_counts_every_check(capsys):
+    assert run_cli("verify") == EXIT_OK
+    out = capsys.readouterr().out
+    for name, count in (("spectrum-measurement", 15), ("amplification-law", 8),
+                        ("boost-bounds", 752), ("signed-digits", 8)):
+        assert f"PASS {name}: {count}/{count} checks" in out
+
+
+def test_verify_fails_on_a_nan_writing_gate(monkeypatch, capsys):
+    def nan_cz(state):
+        state.amps.reshape(-1, 4)[:, 3] = np.nan
+        return state
+
+    monkeypatch.setattr(simulator, "cz_answer_phase", nan_cz)
+    assert run_cli("verify", "--suite", "spectrum-measurement",
+                   "--suite", "amplification-law") == EXIT_VERIFY
+    out = capsys.readouterr().out
+    assert "FAIL spectrum-measurement" in out and "FAIL amplification-law" in out
+
+
+def test_verify_counts_a_raising_suite_as_a_failed_check(monkeypatch, capsys):
+    def broken(values, d):
+        raise RuntimeError("digit split broken")
+
+    monkeypatch.setattr(checks, "signed_digit_decompose", broken)
+    assert run_cli("verify", "--suite", "signed-digits") == EXIT_VERIFY
+    out = capsys.readouterr().out
+    assert "FAIL signed-digits: 0/1 checks" in out
+    assert "raised RuntimeError: digit split broken" in out
 
 
 def test_verify_subcommand(tmp_path, capsys):

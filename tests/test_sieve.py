@@ -40,7 +40,9 @@ def test_config_validation():
                 dict(stage_scale=math.inf), dict(sample_scale=math.inf),
                 dict(sample_scale=1e300), dict(epsilon=1e-200), dict(epsilon=1e-160),
                 dict(sample_scale=2.0**63 / 399), dict(threshold_scale=150.0),
-                dict(s=0, epsilon=0.25, threshold_scale=12.0)):  # big_gamma exactly 1
+                dict(s=0, epsilon=0.25, threshold_scale=12.0),  # big_gamma exactly 1
+                dict(stage_scale=4e304),  # stage_delta underflows to 0
+                dict(n=0)):  # quantum_sim has no index qubit
         with pytest.raises(ValueError):
             QhsConfig(**{**dict(n=10, s=2, epsilon=0.1), **bad})
     # the edges that still build; big_gamma >= 1 is only rejected for quantum_sim
@@ -48,6 +50,7 @@ def test_config_validation():
     assert QhsConfig(n=10, s=0, epsilon=0.25, threshold_scale=11.9).big_gamma < 1
     for mode in ("classical_exact", "classical_sampled"):
         assert QhsConfig(n=10, s=2, epsilon=0.1, threshold_scale=150.0, mode=mode).big_gamma >= 1
+        assert QhsConfig(n=0, s=2, epsilon=0.1, mode=mode).n == 0
 
 
 # any number, and the ranges each field accepts, to reach the derived sizes often
@@ -66,6 +69,8 @@ scale = st.floats(0.0, 1e300) | st.floats(0.0, 1e-300) | st.integers(1, 2**1100)
          sample_scale=1.0, mode="quantum_sim")  # big_gamma overflows a float
 @example(n=10, s=2, epsilon=0.1, delta=0.1, stage_scale=4.0, threshold_scale=2**1100,
          sample_scale=1.0, mode="classical_exact")
+@example(n=10, s=2, epsilon=0.1, delta=0.1, stage_scale=4e304, threshold_scale=1.0,
+         sample_scale=1.0, mode="classical_exact")  # stage_delta underflows to 0
 def test_config_builds_or_raises_value_error(n, s, epsilon, delta, stage_scale,
                                              threshold_scale, sample_scale, mode):
     try:
@@ -75,6 +80,7 @@ def test_config_builds_or_raises_value_error(n, s, epsilon, delta, stage_scale,
     except ValueError:
         return
     assert isinstance(cfg.stage_budget, int) and cfg.stage_budget >= 1
+    assert cfg.stage_delta() > 0
     assert 1 <= cfg.sample_size <= 2**63 - 1
     cfg.to_dict()  # every derived quantity is computable
 

@@ -275,6 +275,10 @@ def test_norm_guard_trips():
     state.amps *= 1.1
     with pytest.raises(StateNormError):
         hadamard_index(state)
+    state = random_state(3, 4)
+    state.amps[5] = np.nan  # a NaN norm must trip the guard too
+    with pytest.raises(StateNormError):
+        x_phase(state)
 
 
 def test_measure_index_point_mass_and_frequencies():

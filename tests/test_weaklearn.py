@@ -218,6 +218,8 @@ def test_signed_digits_validation():
         signed_digit_decompose(np.array([1.5]), 2)
     with pytest.raises(ValueError):
         signed_digit_decompose(np.array([0.5]), 0)
+    with pytest.raises(ValueError, match="weights must lie in"):
+        signed_digit_decompose(np.array([0.5, np.nan]), 3)
 
 
 def test_weighted_reduces_to_plain_search_when_weights_are_one():
