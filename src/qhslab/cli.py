@@ -24,7 +24,7 @@ from dataclasses import fields
 import numpy as np
 
 from . import seeds
-from .boolfn import dnf_to_json, heavy_coeffs, load_dnf, mux_dnf, random_dnf, wht
+from .boolfn import MAX_N, dnf_to_json, heavy_coeffs, load_dnf, mux_dnf, random_dnf, wht
 from .boosting import StageBudgetExceeded
 from .checks import FAULTS, SUITES, run_all
 from .sieve import (MODES, REPORT_SCHEMA, SWEEP_COLUMNS, QhsConfig, WeakLearnerFailure, csv_field,
@@ -148,6 +148,8 @@ def cmd_spectrum(args) -> int:
 
 def cmd_verify(args) -> int:
     if args.dump_state is not None:
+        if not 1 <= args.n <= MAX_N:  # before the 2**n oracle table is drawn
+            raise ValueError(f"--n {args.n} outside [1, {MAX_N}]")
         rng = seeds.derive(args.seed, seeds.VERIFY, 99)
         bits = rng.integers(0, 2, size=1 << args.n).astype(np.uint8)
         state = prepare_spectrum_state(bits, QueryCounter())

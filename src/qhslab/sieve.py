@@ -16,6 +16,7 @@ import itertools
 import json
 import math
 import numbers
+import sys
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import asdict, astuple, dataclass, field, fields
 
@@ -25,8 +26,8 @@ from . import seeds
 from .boolfn import DnfFormula, check_cap, random_dnf, to_pm1
 from .boosting import StageBudgetExceeded, boost
 from .simulator import QueryCounter
-from .weaklearn import (NoHeavyCoefficient, SharedSample, bit_threshold, exact_weak_parity,
-                        sampled_weak_parity, weighted_weak_parity)
+from .weaklearn import (NoHeavyCoefficient, SharedSample, bit_threshold, digit_depth,
+                        exact_weak_parity, sampled_weak_parity, weighted_weak_parity)
 
 MODES = ("quantum_sim", "classical_exact", "classical_sampled")
 
@@ -50,8 +51,11 @@ class QhsConfig:
     nonpositive scale, a stage budget, sample size or big_gamma that
     overflows, a stage budget so large that ``stage_delta()`` is not
     positive, a sample size above 2**63 - 1, and in quantum_sim mode
-    n = 0 (the circuit needs an index qubit) or a big_gamma of 1 or more
-    (:func:`weaklearn.weighted_weak_parity` needs it below 1).
+    n = 0 (the circuit needs an index qubit), a big_gamma outside (0, 1)
+    (the range :func:`weaklearn.weighted_weak_parity` accepts), or a
+    ``stage_delta()`` that, split over the :func:`weaklearn.digit_depth`
+    digit rows of a stage, falls below the smallest normal double (each
+    row's search takes the reciprocal of its budget).
     """
 
     n: int
@@ -92,8 +96,10 @@ class QhsConfig:
             raise ValueError("sample_size exceeds 2**63 - 1")
         if self.mode == "quantum_sim" and self.n < 1:
             raise ValueError("quantum_sim needs n >= 1: the circuit has no index qubit")
-        if self.mode == "quantum_sim" and not self.big_gamma < 1.0:
-            raise ValueError("threshold_scale puts big_gamma at 1 or above")
+        if self.mode == "quantum_sim" and not 0.0 < self.big_gamma < 1.0:
+            raise ValueError("threshold_scale puts big_gamma outside (0, 1)")
+        if self.mode == "quantum_sim" and not self._row_delta() >= sys.float_info.min:
+            raise ValueError("stage_delta split over the digit rows underflows")
 
     @property
     def gamma(self) -> float:
@@ -117,6 +123,13 @@ class QhsConfig:
 
     def stage_delta(self) -> float:
         return self.delta / (2.0 * self.stage_budget)
+
+    def _row_delta(self) -> float:
+        """The smallest failure budget a digit row's search can get (0 past a float)."""
+        try:
+            return self.stage_delta() / digit_depth(self.big_gamma)
+        except OverflowError:  # 3 / big_gamma overflows
+            return 0.0
 
     def to_dict(self) -> dict:
         return {
@@ -277,14 +290,17 @@ def _sweep_cell(args: tuple) -> dict:
 def _loglog_fits(grid, rows, key: str, axis: str, x_of=float) -> list:
     """Log-log slopes of the mean ``key`` total of successful runs against
     grid axis ``axis`` (x is ``x_of`` of its value): one fit per setting
-    of the other two axes that has two or more cells of nonzero mean."""
+    of the other two axes that has two or more cells with a positive x
+    and a nonzero mean. A cell with x = 0 (s = 0) has no logarithm and
+    is skipped, as a zero mean is."""
     i = GRID_AXES.index(axis)
     groups = {}
     for cell in sorted(set(grid)):
         totals = [row[key] for row in rows
                   if row["status"] == "ok" and tuple(row[a] for a in GRID_AXES) == cell]
-        if totals and (mean := np.mean(totals)):
-            groups.setdefault(cell[:i] + cell[i + 1:], []).append((x_of(cell[i]), mean))
+        x = x_of(cell[i])
+        if x > 0 and totals and (mean := np.mean(totals)):
+            groups.setdefault(cell[:i] + cell[i + 1:], []).append((x, mean))
     others = GRID_AXES[:i] + GRID_AXES[i + 1:]
     return [{**dict(zip(others, group)), "slope": float(np.polyfit(*np.log(pts).T, 1)[0])}
             for group, pts in sorted(groups.items()) if len(pts) >= 2]
@@ -298,7 +314,8 @@ def query_sweep(grid, n_seeds: int, mode: str = "quantum_sim", base_seed: int = 
     recorded as rows, not raised. The fits report the slope of mean
     total quantum queries against s at fixed (n, epsilon) and of mean
     total classical queries against 1/epsilon at fixed (n, s), over the
-    cells with at least one successful run.
+    cells with at least one successful run. With ``jobs`` above 1 the
+    runs go to a process pool of ``min(jobs, number of runs)`` workers.
     """
     overrides = dict(overrides or {})
     cells = []
@@ -307,8 +324,9 @@ def query_sweep(grid, n_seeds: int, mode: str = "quantum_sim", base_seed: int = 
         for seed_index in range(n_seeds):
             cell_seed = seeds.derive_int(base_seed, seeds.SWEEP_CELL, index, seed_index)
             cells.append((n, s, eps, seed_index, cell_seed, mode, overrides))
-    if jobs > 1:
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
+    workers = min(jobs, len(cells))
+    if workers > 1:
+        with ProcessPoolExecutor(max_workers=workers) as pool:
             rows = list(pool.map(_sweep_cell, cells))
     else:
         rows = [_sweep_cell(cell) for cell in cells]

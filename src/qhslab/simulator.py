@@ -1,13 +1,17 @@
 """Exact statevector simulation of the correlation-sampling circuit and
 its amplitude-amplified search iterate, with query accounting.
 
-The register layout is fixed so dumps compare bit-exactly across runs:
-n index qubits, one answer qubit, one phase qubit, packed as
+The register holds n index qubits, one answer qubit and one phase
+qubit, ``2**(n + 2)`` amplitudes. :meth:`StateVector.view`, the
+``[index, answer, phase]`` array of shape ``(2**n, 2, 2)``, is the one
+map from memory order to qubits: every gate, the measurement and the
+dump (the C order of the view's axes) index the state through it. The
+view is a plain reshape, so in memory
 
     basis index = (i << 2) | (answer << 1) | phase
 
-so the amplitude array has length ``2**(n + 2)`` and reshapes to
-``(2**n, 2, 2)``. Operations mutate the state in place and return it.
+and besides the view only :func:`hadamard_index` relies on that order.
+Operations mutate the state in place and return it.
 Every gate is real (H, X, CZ, the membership permutation, the marked
 phase), so the amplitudes are float64.
 
@@ -58,7 +62,10 @@ class StateVector:
     amps: np.ndarray
 
     def view(self) -> np.ndarray:
-        """(2**n, 2, 2) view: index register, answer qubit, phase qubit."""
+        """(2**n, 2, 2) view: index register, answer qubit, phase qubit.
+
+        The only map from memory order to qubits; writes through it
+        change the state."""
         return self.amps.reshape(-1, 2, 2)
 
     def norm(self) -> float:
@@ -91,27 +98,30 @@ def _index_table(values, n: int, dtype) -> np.ndarray:
 
 def hadamard_index(state: StateVector) -> StateVector:
     """Hadamard on every index qubit (the n-fold tensor)."""
-    butterfly_axis0(state.amps.reshape(1 << state.n, 4))
+    # The one gate that also relies on memory order: the index axis must be
+    # outermost. butterfly_axis0 raises on a view that is not C-contiguous,
+    # so a change of layout fails loudly here.
+    butterfly_axis0(state.view())
     state.amps *= 2.0 ** (-state.n / 2.0)
     return _checked(state)
 
 
 def x_phase(state: StateVector) -> StateVector:
     """Pauli X on the phase qubit."""
-    v = state.amps.reshape(-1, 2)
-    v[:] = v[:, ::-1].copy()
+    v = state.view()
+    v[:] = v[:, :, ::-1].copy()
     return _checked(state)
 
 
 def cz_answer_phase(state: StateVector) -> StateVector:
     """Controlled phase flip: negate amplitudes with answer = phase = 1."""
-    state.amps.reshape(-1, 4)[:, 3] *= -1.0
+    state.view()[:, 1, 1] *= -1.0
     return _checked(state)
 
 
 def reflect_zero_index(state: StateVector) -> StateVector:
     """Negate amplitudes whose index register is all zero."""
-    state.amps.reshape(-1, 4)[0] *= -1.0
+    state.view()[0] *= -1.0
     return _checked(state)
 
 
@@ -132,7 +142,7 @@ def apply_membership(state: StateVector, f, counter: QueryCounter) -> StateVecto
 def apply_marked_phase(state: StateVector, marked) -> StateVector:
     """Negate amplitudes whose index value is marked; diagonal, self-inverse."""
     mask = _index_table(marked, state.n, bool)
-    state.amps.reshape(-1, 4)[mask] *= -1.0
+    state.view()[mask] *= -1.0
     return _checked(state)
 
 
@@ -188,14 +198,16 @@ def grover_step(state: StateVector, f, marked, counter: QueryCounter) -> StateVe
 
 def index_distribution(state: StateVector) -> np.ndarray:
     """Measurement distribution of the index register; sums to 1."""
-    return (state.amps.reshape(-1, 4) ** 2).sum(axis=1)
+    return (state.view() ** 2).sum(axis=(1, 2))
 
 
 def dump_state(state: StateVector) -> bytes:
     """Binary dump: 16-byte header (magic, n) then the amplitudes as
-    little-endian doubles in basis order."""
+    little-endian doubles in the C order of the view's axes, so the
+    double for ``[i, answer, phase]`` sits at byte
+    ``16 + 8 * ((i << 2) | (answer << 1) | phase)``."""
     header = _DUMP_MAGIC + int(state.n).to_bytes(8, "little")
-    return header + state.amps.astype("<f8").tobytes()
+    return header + np.ascontiguousarray(state.view(), dtype="<f8").tobytes()
 
 
 def load_state(buf: bytes) -> StateVector:
@@ -204,7 +216,8 @@ def load_state(buf: bytes) -> StateVector:
         raise ValueError("bad state dump magic")
     state = init_state(int.from_bytes(buf[8:16], "little"))
     amps = np.frombuffer(buf[16:], dtype="<f8")
-    if amps.size != state.amps.size:
+    view = state.view()
+    if amps.size != view.size:
         raise ValueError("state dump length does not match its header")
-    state.amps[:] = amps
+    view.flat = amps  # in the C order of the view's axes, as dump_state wrote it
     return _checked(state)

@@ -58,6 +58,11 @@ def bit_threshold(big_gamma: float) -> float:
     return big_gamma / 6.0
 
 
+def digit_depth(big_gamma: float) -> int:
+    """Signed-digit depth of :func:`weighted_weak_parity`, the most digit rows it searches."""
+    return max(1, math.ceil(math.log2(3.0 / big_gamma)))
+
+
 @dataclass
 class SharedSample:
     """Uniform labeled sample stored as per-assignment multiplicities.
@@ -225,7 +230,8 @@ def weighted_weak_parity(f_sign, m_values, big_gamma, delta, sample, counter, rn
     at least big_gamma / 3 with it, which is twice the per-bit search
     target :func:`bit_threshold`. Each distinct bit function (duplicates
     collapse, and early boosting stages produce few distinct weights) is
-    searched with :func:`quantum_weak_parity`; candidates are then
+    searched with :func:`quantum_weak_parity` at failure budget delta over
+    the number of distinct rows, unfloored; candidates are then
     verified against the sampled weighted correlation at that same
     threshold and the best verified one is returned, ties toward the
     smaller index. The whole pass retries with fresh randomness up to
@@ -235,7 +241,7 @@ def weighted_weak_parity(f_sign, m_values, big_gamma, delta, sample, counter, rn
         raise ValueError("big_gamma must lie in (0, 1)")
     f_sign = np.asarray(f_sign, dtype=np.float64)
     n = sample.n
-    d = max(1, math.ceil(math.log2(3.0 / big_gamma)))
+    d = digit_depth(big_gamma)
     digits = signed_digit_decompose(m_values, d)
     weighted_est = sample_correlations(sample, np.asarray(m_values, dtype=np.float64) * f_sign)
     gamma_bit = bit_threshold(big_gamma)
@@ -244,7 +250,7 @@ def weighted_weak_parity(f_sign, m_values, big_gamma, delta, sample, counter, rn
     for j, row in enumerate(digits.alpha):
         first.setdefault(row.tobytes(), j)
     distinct = list(first.values())
-    delta_bit = max(delta / len(distinct), 1e-12)
+    delta_bit = delta / len(distinct)
 
     for _ in range(RETRIES):
         candidates = set()

@@ -2,17 +2,18 @@ import json
 import pathlib
 import subprocess
 import sys
+import tracemalloc
 from dataclasses import fields
 
 import numpy as np
 import pytest
 
-from qhslab import QhsConfig, checks, cli, heavy_coeffs, simulator, wht
+from qhslab import QhsConfig, QueryCounter, checks, cli, heavy_coeffs, seeds, simulator, wht
 from qhslab.boolfn import load_dnf
 from qhslab.checks import SUITES, run_all
 from qhslab.cli import (EXIT_IO, EXIT_OK, EXIT_PARAMS, EXIT_STAGE_BUDGET, EXIT_VERIFY,
                         EXIT_WEAK_LEARNER, build_parser, main, write_atomic)
-from qhslab.simulator import load_state
+from qhslab.simulator import load_state, prepare_spectrum_state
 
 BUNDLED_LITERAL = (pathlib.Path(__file__).resolve().parents[1]
                    / "demos" / "instances" / "single_literal.json")
@@ -224,6 +225,22 @@ def test_verify_dump_state(tmp_path):
     state = load_state(dump.read_bytes())
     assert state.n == 5
     assert abs(np.linalg.norm(state.amps) - 1.0) < 1e-12
+    bits = seeds.derive(0, seeds.VERIFY, 99).integers(0, 2, size=1 << 5).astype(np.uint8)
+    assert np.array_equal(state.amps, prepare_spectrum_state(bits, QueryCounter()).amps)
+
+
+def test_verify_dump_state_rejects_n_before_drawing_the_oracle(tmp_path):
+    dump = tmp_path / "state.bin"
+    for n in (0, 24):
+        tracemalloc.start()
+        try:
+            code = run_cli("verify", "--suite", "signed-digits", "--dump-state", dump, "--n", n)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert code == EXIT_PARAMS
+        assert peak < 16 << 20
+    assert not list(tmp_path.iterdir())
 
 
 def test_sweep_subcommand(tmp_path):

@@ -1,5 +1,6 @@
 import json
 import math
+import sys
 
 import numpy as np
 import pytest
@@ -8,10 +9,11 @@ from hypothesis import strategies as st
 
 from qhslab import (QhsConfig, QueryCounter, SharedSample, boost, exact_weak_parity, learn_dnf,
                     query_sweep, random_dnf, to_pm1, wht)
-from qhslab import seeds
+from qhslab import seeds, sieve
 from qhslab.boolfn import DnfFormula
 from qhslab.boosting import StageBudgetExceeded, weight_from_margin
 from qhslab.sieve import CSV_COLUMNS, MODES, WeakLearnerFailure
+from qhslab.weaklearn import digit_depth
 
 
 def small_cfg(**kw):
@@ -42,6 +44,8 @@ def test_config_validation():
                 dict(sample_scale=2.0**63 / 399), dict(threshold_scale=150.0),
                 dict(s=0, epsilon=0.25, threshold_scale=12.0),  # big_gamma exactly 1
                 dict(stage_scale=4e304),  # stage_delta underflows to 0
+                dict(stage_scale=4e302),  # a digit row's share of stage_delta is subnormal
+                dict(threshold_scale=5e-324),  # big_gamma underflows to 0
                 dict(n=0)):  # quantum_sim has no index qubit
         with pytest.raises(ValueError):
             QhsConfig(**{**dict(n=10, s=2, epsilon=0.1), **bad})
@@ -51,6 +55,7 @@ def test_config_validation():
     for mode in ("classical_exact", "classical_sampled"):
         assert QhsConfig(n=10, s=2, epsilon=0.1, threshold_scale=150.0, mode=mode).big_gamma >= 1
         assert QhsConfig(n=0, s=2, epsilon=0.1, mode=mode).n == 0
+        assert QhsConfig(n=10, s=2, epsilon=0.1, stage_scale=4e302, mode=mode).stage_delta() > 0
 
 
 # any number, and the ranges each field accepts, to reach the derived sizes often
@@ -81,6 +86,8 @@ def test_config_builds_or_raises_value_error(n, s, epsilon, delta, stage_scale,
         return
     assert isinstance(cfg.stage_budget, int) and cfg.stage_budget >= 1
     assert cfg.stage_delta() > 0
+    if cfg.mode == "quantum_sim":  # every digit row's search budget is a normal double
+        assert cfg.stage_delta() / digit_depth(cfg.big_gamma) >= sys.float_info.min
     assert 1 <= cfg.sample_size <= 2**63 - 1
     cfg.to_dict()  # every derived quantity is computable
 
@@ -286,6 +293,42 @@ def test_query_sweep_parallel_matches_serial():
     serial = query_sweep(grid, jobs=1, **kw)
     parallel = query_sweep(grid, jobs=2, **kw)
     assert serial == parallel
+
+
+def test_query_sweep_fits_skip_s_zero_cells():
+    result = query_sweep([(6, s, 0.2) for s in (0, 1, 2)], n_seeds=1, mode="quantum_sim",
+                         overrides={"sample_scale": 2048.0})
+    rows = result["rows"]
+    assert [row["s"] for row in rows] == [0, 1, 2]
+    assert all(row["status"] == "ok" for row in rows)
+    (fit,) = result["fits"]["quantum_vs_s"]
+    q1, q2 = (rows[s]["quantum_queries"] for s in (1, 2))
+    assert fit["slope"] == pytest.approx(math.log(q2 / q1) / math.log(2.0), rel=1e-9)
+
+
+def test_query_sweep_pool_has_at_most_one_worker_per_run(monkeypatch):
+    sizes = []
+
+    class SerialPool:  # stands in for the process pool; starts no process
+        def __init__(self, max_workers):
+            sizes.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, items):
+            return map(fn, items)
+
+    monkeypatch.setattr(sieve, "ProcessPoolExecutor", SerialPool)
+    kw = dict(mode="classical_exact", base_seed=9, overrides={"sample_scale": 2048.0})
+    grid = [(7, 1, 0.3), (7, 2, 0.3)]
+    assert query_sweep(grid, n_seeds=1, jobs=8, **kw) == query_sweep(grid, n_seeds=1, **kw)
+    assert sizes == [2]
+    query_sweep(grid[:1], n_seeds=1, jobs=8, **kw)  # one run needs no pool
+    assert sizes == [2]
 
 
 def test_query_sweep_records_failures():

@@ -5,10 +5,10 @@ import pytest
 
 from qhslab import (QueryCounter, grover_step, index_distribution, planted_parity,
                     prepare_spectrum_state, simulator, to_pm1, wht)
-from qhslab.simulator import (StateNormError, apply_marked_phase, apply_membership,
-                              correlation_op, correlation_op_dagger, cz_answer_phase,
-                              dump_state, hadamard_index, init_state, load_state,
-                              reflect_zero_index, x_phase)
+from qhslab.simulator import (StateNormError, StateVector, apply_marked_phase,
+                              apply_membership, correlation_op, correlation_op_dagger,
+                              cz_answer_phase, dump_state, hadamard_index, init_state,
+                              load_state, reflect_zero_index, x_phase)
 
 
 def random_state(n, seed):
@@ -28,22 +28,33 @@ def dense_hadamard(n):
     return h
 
 
+def basis(n):
+    """``basis(n)[i, a, p]``: the position in ``amps`` of index i, answer a, phase p."""
+    return StateVector(n, np.arange(4 << n)).view()
+
+
+def in_memory_order(n, op):
+    """A dense operator written over the (index, answer, phase) basis in
+    that C order (a Kronecker product), moved to memory order."""
+    pos = basis(n).ravel()
+    placed = np.zeros_like(op)
+    placed[np.ix_(pos, pos)] = op
+    return placed
+
+
 def apply_c_matrix_free(state_vec, n, bits):
     """Dense-matrix reference for the correlation operator on one vector."""
     h = dense_hadamard(n)
     x = np.array([[0.0, 1.0], [1.0, 0.0]])
     cz = np.diag([1.0, 1.0, 1.0, -1.0])
     eye2 = np.eye(2)
-    u_mq = np.zeros((1 << (n + 2), 1 << (n + 2)))
-    for i in range(1 << n):
-        for a in range(2):
-            for b in range(2):
-                row = (i << 2) | ((a ^ int(bits[i])) << 1) | b
-                col = (i << 2) | (a << 1) | b
-                u_mq[row, col] = 1.0
-    first = np.kron(h, np.kron(eye2, x))
-    mid = np.kron(np.eye(1 << n), cz)
-    last = np.kron(h, np.eye(4))
+    pos = basis(n)
+    u_mq = np.zeros((4 << n, 4 << n))
+    for i, a, b in np.ndindex(pos.shape):
+        u_mq[pos[i, a ^ int(bits[i]), b], pos[i, a, b]] = 1.0
+    first = in_memory_order(n, np.kron(h, np.kron(eye2, x)))
+    mid = in_memory_order(n, np.kron(np.eye(1 << n), cz))
+    last = in_memory_order(n, np.kron(h, np.eye(4)))
     return last @ u_mq.T @ mid @ u_mq @ first @ state_vec
 
 
@@ -77,37 +88,38 @@ def test_hadamard_matches_dense_matrix():
     for n in (3, 8):  # one transform block, and two
         state = random_state(n, 1)
         amps = state.amps
-        before = amps.copy()
+        before = state.view().copy()
         hadamard_index(state)
-        dense = np.kron(dense_hadamard(n), np.eye(4)) @ before
+        dense = np.einsum("ji,iap->jap", dense_hadamard(n), before)
         assert state.amps is amps  # transformed in place, through a reshaped view
-        assert np.allclose(amps, dense, atol=1e-12)
+        assert np.allclose(state.view(), dense, atol=1e-12)
 
 
 def test_x_phase_and_cz():
     state = init_state(2)
     x_phase(state)
-    assert state.amps[1] == 1.0  # phase qubit flipped to 1
+    assert state.view()[0, 0, 1] == 1.0  # phase qubit flipped to 1
     x_phase(state)
-    assert state.amps[0] == 1.0
+    assert state.view()[0, 0, 0] == 1.0
     state = random_state(2, 2)
-    before = state.amps.copy()
+    before = state.view().copy()
     cz_answer_phase(state)
-    view = state.amps.reshape(-1, 4)
-    assert np.allclose(view[:, :3], before.reshape(-1, 4)[:, :3])
-    assert np.allclose(view[:, 3], -before.reshape(-1, 4)[:, 3])
+    view = state.view()
+    untouched = np.array([[True, True], [True, False]])  # all but answer = phase = 1
+    assert np.allclose(view[:, untouched], before[:, untouched])
+    assert np.allclose(view[:, 1, 1], -before[:, 1, 1])
     cz_answer_phase(state)
-    assert np.allclose(state.amps, before, atol=1e-15)
+    assert np.allclose(state.view(), before, atol=1e-15)
 
 
 def test_reflect_zero_index():
     state = hadamard_index(init_state(3))
-    before = state.amps.copy()
+    before = state.view().copy()
     reflect_zero_index(state)
-    assert np.allclose(state.amps[:4], -before[:4])
-    assert np.allclose(state.amps[4:], before[4:])
+    assert np.allclose(state.view()[0], -before[0])
+    assert np.allclose(state.view()[1:], before[1:])
     reflect_zero_index(state)
-    assert np.allclose(state.amps, before)
+    assert np.allclose(state.view(), before)
     assert abs(state.norm() - 1.0) < 1e-12
 
 
@@ -131,7 +143,7 @@ def test_membership_answer_marginal():
     bits = rng.integers(0, 2, size=1 << n).astype(np.uint8)
     state = hadamard_index(init_state(n))
     apply_membership(state, bits, QueryCounter())
-    view = state.amps.reshape(-1, 2, 2)
+    view = state.view()
     answer_one = float(np.sum(np.abs(view[:, 1, :]) ** 2))
     want = sum(int(b) for b in bits) / (1 << n)  # direct enumeration
     assert abs(answer_one - want) < 1e-12
@@ -140,18 +152,18 @@ def test_membership_answer_marginal():
 def test_marked_phase_identity_and_dense_check():
     n = 3
     state = random_state(n, 5)
-    before = state.amps.copy()
+    before = state.view().copy()
     apply_marked_phase(state, np.zeros(1 << n, dtype=bool))
-    assert np.array_equal(state.amps, before)
+    assert np.array_equal(state.view(), before)
     target = 5
     mask = np.zeros(1 << n, dtype=bool)
     mask[target] = True
     apply_marked_phase(state, mask)
-    dense = np.kron(np.diag([1.0 if i != target else -1.0 for i in range(1 << n)]),
-                    np.eye(4)) @ before
-    assert np.allclose(state.amps, dense, atol=1e-15)
+    dense = np.einsum("ji,iap->jap",
+                      np.diag([1.0 if i != target else -1.0 for i in range(1 << n)]), before)
+    assert np.allclose(state.view(), dense, atol=1e-15)
     apply_marked_phase(state, np.arange(1 << n) == target)
-    assert np.allclose(state.amps, before, atol=1e-15)
+    assert np.allclose(state.view(), before, atol=1e-15)
 
 
 def test_correlation_op_matches_dense_reference():
@@ -322,3 +334,12 @@ def test_dump_round_trip():
         load_state(b"QHSREAL1" + (0).to_bytes(8, "little") + bytes(8 * 4))  # n=0
     with pytest.raises(StateNormError):
         load_state(blob[:16] + bytes(len(blob) - 16))
+
+
+def test_dump_is_the_c_order_of_the_view():
+    state = random_state(3, 21)
+    blob = dump_state(state)
+    view = state.view()
+    for i, a, p in np.ndindex(view.shape):
+        at = 16 + 8 * ((i << 2) | (a << 1) | p)
+        assert np.frombuffer(blob, dtype="<f8", count=1, offset=at)[0] == view[i, a, p]

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from qhslab import (QueryCounter, SharedSample, exact_weak_parity, planted_parity,
+from qhslab import (QhsConfig, QueryCounter, SharedSample, exact_weak_parity, planted_parity,
                     quantum_weak_parity, random_dnf, to_pm1, wht)
 from qhslab import seeds, simulator, weaklearn
 from qhslab.boolfn import chi
@@ -255,12 +255,16 @@ def test_weighted_searches_each_distinct_digit_row_once_in_order(monkeypatch):
 
     monkeypatch.setattr(weaklearn, "quantum_weak_parity", recording)
     sample = SharedSample.full_cube(n, parity_bits(n, 9))
-    with pytest.raises(NoHeavyCoefficient):  # d = ceil(log2(3 / 0.3)) = 4
-        weighted_weak_parity(f_sign, m_values, 0.3, 0.06, sample, QueryCounter(),
-                             seeds.derive(0, 1))
-    assert len(searched) == RETRIES * len(rows)
-    for (delta, g_sign), row in zip(searched, rows * RETRIES):
-        assert delta == 0.06 / 3 and np.array_equal(g_sign, row)
+    # each row gets its unfloored share of delta, also of a stage_delta() below 1e-12
+    tiny = QhsConfig(n=10, s=2, epsilon=0.1, stage_scale=4e12).stage_delta()
+    for stage_delta in (0.06, tiny):
+        searched.clear()
+        with pytest.raises(NoHeavyCoefficient):  # d = ceil(log2(3 / 0.3)) = 4
+            weighted_weak_parity(f_sign, m_values, 0.3, stage_delta, sample, QueryCounter(),
+                                 seeds.derive(0, 1))
+        assert len(searched) == RETRIES * len(rows)
+        for (delta, g_sign), row in zip(searched, rows * RETRIES):
+            assert delta == stage_delta / 3 and np.array_equal(g_sign, row)
 
 
 def test_weighted_candidate_meets_exact_pigeonhole_floor():
