@@ -52,10 +52,11 @@ class QhsConfig:
     overflows, a stage budget so large that ``stage_delta()`` is not
     positive, a sample size above 2**63 - 1, and in quantum_sim mode
     n = 0 (the circuit needs an index qubit), a big_gamma outside (0, 1)
-    (the range :func:`weaklearn.weighted_weak_parity` accepts), or a
-    ``stage_delta()`` that, split over the :func:`weaklearn.digit_depth`
-    digit rows of a stage, falls below the smallest normal double (each
-    row's search takes the reciprocal of its budget).
+    (the range :func:`weaklearn.weighted_weak_parity` accepts), a
+    :func:`weaklearn.digit_depth` above 62 (the signed digits are split
+    in int64), or a ``stage_delta()`` that, split over the digit rows of
+    a stage, falls below the smallest normal double (each row's search
+    takes the reciprocal of its budget).
     """
 
     n: int
@@ -98,7 +99,10 @@ class QhsConfig:
             raise ValueError("quantum_sim needs n >= 1: the circuit has no index qubit")
         if self.mode == "quantum_sim" and not 0.0 < self.big_gamma < 1.0:
             raise ValueError("threshold_scale puts big_gamma outside (0, 1)")
-        if self.mode == "quantum_sim" and not self._row_delta() >= sys.float_info.min:
+        if self.mode == "quantum_sim" and not self._digit_depth() <= 62:
+            raise ValueError("threshold_scale puts the digit depth above 62, past int64")
+        if (self.mode == "quantum_sim"
+                and not self.stage_delta() / self._digit_depth() >= sys.float_info.min):
             raise ValueError("stage_delta split over the digit rows underflows")
 
     @property
@@ -124,12 +128,12 @@ class QhsConfig:
     def stage_delta(self) -> float:
         return self.delta / (2.0 * self.stage_budget)
 
-    def _row_delta(self) -> float:
-        """The smallest failure budget a digit row's search can get (0 past a float)."""
+    def _digit_depth(self) -> float:
+        """:func:`weaklearn.digit_depth` of big_gamma (inf where 3 / big_gamma overflows)."""
         try:
-            return self.stage_delta() / digit_depth(self.big_gamma)
-        except OverflowError:  # 3 / big_gamma overflows
-            return 0.0
+            return digit_depth(self.big_gamma)
+        except OverflowError:
+            return math.inf
 
     def to_dict(self) -> dict:
         return {

@@ -2,15 +2,21 @@
 its amplitude-amplified search iterate, with query accounting.
 
 The register holds n index qubits, one answer qubit and one phase
-qubit, ``2**(n + 2)`` amplitudes. :meth:`StateVector.view`, the
-``[index, answer, phase]`` array of shape ``(2**n, 2, 2)``, is the one
-map from memory order to qubits: every gate, the measurement and the
-dump (the C order of the view's axes) index the state through it. The
-view is a plain reshape, so in memory
+qubit, ``2**(n + 2)`` amplitudes. The work qubits are outermost in
+memory,
 
-    basis index = (i << 2) | (answer << 1) | phase
+    basis index = (answer << (n + 1)) | (phase << n) | i
 
-and besides the view only :func:`hadamard_index` relies on that order.
+so each of the four work states is one contiguous block of ``2**n``
+amplitudes. :meth:`StateVector.view`, the ``[index, answer, phase]``
+array of shape ``(2**n, 2, 2)``, is what the measurement, the dump (the
+C order of the view's axes) and the tests index the state through.
+Besides the view, :func:`hadamard_index` and the block gates
+(:func:`x_phase`, :func:`apply_membership`, :func:`apply_marked_phase`)
+rely on the memory order: they act on whole blocks, and the index
+Hadamards transform only the blocks that hold amplitude. Along the
+correlation operator, its adjoint and the amplification iterate, every
+index Hadamard meets exactly one such block.
 Operations mutate the state in place and return it.
 Every gate is real (H, X, CZ, the membership permutation, the marked
 phase), so the amplitudes are float64.
@@ -64,9 +70,8 @@ class StateVector:
     def view(self) -> np.ndarray:
         """(2**n, 2, 2) view: index register, answer qubit, phase qubit.
 
-        The only map from memory order to qubits; writes through it
-        change the state."""
-        return self.amps.reshape(-1, 2, 2)
+        Writes through it change the state."""
+        return _blocks(self).transpose(2, 0, 1)
 
     def norm(self) -> float:
         return float(np.linalg.norm(self.amps))
@@ -96,20 +101,37 @@ def _index_table(values, n: int, dtype) -> np.ndarray:
     return table.astype(dtype)
 
 
+def _blocks(state: StateVector) -> np.ndarray:
+    """(2, 2, 2**n) view in memory order: answer qubit, phase qubit, then
+    each work state's contiguous block of index amplitudes."""
+    return state.amps.reshape(2, 2, 1 << state.n)
+
+
 def hadamard_index(state: StateVector) -> StateVector:
-    """Hadamard on every index qubit (the n-fold tensor)."""
-    # The one gate that also relies on memory order: the index axis must be
-    # outermost. butterfly_axis0 raises on a view that is not C-contiguous,
-    # so a change of layout fails loudly here.
-    butterfly_axis0(state.view())
-    state.amps *= 2.0 ** (-state.n / 2.0)
+    """Hadamard on every index qubit (the n-fold tensor).
+
+    Only the work blocks holding a nonzero amplitude are transformed: an
+    all-zero block transforms to zero, so skipping it is exact. The live
+    blocks go through one kernel call, as the lone 1-D block they usually
+    are, or else gathered into one contiguous ``(2**n, live)`` array."""
+    blocks = _blocks(state).reshape(4, -1)
+    live = [w for w, on in enumerate((blocks != 0.0).any(axis=1).tolist()) if on]
+    scale = 2.0 ** (-state.n / 2.0)
+    if len(live) == 1:
+        block = blocks[live[0]]
+        butterfly_axis0(block)
+        block *= scale
+    else:
+        columns = np.ascontiguousarray(blocks[live].T)
+        butterfly_axis0(columns)
+        blocks[live] = columns.T * scale
     return _checked(state)
 
 
 def x_phase(state: StateVector) -> StateVector:
-    """Pauli X on the phase qubit."""
-    v = state.view()
-    v[:] = v[:, :, ::-1].copy()
+    """Pauli X on the phase qubit: swaps the phase blocks."""
+    blocks = _blocks(state)
+    blocks[:] = blocks[:, ::-1].copy()
     return _checked(state)
 
 
@@ -128,13 +150,13 @@ def reflect_zero_index(state: StateVector) -> StateVector:
 def apply_membership(state: StateVector, f, counter: QueryCounter) -> StateVector:
     """XOR the oracle bit f(i) into the answer qubit; one quantum query.
 
-    Self-inverse, so the same call serves as the adjoint query (which is
-    counted identically).
+    Swaps the two answer blocks at every index with f(i) = 1. Self-inverse,
+    so the same call serves as the adjoint query (which is counted
+    identically).
     """
     bits = _index_table(f, state.n, np.uint8)
-    v = state.view()
-    ones = np.flatnonzero(bits)
-    v[ones] = v[ones][:, ::-1, :]
+    blocks = _blocks(state)
+    blocks[:] = np.where(bits, blocks[::-1], blocks)
     counter.quantum_queries += 1
     return _checked(state)
 
@@ -142,7 +164,8 @@ def apply_membership(state: StateVector, f, counter: QueryCounter) -> StateVecto
 def apply_marked_phase(state: StateVector, marked) -> StateVector:
     """Negate amplitudes whose index value is marked; diagonal, self-inverse."""
     mask = _index_table(marked, state.n, bool)
-    state.view()[mask] *= -1.0
+    blocks = _blocks(state)
+    np.negative(blocks, out=blocks, where=mask)
     return _checked(state)
 
 

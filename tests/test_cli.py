@@ -122,6 +122,13 @@ def test_learn_error_exit_codes(tmp_path, instance):
     assert not list(tmp_path.glob("s.*"))
 
 
+def test_learn_rejects_a_digit_depth_past_int64(tmp_path, instance, capsys):
+    # --c2 1e-18 puts the signed-digit depth at 69; the run used to die in stage 1
+    assert run_cli("learn", instance, "--c2", 1e-18, "--out", tmp_path / "r") == EXIT_PARAMS
+    assert "Traceback" not in capsys.readouterr().err
+    assert not list(tmp_path.glob("r*"))
+
+
 def test_weak_subcommand(tmp_path, literal_instance):
     out = tmp_path / "weak.json"
     code = run_cli("weak", literal_instance, "--mode", "quantum-sim", "--epsilon", 0.1,

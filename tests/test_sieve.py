@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 
 from qhslab import (QhsConfig, QueryCounter, SharedSample, boost, exact_weak_parity, learn_dnf,
                     query_sweep, random_dnf, to_pm1, wht)
-from qhslab import seeds, sieve
+from qhslab import seeds, sieve, weaklearn
 from qhslab.boolfn import DnfFormula
 from qhslab.boosting import StageBudgetExceeded, weight_from_margin
 from qhslab.sieve import CSV_COLUMNS, MODES, WeakLearnerFailure
@@ -46,12 +46,14 @@ def test_config_validation():
                 dict(stage_scale=4e304),  # stage_delta underflows to 0
                 dict(stage_scale=4e302),  # a digit row's share of stage_delta is subnormal
                 dict(threshold_scale=5e-324),  # big_gamma underflows to 0
+                dict(threshold_scale=1e-18),  # digit depth 69: the digits overflow int64
                 dict(n=0)):  # quantum_sim has no index qubit
         with pytest.raises(ValueError):
             QhsConfig(**{**dict(n=10, s=2, epsilon=0.1), **bad})
     # the edges that still build; big_gamma >= 1 is only rejected for quantum_sim
     assert QhsConfig(n=10, s=2, epsilon=0.1, sample_scale=2.0**63 / 400).sample_size == 2**63 - 2048
     assert QhsConfig(n=10, s=0, epsilon=0.25, threshold_scale=11.9).big_gamma < 1
+    assert digit_depth(QhsConfig(n=10, s=2, epsilon=0.1, threshold_scale=1e-16).big_gamma) == 62
     for mode in ("classical_exact", "classical_sampled"):
         assert QhsConfig(n=10, s=2, epsilon=0.1, threshold_scale=150.0, mode=mode).big_gamma >= 1
         assert QhsConfig(n=0, s=2, epsilon=0.1, mode=mode).n == 0
@@ -143,6 +145,27 @@ def test_quantum_mode_learns_and_verifies():
         exact = wht(weights * f_sign)
         assert abs(exact[row.parity]) >= floor
         margins += f_sign * hyp.values(xs) - cfg.gamma / (2 + cfg.gamma)
+
+
+def test_amplifying_quantum_run_converges(monkeypatch):
+    # the one known end-to-end learn run whose searches go past depth 0
+    steps = []
+    step = weaklearn.grover_step
+
+    def counting_grover_step(*args):
+        steps.append(1)
+        return step(*args)
+
+    monkeypatch.setattr(weaklearn, "grover_step", counting_grover_step)
+    cfg = QhsConfig(n=12, s=2, epsilon=0.2, threshold_scale=32.0, seed=0)
+    _, report = learn_dnf(random_dnf(12, 2, 6, seed=5), cfg)
+    assert report.termination == "converged"
+    assert report.final_error < cfg.epsilon
+    assert report.totals()["stages"] == 90
+    assert report.totals()["quantum_queries"] == 512
+    # per-stage charges follow the depth schedule 2(2k + 1), k = 0, 1, 2, 4, ...
+    assert {row.quantum_queries for row in report.stages} == {2, 4, 10, 36, 38}
+    assert steps
 
 
 def test_report_structure_and_totals():

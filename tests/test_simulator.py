@@ -95,6 +95,33 @@ def test_hadamard_matches_dense_matrix():
         assert np.allclose(state.view(), dense, atol=1e-12)
 
 
+def test_hadamard_transforms_the_live_work_blocks_in_one_kernel_call(monkeypatch):
+    calls = []
+    kernel = simulator.butterfly_axis0
+
+    def counting_kernel(a):
+        calls.append(a.shape)
+        return kernel(a)
+
+    monkeypatch.setattr(simulator, "butterfly_axis0", counting_kernel)
+    rng = np.random.default_rng(22)
+    for n in (3, 8):
+        for live in ((1,), (0, 3), (0, 1, 2, 3)):  # work states (answer << 1) | phase
+            state = init_state(n)
+            state.amps[:] = 0.0
+            for w in live:
+                state.view()[:, w >> 1, w & 1] = rng.standard_normal(1 << n)
+            state.amps /= state.norm()
+            before = state.view().copy()
+            calls.clear()
+            hadamard_index(state)
+            assert len(calls) == 1
+            dense = np.einsum("ji,iap->jap", dense_hadamard(n), before)
+            assert np.allclose(state.view(), dense, atol=1e-12)
+            for w in set(range(4)) - set(live):
+                assert np.all(state.view()[:, w >> 1, w & 1] == 0.0)
+
+
 def test_x_phase_and_cz():
     state = init_state(2)
     x_phase(state)
