@@ -127,7 +127,7 @@ def wht_unscaled(values) -> np.ndarray:
     return a
 
 
-BLOCK_BITS = 7  # widest dense Hadamard block: 2**7 x 2**7 doubles, 128 KB
+BLOCK_BITS = 5  # widest dense Hadamard block: 2**5 x 2**5 doubles, 8 KB
 
 
 def _hadamard_block(b: int) -> np.ndarray:

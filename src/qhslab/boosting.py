@@ -2,10 +2,12 @@
 combination.
 
 Weights follow the fixed-margin rule with theta = gamma / (2 + gamma):
-the margin of a point advances by f(x) h_t(x) - theta per stage, and
-its weight is 1 below zero margin and (1 - gamma)**(margin / 2) above,
-so every weight stays in (0, 1]. The loop estimates the mean weight
-from one shared labeled sample and stops at 2 * epsilon / 3, so the
+after t stages a point's margin is (2u - t) - t * theta, where u counts
+the stages whose hypothesis agreed with f there, and its weight is 1
+below zero margin and (1 - gamma)**(margin / 2) above, so every weight
+stays in (0, 1]. The loop keeps u as an int32 tally, gathers the weights
+from a table of t + 1 entries, estimates the mean weight from one
+shared labeled sample and stops at 2 * epsilon / 3, so the
 true mean is at most epsilon whenever the estimate stayed within its
 epsilon / 3 budget. The induced stage distributions never put more than
 a 3 / epsilon multiple of uniform on any point, which is the smoothness
@@ -30,6 +32,17 @@ def weight_from_margin(margins, gamma: float):
     """1 below zero margin, geometric decay (1 - gamma)**(margin/2) above."""
     margins = np.asarray(margins, dtype=np.float64)
     return (1.0 - gamma) ** (np.maximum(margins, 0.0) / 2.0)
+
+
+def tally_weights(tally, stages: int, gamma: float) -> np.ndarray:
+    """Weights after ``stages`` stages, gathered from the rule at every possible tally."""
+    net = 2 * np.arange(stages + 1) - stages
+    return weight_from_margin(net - stages * (gamma / (2.0 + gamma)), gamma)[tally]
+
+
+def advance_tally(tally: np.ndarray, agrees: np.ndarray) -> None:
+    """Add one to ``tally``, in place, where the packed bits ``agrees`` are set."""
+    tally += np.unpackbits(agrees, count=tally.size)
 
 
 @dataclass
@@ -78,14 +91,13 @@ def boost(f_sign, sample: SharedSample, epsilon: float, gamma: float, budget: in
     f_sign = np.asarray(f_sign, dtype=np.float64)
     if not np.all(np.abs(f_sign) == 1.0):
         raise ValueError("f_sign must be a +-1 table")
-    theta = gamma / (2.0 + gamma)
-    margins = np.zeros(f_sign.size, dtype=np.float64)
+    tally = np.zeros(f_sign.size, dtype=np.int32)
     hypotheses, estimates = [], []
-    # Where f_sign * h_t is -1, one bit per point and distinct signed parity:
+    # Where f_sign * h_t is +1, one bit per point and distinct signed parity:
     # runs accept few distinct parities, and float tables take 64x the memory.
-    wrong = {}
+    agrees = {}
     while True:
-        weights = weight_from_margin(margins, gamma)
+        weights = tally_weights(tally, len(hypotheses), gamma)
         estimates.append(float(sample.counts @ weights / sample.size))
         if estimates[-1] <= 2.0 * epsilon / 3.0:
             return CombinedHypothesis(hypotheses), estimates
@@ -94,7 +106,6 @@ def boost(f_sign, sample: SharedSample, epsilon: float, gamma: float, budget: in
         hyp = weak_learner(weights)
         hypotheses.append(hyp)
         key = (hyp.a, hyp.sign)
-        if key not in wrong:
-            wrong[key] = np.packbits(f_sign * hyp.values(np.arange(f_sign.size)) < 0.0)
-        margins += np.where(np.unpackbits(wrong[key], count=f_sign.size),
-                            -1.0 - theta, 1.0 - theta)
+        if key not in agrees:
+            agrees[key] = np.packbits(f_sign * hyp.values(np.arange(f_sign.size)) > 0.0)
+        advance_tally(tally, agrees[key])

@@ -145,11 +145,16 @@ def transform_tolerance(n, scale):
 
 
 @settings(max_examples=60, deadline=None)
-@given(st.integers(0, 14), st.sampled_from([(), (4,), (2, 3)]),
+@given(st.integers(0, 16), st.sampled_from([(), (4,), (2, 3)]),
        st.sampled_from([1e-3, 1.0, 1e6]), st.integers(0, 2**32))
+@example(5, (), 1.0, 0)  # the chunk count changes between 5 and 6, 10 and 11, 15 and 16
 @example(6, (), 1.0, 0)
 @example(7, (), 1.0, 0)
 @example(8, (), 1.0, 0)
+@example(10, (), 1.0, 0)
+@example(11, (4,), 1.0, 0)
+@example(15, (), 1.0, 0)
+@example(16, (), 1.0, 0)
 @example(7, (4,), 1.0, 0)
 @example(8, (2, 3), 1.0, 0)
 @example(14, (4,), 1.0, 0)
@@ -173,9 +178,15 @@ def test_kernel_rejects_bad_layout():
 
 
 @settings(max_examples=30, deadline=None)
-@given(st.integers(0, 14), st.integers(0, 2**32))
+@given(st.integers(0, 16), st.integers(0, 2**32))
+@example(5, 0)  # the chunk count changes between 5 and 6, 10 and 11, 15 and 16
+@example(6, 0)
 @example(7, 0)
 @example(8, 0)
+@example(10, 0)
+@example(11, 0)
+@example(15, 0)
+@example(16, 0)
 def test_unscaled_butterfly_is_scaled_involution(n, seed):
     rng = np.random.default_rng(seed)
     table = rng.standard_normal(1 << n)

@@ -6,9 +6,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from qhslab import QueryCounter, SharedSample, boost, exact_weak_parity, random_dnf
-from qhslab import seeds
+from qhslab import QhsConfig, learn_dnf, seeds, sieve
 from qhslab.boolfn import chi
-from qhslab.boosting import CombinedHypothesis, StageBudgetExceeded, weight_from_margin
+from qhslab.boosting import (CombinedHypothesis, StageBudgetExceeded, advance_tally,
+                             tally_weights, weight_from_margin)
 from qhslab.weaklearn import WeakHypothesis
 
 
@@ -62,18 +63,25 @@ def test_margin_trivials():
 
 
 def test_margin_matches_incremental_table():
+    """Each stage's weights are the rule at the integer margins, bit for bit,
+    and stay within roundoff of a float margin accumulated stage by stage."""
     rng = np.random.default_rng(0)
     n, gamma = 6, 1.0 / 12
     xs = np.arange(1 << n)
     f_sign = (1 - 2 * rng.integers(0, 2, size=1 << n)).astype(float)
     theta = gamma / (2 + gamma)
+    agreed = np.zeros(1 << n, dtype=np.int64)  # stages whose hypothesis agreed with f
     table = np.zeros(1 << n)
     stages = 0
 
     def random_wl(weights):
         nonlocal table, stages
-        assert np.array_equal(weights, weight_from_margin(table, gamma))  # bit for bit
+        exact = weight_from_margin((2 * agreed - stages) - stages * theta, gamma)
+        assert np.array_equal(weights, exact)  # bit for bit
+        accumulated = weight_from_margin(table, gamma)
+        assert np.allclose(weights, accumulated, rtol=1e-12, atol=0.0)
         hyp = WeakHypothesis(int(rng.integers(0, 1 << n)), int(rng.choice([-1, 1])), 0.5)
+        agreed[f_sign * hyp.values(xs) > 0] += 1
         table = table + f_sign * hyp.values(xs) - theta
         stages += 1
         return hyp
@@ -81,6 +89,64 @@ def test_margin_matches_incremental_table():
     with pytest.raises(StageBudgetExceeded):
         cube_boost(f_sign, 0.01, gamma, random_wl, budget=20)
     assert stages == 20
+
+
+agreement_runs = st.integers(1, 64).flatmap(
+    lambda points: st.lists(st.lists(st.booleans(), min_size=points, max_size=points),
+                            min_size=1, max_size=200))
+
+
+@settings(max_examples=200, deadline=None)
+@given(agreement_runs, st.floats(0.0, 0.5, exclude_min=True, exclude_max=True))
+def test_tally_weights_are_the_rule_at_the_exact_margins(rows, gamma):
+    """Gathered weights equal the rule at (2u - t) - t * theta bit for bit,
+    lie in (0, 1], are 1 wherever the margin is at most 0, and never grow with u."""
+    theta = gamma / (2 + gamma)
+    bits = np.array(rows, dtype=bool)
+    tally = np.zeros(bits.shape[1], dtype=np.int32)
+    for t, row in enumerate(bits, start=1):
+        advance_tally(tally, np.packbits(row))
+        agreed = bits[:t].sum(axis=0)
+        assert np.array_equal(tally, agreed)
+        margin = (2 * agreed - t) - t * theta
+        weights = tally_weights(tally, t, gamma)
+        assert weights.tobytes() == weight_from_margin(margin, gamma).tobytes()
+        assert np.all((weights > 0.0) & (weights <= 1.0))
+        assert np.all(weights[margin <= 0.0] == 1.0)
+    table = tally_weights(np.arange(t + 1), t, gamma)
+    assert np.all(np.diff(table) <= 0.0)
+
+
+def float_margin_boost(f_sign, sample, epsilon, gamma, budget, weak_learner):
+    """The booster with a float margin accumulated stage by stage: the
+    reference the integer tally must reproduce decision for decision."""
+    f_sign = np.asarray(f_sign, dtype=np.float64)
+    theta = gamma / (2.0 + gamma)
+    margins = np.zeros(f_sign.size)
+    hypotheses, estimates = [], []
+    while True:
+        weights = weight_from_margin(margins, gamma)
+        estimates.append(float(sample.counts @ weights / sample.size))
+        if estimates[-1] <= 2.0 * epsilon / 3.0:
+            return CombinedHypothesis(hypotheses), estimates
+        if len(hypotheses) >= budget:
+            raise StageBudgetExceeded("budget")
+        hyp = weak_learner(weights)
+        hypotheses.append(hyp)
+        margins += f_sign * hyp.values(np.arange(f_sign.size)) - theta
+
+
+def test_exact_learner_parities_do_not_depend_on_the_margin_arithmetic(monkeypatch):
+    """The exact learner picks the same signed parities, stage for stage, from
+    the tally's weights as from a float margin; the ladder's n = 14 base."""
+    formula = random_dnf(14, 2, 3, seeds.derive_int(0, 10, 2))
+    cfg = QhsConfig(n=14, s=2, epsilon=0.1, mode="classical_exact", seed=0)
+    tally = learn_dnf(formula, cfg)[1]
+    monkeypatch.setattr(sieve, "boost", float_margin_boost)
+    reference = learn_dnf(formula, cfg)[1]
+    assert len(tally.stages) == len(reference.stages)
+    assert [(r.parity, r.sign) for r in tally.stages] == [(r.parity, r.sign) for r in reference.stages]
+    assert tally.termination == reference.termination == "converged"
 
 
 def test_weight_rule_values():
