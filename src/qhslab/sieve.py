@@ -230,6 +230,7 @@ def setup_run(formula: DnfFormula, cfg: QhsConfig) -> tuple:
                                seeds.derive(cfg.seed, seeds.SAMPLE_DRAW))
     rng = seeds.derive(cfg.seed, seeds.WEAK_LEARNER)
     stages = itertools.count(1)
+    records = {}  # weighted_weak_parity's row records, sound for this run's f and sample
 
     def learn(weights):
         t = next(stages)
@@ -239,7 +240,7 @@ def setup_run(formula: DnfFormula, cfg: QhsConfig) -> tuple:
             if cfg.mode == "classical_sampled":
                 return sampled_weak_parity(sample, weights * f_sign, cfg.verify_threshold)
             return weighted_weak_parity(f_sign, weights, cfg.big_gamma, cfg.stage_delta(),
-                                        sample, counter, rng)
+                                        sample, counter, rng, records=records)
         except NoHeavyCoefficient as exc:
             raise WeakLearnerFailure(f"stage {t}: {exc}") from exc
 

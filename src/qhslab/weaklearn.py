@@ -123,7 +123,16 @@ def _doubling_depths(k_max: int) -> list:
     return depths
 
 
-def quantum_weak_parity(n, gamma_target, delta, g_sign, sample, counter, rng) -> WeakHypothesis:
+def choice_cdf(probs) -> np.ndarray:
+    """The CDF ``Generator.choice(probs.size, p=probs / probs.sum())`` builds per call;
+    ``cdf.searchsorted(rng.random(), side="right")`` then draws the index it draws."""
+    cdf = np.cumsum(probs / probs.sum())
+    cdf /= cdf[-1]
+    return cdf
+
+
+def quantum_weak_parity(n, gamma_target, delta, g_sign, sample, counter, rng,
+                        record=None) -> WeakHypothesis:
     """Find a parity whose sample correlation with g reaches gamma_target.
 
     Succeeds with probability at least 1 - delta whenever some parity has
@@ -136,9 +145,14 @@ def quantum_weak_parity(n, gamma_target, delta, g_sign, sample, counter, rng) ->
     to reach depth k: 2(2k + 1) with this circuit. The attempt loop repeats
     ceil(log2(1/delta)) times before giving up. ``n`` must match the
     sample's cube and ``g_sign`` must be a +-1 table with one entry per point.
-    The simulation itself extends one evolving state and caches the
-    measurement distribution and the oracle tally per depth, which
-    draws from exactly the same joint law as independent preparations.
+
+    All but the draws is a function of g, the sample and gamma_target,
+    kept between calls on one row in ``record`` (a dict, empty at first):
+    ``est``, the ``heavy`` mask and, per depth reached, the measurement
+    CDF and the oracle tally. It keeps no state; a call that goes deeper
+    prepares again from depth 0, deterministically. So every attempt is
+    an independent draw from the exact distribution of a fresh
+    preparation, billed that circuit's own oracle calls.
     """
     if not 0.0 < gamma_target < 0.5:
         raise ValueError("gamma_target must lie in (0, 1/2)")
@@ -149,29 +163,33 @@ def quantum_weak_parity(n, gamma_target, delta, g_sign, sample, counter, rng) ->
         raise ValueError(f"n={n} needs a sample and a target on 2**{n} points")
     if not np.all(np.abs(g_sign) == 1.0):
         raise ValueError("g_sign must be a +-1 table")
-    est = sample_correlations(sample, g_sign)
-    heavy = np.abs(est) >= gamma_target
+    if record is None:
+        record = {}
+    if not record:
+        est = sample_correlations(sample, g_sign)
+        record.update(est=est, heavy=np.abs(est) >= gamma_target, dists={})
+    est, heavy, dists = record["est"], record["heavy"], record["dists"]
     if not heavy.any():
         raise NoHeavyCoefficient(f"no sampled correlation reaches {gamma_target:g}")
     k_max = max(1, math.ceil(1.0 / gamma_target))
     depths = _doubling_depths(k_max)
     reps = max(1, math.ceil(math.log2(1.0 / delta)))
 
-    bits = (g_sign < 0).astype(np.uint8)
-    scratch = QueryCounter()  # oracle calls of the shared simulation, read off per depth
-    state = prepare_spectrum_state(bits, scratch)
-    dists = {0: (index_distribution(state), scratch.quantum_queries)}
-    deepest = 0
+    state = None  # prepared on the first depth the record lacks, then extended
     for _ in range(reps):
         for k in depths:
             if k not in dists:
+                if state is None:
+                    bits = (g_sign < 0).astype(np.uint8)
+                    scratch = QueryCounter()  # the circuit's oracle calls, read off per depth
+                    state, deepest = prepare_spectrum_state(bits, scratch), 0
                 while deepest < k:
                     grover_step(state, bits, heavy, scratch)
                     deepest += 1
-                dists[k] = (index_distribution(state), scratch.quantum_queries)
-            probs, cost = dists[k]
+                dists[k] = (choice_cdf(index_distribution(state)), scratch.quantum_queries)
+            cdf, cost = dists[k]
             counter.quantum_queries += cost
-            a = int(rng.choice(probs.size, p=probs / probs.sum()))
+            a = int(cdf.searchsorted(rng.random(), side="right"))
             if heavy[a]:
                 return verdict(est, among=(a,))
     raise NoHeavyCoefficient(
@@ -221,7 +239,8 @@ def signed_digit_decompose(m_values, d: int) -> SignedDigits:
     return digits
 
 
-def weighted_weak_parity(f_sign, m_values, big_gamma, delta, sample, counter, rng) -> WeakHypothesis:
+def weighted_weak_parity(f_sign, m_values, big_gamma, delta, sample, counter, rng,
+                         records=None) -> WeakHypothesis:
     """Find a parity correlated with the weighted target M * f.
 
     Truncates the weights at depth d = ceil(log2(3 / big_gamma)) and
@@ -236,6 +255,12 @@ def weighted_weak_parity(f_sign, m_values, big_gamma, delta, sample, counter, rn
     threshold and the best verified one is returned, ties toward the
     smaller index. The whole pass retries with fresh randomness up to
     ``RETRIES`` times before giving up.
+
+    ``records`` maps a digit row's int8 bytes to its search record (see
+    :func:`quantum_weak_parity`); it is sound while f_sign, the sample and
+    big_gamma stay fixed, as within the run that owns it. A call keeps
+    its own rows' records, reusing the previous call's, and drops the
+    rest, so it holds the rows of at most two consecutive stages.
     """
     if not 0.0 < big_gamma < 1.0:
         raise ValueError("big_gamma must lie in (0, 1)")
@@ -249,15 +274,19 @@ def weighted_weak_parity(f_sign, m_values, big_gamma, delta, sample, counter, rn
     first = {}  # f is +-1, so two digit rows alpha[j] * f are equal exactly when alpha[j] are
     for j, row in enumerate(digits.alpha):
         first.setdefault(row.tobytes(), j)
-    distinct = list(first.values())
-    delta_bit = delta / len(distinct)
+    delta_bit = delta / len(first)
+    if records is None:
+        records = {}
+    kept = {key: records.get(key, {}) for key in first}
+    records.clear()
+    records.update(kept)
 
     for _ in range(RETRIES):
         candidates = set()
-        for j in distinct:
+        for key, j in first.items():
             try:
                 hyp = quantum_weak_parity(n, gamma_bit, delta_bit, digits.alpha[j] * f_sign, sample,
-                                          counter, rng)
+                                          counter, rng, record=records[key])
             except NoHeavyCoefficient:
                 continue
             candidates.add(hyp.a)

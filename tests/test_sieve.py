@@ -13,7 +13,7 @@ from qhslab import seeds, sieve, weaklearn
 from qhslab.boolfn import DnfFormula
 from qhslab.boosting import StageBudgetExceeded, weight_from_margin
 from qhslab.sieve import CSV_COLUMNS, MODES, WeakLearnerFailure
-from qhslab.weaklearn import digit_depth
+from qhslab.weaklearn import digit_depth, signed_digit_decompose
 
 
 def small_cfg(**kw):
@@ -166,6 +166,69 @@ def test_amplifying_quantum_run_converges(monkeypatch):
     # per-stage charges follow the depth schedule 2(2k + 1), k = 0, 1, 2, 4, ...
     assert {row.quantum_queries for row in report.stages} == {2, 4, 10, 36, 38}
     assert steps
+
+
+@pytest.mark.parametrize("formula, cfg, deeper", [
+    (random_dnf(10, 2, 3, seeds.derive_int(0, 10, 2)), QhsConfig(n=10, s=2, epsilon=0.1, seed=0),
+     False),
+    (random_dnf(12, 2, 6, seed=5), QhsConfig(n=12, s=2, epsilon=0.2, threshold_scale=32.0, seed=0),
+     True),
+], ids=["n10", "amplifying"])
+def test_row_records_change_no_decision(monkeypatch, formula, cfg, deeper):
+    # the run reuses a digit row's search across consecutive stages; a fresh mapping per
+    # stage reuses nothing, and both must decide alike
+    f_sign = formula.sign_table()
+    weighted, prepare, step = (sieve.weighted_weak_parity, weaklearn.prepare_spectrum_state,
+                               weaklearn.grover_step)
+    stages = []  # per stage, the oracle bits of each distinct row alpha[j] * f
+    events = []  # (stage, oracle bits, prepared or stepped)
+
+    def watched(f_sign_, weights, big_gamma, delta, sample, counter, rng, records):
+        alpha = signed_digit_decompose(weights, digit_depth(big_gamma)).alpha
+        rows = {key.tobytes(): ((key * f_sign) < 0).astype(np.uint8).tobytes() for key in alpha}
+        previous = set(stages[-1]) if stages else set()
+        stages.append(rows)
+        assert set(records) <= previous
+        hyp = weighted(f_sign_, weights, big_gamma, delta, sample, counter, rng, records=records)
+        assert set(records) == set(rows)
+        return hyp
+
+    def watched_prepare(bits, counter):
+        events.append((len(stages) - 1, bits.tobytes(), "prepare"))
+        return prepare(bits, counter)
+
+    def watched_step(state, bits, heavy, counter):
+        events.append((len(stages) - 1, bits.tobytes(), "step"))
+        return step(state, bits, heavy, counter)
+
+    monkeypatch.setattr(sieve, "weighted_weak_parity", watched)
+    monkeypatch.setattr(weaklearn, "prepare_spectrum_state", watched_prepare)
+    monkeypatch.setattr(weaklearn, "grover_step", watched_step)
+    shipped = learn_dnf(formula, cfg)[1].to_json()
+
+    # per row, each stretch of consecutive stages that searches it prepares it once, and
+    # again only to go deeper than any depth it reached before in that stretch
+    start = {}  # (bits, stage) -> first stage of the stretch of consecutive stages searching it
+    for t, rows in enumerate(stages):
+        for bits in rows.values():
+            start[bits, t] = start.get((bits, t - 1), t)
+    stretches = {}  # (bits, first stage) -> the depth each preparation in the stretch reached
+    for t, bits, kind in events:
+        depths = stretches.setdefault((bits, start[bits, t]), [])
+        if kind == "prepare":
+            depths.append(0)
+        else:
+            depths[-1] += 1
+    assert all(b > a for depths in stretches.values() for a, b in zip(depths, depths[1:]))
+    assert any(first < t for (_, t), first in start.items())  # some row is searched again
+    assert any(len(depths) > 1 for depths in stretches.values()) == deeper
+
+    monkeypatch.setattr(sieve, "weighted_weak_parity",
+                        lambda *args, records: weighted(*args, records={}))
+    assert learn_dnf(formula, cfg)[1].to_json() == shipped
+    search = weaklearn.quantum_weak_parity  # and no reuse at all, not even across retries
+    monkeypatch.setattr(weaklearn, "quantum_weak_parity", lambda *args, record: search(*args))
+    assert learn_dnf(formula, cfg)[1].to_json() == shipped
 
 
 def test_report_structure_and_totals():

@@ -9,9 +9,9 @@ from qhslab import (QhsConfig, QueryCounter, SharedSample, exact_weak_parity, pl
                     quantum_weak_parity, random_dnf, to_pm1, wht)
 from qhslab import seeds, simulator, weaklearn
 from qhslab.boolfn import chi
-from qhslab.weaklearn import (RETRIES, NoHeavyCoefficient, WeakHypothesis, sample_correlations,
-                              sampled_weak_parity, signed_digit_decompose, verdict,
-                              weighted_weak_parity)
+from qhslab.weaklearn import (RETRIES, NoHeavyCoefficient, WeakHypothesis, choice_cdf,
+                              sample_correlations, sampled_weak_parity, signed_digit_decompose,
+                              verdict, weighted_weak_parity)
 
 
 def parity_bits(n, b):
@@ -135,6 +135,21 @@ def test_quantum_weak_parity_bills_the_circuits_own_oracle_calls(monkeypatch):
     assert run() == [(a, 2 * queries) for a, queries in plain]
 
 
+@settings(max_examples=100, deadline=None)
+@given(st.integers(2, 4096), st.floats(0.0, 0.9), st.integers(1, 8), st.integers(0, 2**32 - 1))
+def test_cached_cdf_draws_what_generator_choice_draws(size, zero_share, power, seed):
+    # the searches draw from choice_cdf; if numpy's choice ever draws differently, this fails
+    # here instead of moving every fingerprint
+    make = np.random.default_rng(seed)
+    probs = make.random(size) ** power * (make.random(size) >= zero_share)
+    probs[make.integers(size)] += 0.5  # some mass
+    cdf = choice_cdf(probs)
+    ours, numpys = np.random.default_rng(seed + 1), np.random.default_rng(seed + 1)
+    for _ in range(50):
+        assert (int(cdf.searchsorted(ours.random(), side="right"))
+                == int(numpys.choice(probs.size, p=probs / probs.sum())))
+
+
 def test_quantum_weak_parity_planted_recovery_rate():
     n, b, gamma = 10, 37, 0.125
     hits = 0
@@ -249,7 +264,7 @@ def test_weighted_searches_each_distinct_digit_row_once_in_order(monkeypatch):
     assert len(rows) == 3
     searched = []
 
-    def recording(n, gamma_target, delta, g_sign, sample, counter, rng):
+    def recording(n, gamma_target, delta, g_sign, sample, counter, rng, record=None):
         searched.append((delta, g_sign))
         raise NoHeavyCoefficient("recorded")
 
