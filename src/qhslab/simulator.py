@@ -7,23 +7,34 @@ memory,
 
     basis index = (answer << (n + 1)) | (phase << n) | i
 
-so each of the four work states is one contiguous block of ``2**n``
-amplitudes. :meth:`StateVector.view`, the ``[index, answer, phase]``
-array of shape ``(2**n, 2, 2)``, is what the measurement, the dump (the
-C order of the view's axes) and the tests index the state through.
-Besides the view, :func:`hadamard_index` and the block gates
-(:func:`x_phase`, :func:`apply_membership`, :func:`apply_marked_phase`)
-rely on the memory order: they act on whole blocks, and the index
-Hadamards transform only the blocks that hold amplitude. Along the
-correlation operator, its adjoint and the amplification iterate, every
-index Hadamard meets exactly one such block.
-Operations mutate the state in place and return it.
-Every gate is real (H, X, CZ, the membership permutation, the marked
-phase), so the amplitudes are float64.
+so each of the four work states ``w = (answer << 1) | phase`` is one
+contiguous block of ``2**n`` amplitudes. :meth:`StateVector.view`, the
+``[index, answer, phase]`` array of shape ``(2**n, 2, 2)``, is how the
+tests and callers outside this module index the state; the dump writes
+the C order of its axes.
 
-Nothing here renormalizes silently. Every public operation checks the
-L2 norm on exit and raises :class:`StateNormError` past a drift of
-1e-9, because drift at that size means a broken gate, not roundoff.
+Only X and the diagonal CZ act on the phase qubit, so along the
+correlation operator, its adjoint and the amplification iterate the
+phase qubit stays in a basis state and at most two blocks hold
+amplitude. ``StateVector.live`` is the set of blocks that may be
+nonzero; every block outside it is exactly zero. :func:`init_state`
+starts it at ``(0,)``; a state built from an array, :meth:`view` and
+:func:`load_state` mark all four blocks live, which is conservative
+and exact. Each gate touches only the live blocks and leaves the set
+that can be nonzero after it: :func:`x_phase` moves or swaps blocks and
+relabels, :func:`apply_membership` swaps marked entries of the live
+answer pairs bit for bit, and :func:`hadamard_index` drops a live block
+that has cancelled to exact zero, so along those operators every index
+Hadamard transforms a single block. Operations mutate the state in
+place and return it. Every gate is real (H, X, CZ, the membership
+permutation, the marked phase), so the amplitudes are float64.
+
+Nothing here renormalizes silently. Each gate checks the L2 norm of the
+live blocks on exit, and :func:`prepare_spectrum_state` and
+:func:`grover_step` check the norm of the whole state on exit, so a gate
+that writes outside the live set is caught too. A drift past 1e-9
+raises :class:`StateNormError`, because drift at that size means a
+broken gate, not roundoff.
 
 The prepared state ``correlation_op`` applied to the all-zero state has
 a useful closed form: the index-register distribution equals the
@@ -35,6 +46,7 @@ along the usual sin**2((2k+1) asin sqrt(p0)) schedule.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -43,6 +55,7 @@ from .boolfn import butterfly_axis0, check_cap
 
 _NORM_TOL = 1e-9
 _DUMP_MAGIC = b"QHSREAL1"
+ALL_BLOCKS = (0, 1, 2, 3)
 
 
 class StateNormError(RuntimeError):
@@ -66,12 +79,15 @@ class QueryCounter:
 class StateVector:
     n: int
     amps: np.ndarray
+    live: tuple = ALL_BLOCKS  # sorted work states (answer << 1) | phase that may be nonzero
 
     def view(self) -> np.ndarray:
         """(2**n, 2, 2) view: index register, answer qubit, phase qubit.
 
-        Writes through it change the state."""
-        return _blocks(self).transpose(2, 0, 1)
+        Writes through it change the state and may reach any block, so
+        it marks all four live."""
+        self.live = ALL_BLOCKS
+        return _index_view(self.amps)
 
     def norm(self) -> float:
         return float(np.linalg.norm(self.amps))
@@ -84,11 +100,19 @@ def init_state(n: int) -> StateVector:
     check_cap(n)
     amps = np.zeros(1 << (n + 2), dtype=np.float64)
     amps[0] = 1.0
-    return StateVector(n, amps)
+    return StateVector(n, amps, (0,))
 
 
-def _checked(state: StateVector) -> StateVector:
-    if not abs(state.norm() - 1.0) <= _NORM_TOL:  # a NaN amplitude fails too
+def _checked(state: StateVector, whole: bool = False) -> StateVector:
+    """Raise unless the live blocks, or with ``whole`` the whole state,
+    have L2 norm 1 within 1e-9."""
+    if whole:
+        total = state.amps.dot(state.amps)
+    else:
+        total = 0.0
+        for block in _live(state):
+            total += block.dot(block)
+    if not abs(math.sqrt(total) - 1.0) <= _NORM_TOL:  # a NaN amplitude fails too
         raise StateNormError("state norm drifted beyond 1e-9")
     return state
 
@@ -101,21 +125,32 @@ def _index_table(values, n: int, dtype) -> np.ndarray:
     return table.astype(dtype)
 
 
+def _index_view(amps: np.ndarray) -> np.ndarray:
+    return amps.reshape(2, 2, -1).transpose(2, 0, 1)
+
+
 def _blocks(state: StateVector) -> np.ndarray:
-    """(2, 2, 2**n) view in memory order: answer qubit, phase qubit, then
-    each work state's contiguous block of index amplitudes."""
-    return state.amps.reshape(2, 2, 1 << state.n)
+    """(4, 2**n) view in memory order: row w is work state w's block."""
+    return state.amps.reshape(4, 1 << state.n)
+
+
+def _live(state: StateVector) -> list:
+    """Views of the live blocks, in the order of ``state.live``."""
+    n, amps = state.n, state.amps
+    return [amps[w << n:(w + 1) << n] for w in state.live]
 
 
 def hadamard_index(state: StateVector) -> StateVector:
     """Hadamard on every index qubit (the n-fold tensor).
 
-    Only the work blocks holding a nonzero amplitude are transformed: an
-    all-zero block transforms to zero, so skipping it is exact. The live
-    blocks go through one kernel call, as the lone 1-D block they usually
-    are, or else gathered into one contiguous ``(2**n, live)`` array."""
-    blocks = _blocks(state).reshape(4, -1)
-    live = [w for w, on in enumerate((blocks != 0.0).any(axis=1).tolist()) if on]
+    Only the live blocks that hold a nonzero amplitude are transformed
+    and stay live: an all-zero block transforms to zero, so dropping it
+    is exact. They go through one kernel call, as the lone 1-D block
+    they usually are, or else gathered into one contiguous
+    ``(2**n, live)`` array."""
+    blocks = _blocks(state)
+    live = [w for w in state.live if (blocks[w] != 0.0).any()]
+    state.live = tuple(live)
     scale = 2.0 ** (-state.n / 2.0)
     if len(live) == 1:
         block = blocks[live[0]]
@@ -129,34 +164,56 @@ def hadamard_index(state: StateVector) -> StateVector:
 
 
 def x_phase(state: StateVector) -> StateVector:
-    """Pauli X on the phase qubit: swaps the phase blocks."""
+    """Pauli X on the phase qubit: block w moves to w ^ 1. A live block
+    whose partner is dead is moved and zeroed behind; two live partners
+    are swapped."""
     blocks = _blocks(state)
-    blocks[:] = blocks[:, ::-1].copy()
+    for w in state.live:
+        partner = w ^ 1
+        if partner not in state.live:
+            blocks[partner] = blocks[w]
+            blocks[w] = 0.0
+        elif w < partner:
+            blocks[[w, partner]] = blocks[[partner, w]]
+    state.live = tuple(sorted(w ^ 1 for w in state.live))
     return _checked(state)
 
 
 def cz_answer_phase(state: StateVector) -> StateVector:
     """Controlled phase flip: negate amplitudes with answer = phase = 1."""
-    state.view()[:, 1, 1] *= -1.0
+    if 3 in state.live:
+        _blocks(state)[3] *= -1.0
     return _checked(state)
 
 
 def reflect_zero_index(state: StateVector) -> StateVector:
     """Negate amplitudes whose index register is all zero."""
-    state.view()[0] *= -1.0
+    for block in _live(state):
+        block[0] *= -1.0
     return _checked(state)
 
 
 def apply_membership(state: StateVector, f, counter: QueryCounter) -> StateVector:
     """XOR the oracle bit f(i) into the answer qubit; one quantum query.
 
-    Swaps the two answer blocks at every index with f(i) = 1. Self-inverse,
-    so the same call serves as the adjoint query (which is counted
-    identically).
+    Swaps the two answer blocks of each live pair at every index with
+    f(i) = 1, and leaves both blocks of the pair live. The swap is a
+    branch-free select on the amplitudes' int64 bits: ``d = (low ^ high)
+    * f`` is the XOR of the two where f(i) = 1 and 0 elsewhere, and
+    XORing d into both blocks exchanges exactly those entries, bit for
+    bit. Self-inverse, so the same call serves as the adjoint query
+    (which is counted identically).
     """
-    bits = _index_table(f, state.n, np.uint8)
-    blocks = _blocks(state)
-    blocks[:] = np.where(bits, blocks[::-1], blocks)
+    select = _index_table(f, state.n, bool)
+    bits = _blocks(state).view(np.int64)
+    phases = sorted({w & 1 for w in state.live})
+    for phase in phases:
+        low, high = bits[phase], bits[2 | phase]
+        diff = low ^ high
+        diff *= select
+        low ^= diff
+        high ^= diff
+    state.live = tuple(phases + [2 | phase for phase in phases])
     counter.quantum_queries += 1
     return _checked(state)
 
@@ -164,8 +221,8 @@ def apply_membership(state: StateVector, f, counter: QueryCounter) -> StateVecto
 def apply_marked_phase(state: StateVector, marked) -> StateVector:
     """Negate amplitudes whose index value is marked; diagonal, self-inverse."""
     mask = _index_table(marked, state.n, bool)
-    blocks = _blocks(state)
-    np.negative(blocks, out=blocks, where=mask)
+    for block in _live(state):
+        np.negative(block, out=block, where=mask)
     return _checked(state)
 
 
@@ -200,28 +257,34 @@ def prepare_spectrum_state(f, counter: QueryCounter) -> StateVector:
 
     ``f`` is the oracle's bit table. Measuring the index register of the
     result samples a parity with probability equal to its squared
-    sign-form correlation coefficient.
+    sign-form correlation coefficient. The whole state's norm is
+    checked on exit.
     """
     bits = np.asarray(f)
     state = init_state(int(bits.shape[0]).bit_length() - 1)
-    return correlation_op(state, bits, counter)
+    correlation_op(state, bits, counter)
+    return _checked(state, whole=True)
 
 
 def grover_step(state: StateVector, f, marked, counter: QueryCounter) -> StateVector:
     """One amplification iterate: marked-phase flip, adjoint correlation
     operator, zero reflection, correlation operator, overall sign flip.
-    Four queries."""
+    Four queries. The whole state's norm is checked on exit."""
     apply_marked_phase(state, marked)
     correlation_op_dagger(state, f, counter)
     reflect_zero_index(state)
     correlation_op(state, f, counter)
-    state.amps *= -1.0
-    return state
+    for block in _live(state):
+        block *= -1.0
+    return _checked(state, whole=True)
 
 
 def index_distribution(state: StateVector) -> np.ndarray:
     """Measurement distribution of the index register; sums to 1."""
-    return (state.view() ** 2).sum(axis=(1, 2))
+    dist = np.zeros(1 << state.n)
+    for block in _live(state):
+        dist += np.square(block)
+    return dist
 
 
 def dump_state(state: StateVector) -> bytes:
@@ -230,7 +293,7 @@ def dump_state(state: StateVector) -> bytes:
     double for ``[i, answer, phase]`` sits at byte
     ``16 + 8 * ((i << 2) | (answer << 1) | phase)``."""
     header = _DUMP_MAGIC + int(state.n).to_bytes(8, "little")
-    return header + np.ascontiguousarray(state.view(), dtype="<f8").tobytes()
+    return header + np.ascontiguousarray(_index_view(state.amps), dtype="<f8").tobytes()
 
 
 def load_state(buf: bytes) -> StateVector:

@@ -10,6 +10,7 @@ cross-checked against.
 """
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -114,13 +115,10 @@ def sample_correlations(sample: SharedSample, values) -> np.ndarray:
     return wht_unscaled(mass) / sample.size
 
 
-def _doubling_depths(k_max: int) -> list:
-    depths = [0]
-    k = 1
-    while k <= k_max:
-        depths.append(k)
-        k *= 2
-    return depths
+@functools.lru_cache(maxsize=64)  # one entry per search target in use
+def _doubling_depths(k_max: int) -> tuple:
+    """0, 1, 2, 4, ... up to k_max; built once per k_max."""
+    return (0,) + tuple(1 << j for j in range(k_max.bit_length()))
 
 
 def choice_cdf(probs) -> np.ndarray:

@@ -5,7 +5,7 @@ import pytest
 
 from qhslab import (QueryCounter, grover_step, index_distribution, planted_parity,
                     prepare_spectrum_state, simulator, to_pm1, wht)
-from qhslab.simulator import (StateNormError, StateVector, apply_marked_phase,
+from qhslab.simulator import (ALL_BLOCKS, StateNormError, StateVector, apply_marked_phase,
                               apply_membership, correlation_op, correlation_op_dagger,
                               cz_answer_phase, dump_state, hadamard_index, init_state,
                               load_state, reflect_zero_index, x_phase)
@@ -15,9 +15,41 @@ def random_state(n, seed):
     rng = np.random.default_rng(seed)
     amps = rng.standard_normal(1 << (n + 2))
     amps /= np.linalg.norm(amps)
-    state = init_state(n)
-    state.amps[:] = amps
-    return state
+    return StateVector(n, amps)
+
+
+def where_membership(amps, n, bits):
+    """Reference membership gate: the np.where swap of the two answer blocks
+    over the whole state."""
+    blocks = amps.reshape(2, 2, 1 << n)
+    blocks[:] = np.where(np.asarray(bits, dtype=np.uint8), blocks[::-1], blocks)
+
+
+def copy_x_phase(amps, n):
+    """Reference phase-qubit X: swap the two phase blocks through a full copy."""
+    blocks = amps.reshape(2, 2, 1 << n)
+    blocks[:] = blocks[:, ::-1].copy()
+
+
+# quiet NaNs of both signs with payloads; the bit-exact gates must carry them unchanged
+NAN_PAYLOADS = np.array([0x7FF8000000000123, 0xFFF8000000000456], dtype=np.uint64).view(np.float64)
+
+
+def special_state(n, seed, live, nan):
+    """A state whose live blocks mix normal amplitudes with -0.0, subnormals
+    and, if ``nan``, NaNs with payloads; every other block is +0.0. Without
+    NaN its norm is 1 to roundoff."""
+    rng = np.random.default_rng(seed)
+    blocks = rng.standard_normal((4, 1 << n))
+    specials = np.concatenate([[-0.0, 5e-324, -2.5e-310, 1e-310], NAN_PAYLOADS[:2 * nan]])
+    spots = {w: rng.choice(1 << n, size=len(specials), replace=False) for w in live}
+    blocks[[w for w in ALL_BLOCKS if w not in live]] = 0.0
+    for w, at in spots.items():
+        blocks[w, at] = 0.0
+    blocks /= np.linalg.norm(blocks)
+    for w, at in spots.items():
+        blocks[w, at] = specials
+    return StateVector(n, blocks.ravel(), live)
 
 
 def dense_hadamard(n):
@@ -137,6 +169,90 @@ def test_x_phase_and_cz():
     assert np.allclose(view[:, 1, 1], -before[:, 1, 1])
     cz_answer_phase(state)
     assert np.allclose(state.view(), before, atol=1e-15)
+
+
+@pytest.mark.parametrize("nan", [False, True])
+@pytest.mark.parametrize("live", [(0,), (1,), (0, 2), (1, 3), (0, 1), ALL_BLOCKS])
+def test_block_gates_move_the_bits_the_reference_gates_move(live, nan):
+    n = 5
+    bits = np.random.default_rng(24).integers(0, 2, size=1 << n).astype(np.uint8)
+    gates = (
+        (lambda s: apply_membership(s, bits, QueryCounter()),
+         lambda amps: where_membership(amps, n, bits),
+         sorted({w & ~2 for w in live} | {w | 2 for w in live})),
+        (x_phase, lambda amps: copy_x_phase(amps, n), sorted(w ^ 1 for w in live)),
+    )
+    for gate, reference, live_after in gates:
+        state = special_state(n, 25, live, nan)
+        want = state.amps.copy()
+        reference(want)
+        if nan:
+            with pytest.raises(StateNormError):
+                gate(state)
+        else:
+            gate(state)
+        assert state.amps.tobytes() == want.tobytes()
+        assert state.live == tuple(live_after)
+
+
+def test_blocks_outside_the_live_set_stay_zero_through_the_circuit(monkeypatch):
+    n, b, gamma = 8, 19, 0.125
+    bits = planted_parity(n, b, gamma, seed=26)
+    marked = np.abs(wht(to_pm1(bits).astype(float))) >= 1.8 * gamma
+    checked = []
+
+    def checking(name, gate):
+        def wrapped(state, *args):
+            out = gate(state, *args)
+            blocks = state.amps.reshape(4, -1)  # not view(), which marks every block live
+            dead = [w for w in ALL_BLOCKS if w not in state.live]
+            assert np.all(blocks[dead] == 0.0), name
+            if name == "hadamard_index":
+                assert len(state.live) == 1  # one block transformed, as the circuit needs
+            checked.append(name)
+            return out
+        return wrapped
+
+    for name in ("hadamard_index", "x_phase", "apply_membership", "cz_answer_phase",
+                 "apply_marked_phase", "reflect_zero_index", "grover_step"):
+        monkeypatch.setattr(simulator, name, checking(name, getattr(simulator, name)))
+    assert init_state(n).live == (0,)
+    counter = QueryCounter()
+    state = prepare_spectrum_state(bits, counter)
+    for _ in range(3):
+        simulator.grover_step(state, bits, marked, counter)
+    assert counter.quantum_queries == 2 + 3 * 4
+    assert checked.count("hadamard_index") == 2 + 3 * 4
+    assert checked.count("grover_step") == 3 and checked.count("reflect_zero_index") == 3
+    assert len(state.live) == 1
+    assert abs(np.linalg.norm(state.amps) - 1.0) < 1e-12
+
+    assert StateVector(n, state.amps.copy()).live == ALL_BLOCKS
+    assert load_state(dump_state(state)).live == ALL_BLOCKS
+    state.view()
+    assert state.live == ALL_BLOCKS
+
+
+def test_a_gate_writing_outside_the_live_set_fails_the_composite_exit_check(monkeypatch):
+    n = 6
+    bits = np.random.default_rng(27).integers(0, 2, size=1 << n).astype(np.uint8)
+    cz = simulator.cz_answer_phase
+
+    def leaking_cz(state):
+        cz(state)
+        dead = [w for w in ALL_BLOCKS if w not in state.live]
+        state.amps.reshape(4, -1)[dead[0], 3] = 0.5
+        return state
+
+    monkeypatch.setattr(simulator, "cz_answer_phase", leaking_cz)
+    correlation_op(init_state(n), bits, QueryCounter())  # each gate checks its live blocks only
+    with pytest.raises(StateNormError):
+        prepare_spectrum_state(bits, QueryCounter())
+    monkeypatch.setattr(simulator, "cz_answer_phase", cz)
+    state = prepare_spectrum_state(bits, QueryCounter())
+    monkeypatch.setattr(simulator, "cz_answer_phase", leaking_cz)
+    with pytest.raises(StateNormError):
+        grover_step(state, bits, np.arange(1 << n) == 1, QueryCounter())
 
 
 def test_reflect_zero_index():

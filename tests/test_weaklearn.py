@@ -370,3 +370,12 @@ def test_sampled_weak_parity():
     assert (hyp.a, hyp.sign) == (b, 1)
     with pytest.raises(NoHeavyCoefficient):
         sampled_weak_parity(sample, np.zeros(1 << n), 0.5)
+
+
+def test_doubling_depths_match_the_doubling_loop():
+    for k_max in range(1, 600):
+        depths, k = [0], 1
+        while k <= k_max:
+            depths.append(k)
+            k *= 2
+        assert weaklearn._doubling_depths(k_max) == tuple(depths)
