@@ -115,14 +115,13 @@ def chi(a, x) -> np.ndarray:
 
 
 def wht_unscaled(values) -> np.ndarray:
-    """Unnormalized Walsh-Hadamard transform of a length 2**n vector.
+    """Unnormalized Walsh-Hadamard transform along the first axis, of length 2**n.
 
-    Returns a new float64 array whose entry ``a`` is the plain sum of
-    ``values[x] * chi(a, x)``. Applying it twice multiplies by 2**n.
+    Returns a new C-contiguous float64 array whose entry ``[a, ...]`` is
+    the plain sum of ``values[x, ...] * chi(a, x)``; trailing axes are
+    transformed independently. Applying it twice multiplies by 2**n.
     """
-    a = np.array(values, dtype=np.float64)
-    if a.ndim != 1:
-        raise ValueError("input must be one-dimensional")
+    a = np.array(values, dtype=np.float64, order="C")
     butterfly_axis0(a)
     return a
 
@@ -144,28 +143,36 @@ _BLOCKS = tuple(_hadamard_block(b) for b in range(BLOCK_BITS + 1))
 def butterfly_axis0(a: np.ndarray) -> np.ndarray:
     """In-place unnormalized Walsh-Hadamard transform along axis 0.
 
-    ``a`` must be C-contiguous with a power-of-two first axis; trailing
-    axes are transformed independently. The n index bits are split into
-    ceil(n / BLOCK_BITS) chunks of nearly equal width, and each chunk's
-    dense Hadamard block is applied as one BLAS matmul on a reshaped view
-    (Fino & Algazi, IEEE Trans. Computers 1976). The entries are +-1, so
-    integer input transforms exactly; other input differs from any other
-    summation order by roundoff alone.
+    ``a`` must have a power-of-two first axis and be either C-contiguous,
+    its trailing axes transformed independently, or a 2-D F-contiguous
+    array, each of whose contiguous columns goes through exactly the
+    matmuls a 1-D transform of it would, all columns in one call per
+    chunk, so a column's bits do not depend on the columns beside it. The
+    n index bits are split into ceil(n / BLOCK_BITS) chunks of nearly
+    equal width, and each chunk's dense Hadamard block is applied as BLAS
+    matmuls on a reshaped view (Fino & Algazi, IEEE Trans. Computers
+    1976). The entries are +-1, so integer input transforms exactly;
+    other input differs from any other summation order by roundoff alone.
     """
     m = a.shape[0] if a.ndim else 0
-    if m == 0 or m & (m - 1) or not a.flags.c_contiguous:
-        raise ValueError("need a C-contiguous array whose first axis is a power of two")
+    if m == 0 or m & (m - 1):
+        raise ValueError("need an array whose first axis is a power of two")
+    if a.flags.c_contiguous:
+        rows, outer, inner = a, 1, a.size // m
+    elif a.ndim == 2 and a.flags.f_contiguous:
+        rows, outer, inner = a.T, a.shape[1], 1
+    else:
+        raise ValueError("need a C-contiguous array or a 2-D F-contiguous one")
     n = m.bit_length() - 1
-    inner = a.size // m
     chunks = -(-n // BLOCK_BITS)
     for i in range(chunks):
         lo, hi = n * i // chunks, n * (i + 1) // chunks
         block = _BLOCKS[hi - lo]
-        view = a.reshape(m >> hi, 1 << (hi - lo), inner << lo)
-        if view.shape[2] == 1:
-            flat = view.reshape(m >> hi, 1 << (hi - lo))
+        if inner << lo == 1:
+            flat = rows.reshape(outer, m >> hi, 1 << hi)
             flat[...] = flat @ block
         else:
+            view = rows.reshape(outer * (m >> hi), 1 << (hi - lo), inner << lo)
             view[...] = block @ view
     return a
 
@@ -235,10 +242,15 @@ def best_parity(table) -> tuple:
     return a, float(coeffs[a])
 
 
-def random_dnf(n: int, s: int, term_len: int, seed: int) -> DnfFormula:
-    """Random s-term DNF, each term over term_len distinct variables."""
+def check_random_dnf(n: int, s: int, term_len: int) -> None:
+    """Raise ``ValueError`` unless :func:`random_dnf` accepts these arguments."""
     if s < 0 or not 1 <= term_len <= n:
         raise ValueError("need s >= 0 and 1 <= term_len <= n")
+
+
+def random_dnf(n: int, s: int, term_len: int, seed: int) -> DnfFormula:
+    """Random s-term DNF, each term over term_len distinct variables."""
+    check_random_dnf(n, s, term_len)
     rng = np.random.default_rng(int(seed) & (2**64 - 1))
     terms = []
     for _ in range(s):

@@ -61,14 +61,27 @@ def collect(name: str, checks) -> SuiteResult:
 
 def suite_spectrum_measurement(seed: int = 0):
     """Measurement distribution of the prepared state equals the squared
-    sign-form spectrum, entrywise to 1e-10."""
+    sign-form spectrum, entrywise to 1e-10: for one-column preparations,
+    and in every column of a three-column preparation, each of whose
+    columns also equals its one-column preparation bit for bit."""
     rng = seeds.derive(seed, seeds.VERIFY, 0)
     for n in (4, 6, 8):
+        tables, singles = [], []
         for trial in range(5):
             bits = rng.integers(0, 2, size=1 << n).astype(np.uint8)
-            dist = index_distribution(prepare_spectrum_state(bits, QueryCounter()))
-            err = float(np.max(np.abs(dist - wht(to_pm1(bits)) ** 2)))
+            state = prepare_spectrum_state(bits, QueryCounter())
+            err = float(np.max(np.abs(index_distribution(state) - wht(to_pm1(bits)) ** 2)))
             yield err <= 1e-10, f"n={n} trial={trial}: deviation {err:.3e}"
+            tables.append(bits)
+            singles.append(state)
+        k = 3
+        batch = prepare_spectrum_state(np.stack(tables[:k], axis=1), QueryCounter())
+        dists, columns = index_distribution(batch), batch.amps.reshape(4, k, -1)
+        for c in range(k):
+            err = float(np.max(np.abs(dists[c] - wht(to_pm1(tables[c])) ** 2)))
+            yield err <= 1e-10, f"n={n} column {c} of {k}: deviation {err:.3e}"
+            yield (columns[:, c].tobytes() == singles[c].amps.tobytes(),
+                   f"n={n} column {c} of {k}: differs from its one-column preparation")
 
 
 def suite_amplification_law(seed: int = 0):

@@ -23,7 +23,7 @@ from dataclasses import asdict, astuple, dataclass, field, fields
 import numpy as np
 
 from . import seeds
-from .boolfn import DnfFormula, check_cap, random_dnf, to_pm1
+from .boolfn import DnfFormula, check_cap, check_random_dnf, random_dnf, to_pm1
 from .boosting import StageBudgetExceeded, boost
 from .simulator import QueryCounter
 from .weaklearn import (NoHeavyCoefficient, SharedSample, bit_threshold, digit_depth,
@@ -278,10 +278,9 @@ SWEEP_COLUMNS = GRID_AXES + ("seed_index", "status", "stages", "quantum_queries"
 
 def _sweep_cell(args: tuple) -> dict:
     """One row in ``SWEEP_COLUMNS`` order; a failed run's result columns are None."""
-    n, s, epsilon, seed_index, cell_seed, mode, overrides = args
-    formula = random_dnf(n, s, min(3, n), cell_seed)
-    cfg = QhsConfig(n=n, s=s, epsilon=epsilon, mode=mode, seed=cell_seed, **overrides)
-    row = dict(zip(GRID_AXES, (n, s, epsilon)), seed_index=seed_index,
+    cfg, seed_index = args
+    formula = random_dnf(cfg.n, cfg.s, min(3, cfg.n), cfg.seed)
+    row = dict(zip(GRID_AXES, (cfg.n, cfg.s, cfg.epsilon)), seed_index=seed_index,
                sample_size=cfg.sample_size)
     try:
         _, report = learn_dnf(formula, cfg)
@@ -321,14 +320,21 @@ def query_sweep(grid, n_seeds: int, mode: str = "quantum_sim", base_seed: int = 
     total classical queries against 1/epsilon at fixed (n, s), over the
     cells with at least one successful run. With ``jobs`` above 1 the
     runs go to a process pool of ``min(jobs, number of runs)`` workers.
+    Every run's config and formula arguments are checked before the
+    first run starts, so a bad cell raises ``ValueError`` having run
+    nothing, as does ``n_seeds`` or ``jobs`` below 1.
     """
+    if n_seeds < 1 or jobs < 1:
+        raise ValueError("a sweep needs at least one seed per cell and one job")
     overrides = dict(overrides or {})
     cells = []
     grid = [(int(n), int(s), float(eps)) for n, s, eps in grid]
     for index, (n, s, eps) in enumerate(grid):
         for seed_index in range(n_seeds):
             cell_seed = seeds.derive_int(base_seed, seeds.SWEEP_CELL, index, seed_index)
-            cells.append((n, s, eps, seed_index, cell_seed, mode, overrides))
+            cfg = QhsConfig(n=n, s=s, epsilon=eps, mode=mode, seed=cell_seed, **overrides)
+            check_random_dnf(n, s, min(3, n))
+            cells.append((cfg, seed_index))
     workers = min(jobs, len(cells))
     if workers > 1:
         with ProcessPoolExecutor(max_workers=workers) as pool:

@@ -2,16 +2,27 @@
 its amplitude-amplified search iterate, with query accounting.
 
 The register holds n index qubits, one answer qubit and one phase
-qubit, ``2**(n + 2)`` amplitudes. The work qubits are outermost in
-memory,
+qubit, ``2**(n + 2)`` amplitudes per circuit. A state holds k >= 1
+independent circuits, its columns, that run the same gates, each on its
+own oracle column. The work qubits are outermost in memory, then the
+column, then the index register:
 
-    basis index = (answer << (n + 1)) | (phase << n) | i
+    position in amps = (((answer << 1) | phase) * k + column) * 2**n + i
 
 so each of the four work states ``w = (answer << 1) | phase`` is one
-contiguous block of ``2**n`` amplitudes. :meth:`StateVector.view`, the
-``[index, answer, phase]`` array of shape ``(2**n, 2, 2)``, is how the
-tests and callers outside this module index the state; the dump writes
-the C order of its axes.
+contiguous block of k rows of ``2**n`` amplitudes, the index axis of
+every column contiguous. A one-column state is the single-circuit
+layout. :meth:`StateVector.view`, the ``[index, answer, phase]`` array
+of shape ``(2**n, 2, 2)``, is how the tests and callers outside this
+module index a one-column state; the dump writes the C order of its
+axes. Both refuse a state of several columns. An index table (an
+oracle's bits, a marked mask) has shape ``(2**n,)``, shared by every
+column, or ``(2**n, k)``, one column per circuit. One state holds at
+most ``BATCH_AMPS`` = 2**16 amplitudes (512 KB), or one column when a
+single circuit is larger: :func:`batch_columns` gives the most columns
+on n index qubits. Past that size the gates' passes over the state
+outrun a 2 MB L2 cache and cost more per column than one column at a
+time does: 16 columns at n = 10, 4 at n = 12, one from n = 14 on.
 
 Only X and the diagonal CZ act on the phase qubit, so along the
 correlation operator, its adjoint and the amplification iterate the
@@ -24,17 +35,21 @@ and exact. Each gate touches only the live blocks and leaves the set
 that can be nonzero after it: :func:`x_phase` moves or swaps blocks and
 relabels, :func:`apply_membership` swaps marked entries of the live
 answer pairs bit for bit, and :func:`hadamard_index` drops a live block
-that has cancelled to exact zero, so along those operators every index
-Hadamard transforms a single block. Operations mutate the state in
-place and return it. Every gate is real (H, X, CZ, the membership
-permutation, the marked phase), so the amplitudes are float64.
+that has cancelled to exact zero in every column, so along those
+operators every index Hadamard transforms a single block. The index
+transform sends each column through the same matmuls as a one-column
+state, so a column's amplitudes do not depend on the columns beside it,
+bit for bit. Operations mutate the state in place and return it. Every
+gate is real (H, X, CZ, the membership permutation, the marked phase),
+so the amplitudes are float64.
 
-Nothing here renormalizes silently. Each gate checks the L2 norm of the
-live blocks on exit, and :func:`prepare_spectrum_state` and
-:func:`grover_step` check the norm of the whole state on exit, so a gate
-that writes outside the live set is caught too. A drift past 1e-9
-raises :class:`StateNormError`, because drift at that size means a
-broken gate, not roundoff.
+Nothing here renormalizes silently. Each gate checks on exit that the
+live blocks' total squared norm is k, one dot product per live block,
+and :func:`prepare_spectrum_state` and :func:`grover_step` check on exit
+that every column of the whole state has norm 1, so a gate that writes
+outside the live set, or moves norm from one column to another, is
+caught too. A drift past 1e-9 raises :class:`StateNormError`, because
+drift at that size means a broken gate, not roundoff.
 
 The prepared state ``correlation_op`` applied to the all-zero state has
 a useful closed form: the index-register distribution equals the
@@ -56,6 +71,7 @@ from .boolfn import butterfly_axis0, check_cap
 _NORM_TOL = 1e-9
 _DUMP_MAGIC = b"QHSREAL1"
 ALL_BLOCKS = (0, 1, 2, 3)
+BATCH_AMPS = 1 << 16  # most amplitudes one state of several columns holds
 
 
 class StateNormError(RuntimeError):
@@ -66,9 +82,10 @@ class StateNormError(RuntimeError):
 class QueryCounter:
     """Oracle-use tally attached to every run.
 
-    ``quantum_queries`` counts membership-map applications (the adjoint
-    is the same self-inverse map and counts equally);
-    ``classical_queries`` counts point evaluations used for sampling.
+    ``quantum_queries`` counts membership-map applications, one per
+    column of the state (the adjoint is the same self-inverse map and
+    counts equally); ``classical_queries`` counts point evaluations used
+    for sampling.
     """
 
     quantum_queries: int = 0
@@ -81,11 +98,18 @@ class StateVector:
     amps: np.ndarray
     live: tuple = ALL_BLOCKS  # sorted work states (answer << 1) | phase that may be nonzero
 
+    @property
+    def columns(self) -> int:
+        """The number of circuits the state holds."""
+        return self.amps.size >> (self.n + 2)
+
     def view(self) -> np.ndarray:
-        """(2**n, 2, 2) view: index register, answer qubit, phase qubit.
+        """(2**n, 2, 2) view of a one-column state: index register, answer
+        qubit, phase qubit.
 
         Writes through it change the state and may reach any block, so
         it marks all four live."""
+        _one_column(self)
         self.live = ALL_BLOCKS
         return _index_view(self.amps)
 
@@ -93,36 +117,64 @@ class StateVector:
         return float(np.linalg.norm(self.amps))
 
 
-def init_state(n: int) -> StateVector:
-    """All-zero basis state on n index qubits plus the two work qubits."""
+def batch_columns(n: int) -> int:
+    """Most columns a state on n index qubits holds: ``BATCH_AMPS``
+    amplitudes, and never fewer than one column."""
+    return max(1, BATCH_AMPS >> (n + 2))
+
+
+def init_state(n: int, columns: int = 1) -> StateVector:
+    """All-zero basis state on n index qubits plus the two work qubits,
+    in each of ``columns`` circuits."""
     if n < 1:
         raise ValueError("need at least one index qubit")
     check_cap(n)
-    amps = np.zeros(1 << (n + 2), dtype=np.float64)
-    amps[0] = 1.0
+    if not 1 <= columns <= batch_columns(n):
+        raise ValueError(f"a state on {n} index qubits holds 1 to {batch_columns(n)} columns")
+    amps = np.zeros(columns << (n + 2), dtype=np.float64)
+    amps[:columns << n:1 << n] = 1.0
     return StateVector(n, amps, (0,))
 
 
+def _one_column(state: StateVector) -> None:
+    if state.columns != 1:
+        raise ValueError(f"the one-column layout does not hold {state.columns} columns")
+
+
 def _checked(state: StateVector, whole: bool = False) -> StateVector:
-    """Raise unless the live blocks, or with ``whole`` the whole state,
-    have L2 norm 1 within 1e-9."""
-    if whole:
-        total = state.amps.dot(state.amps)
+    """Raise unless the live blocks' total squared norm is the column
+    count, or with ``whole`` every column's norm is 1, within 1e-9."""
+    amps = state.amps
+    k = amps.size >> (state.n + 2)
+    if whole and k > 1:
+        blocks = amps.reshape(4, k, -1)
+        drift = np.max(np.abs(np.sqrt(np.einsum("wci,wci->c", blocks, blocks)) - 1.0))
     else:
-        total = 0.0
-        for block in _live(state):
-            total += block.dot(block)
-    if not abs(math.sqrt(total) - 1.0) <= _NORM_TOL:  # a NaN amplitude fails too
+        if whole:
+            total = amps.dot(amps)
+        else:
+            size, total = amps.size >> 2, 0.0
+            for w in state.live:
+                block = amps[w * size:(w + 1) * size]
+                total += block.dot(block)
+        drift = abs(math.sqrt(total / k) - 1.0)
+    if not drift <= _NORM_TOL:  # a NaN amplitude fails too
         raise StateNormError("state norm drifted beyond 1e-9")
     return state
 
 
-def _index_table(values, n: int, dtype) -> np.ndarray:
-    """A table with one entry per index value (an oracle's bits, a marked mask)."""
+def _index_table(values, state: StateVector, dtype) -> np.ndarray:
+    """A table with one entry per index value (an oracle's bits, a marked
+    mask), shared by every column or one column per column of the state,
+    laid out like a block: ``k * 2**n`` entries, column after column."""
     table = np.asarray(values)
-    if table.shape != (1 << n,):
-        raise ValueError(f"index table must have length {1 << n}")
-    return table.astype(dtype)
+    n, k = state.n, state.columns
+    if table.shape == (1 << n,):
+        table = table.astype(dtype)
+        return table if k == 1 else np.tile(table, k)
+    if table.shape != (1 << n, k):
+        raise ValueError(f"index table must have shape ({1 << n},) or ({1 << n}, {k})")
+    return np.ascontiguousarray(table.T, dtype=dtype).reshape(-1)
 
 
 def _index_view(amps: np.ndarray) -> np.ndarray:
@@ -130,36 +182,37 @@ def _index_view(amps: np.ndarray) -> np.ndarray:
 
 
 def _blocks(state: StateVector) -> np.ndarray:
-    """(4, 2**n) view in memory order: row w is work state w's block."""
-    return state.amps.reshape(4, 1 << state.n)
+    """(4, k * 2**n) view in memory order: row w is work state w's block,
+    its k columns' index registers one after another."""
+    return state.amps.reshape(4, -1)
 
 
 def _live(state: StateVector) -> list:
     """Views of the live blocks, in the order of ``state.live``."""
-    n, amps = state.n, state.amps
-    return [amps[w << n:(w + 1) << n] for w in state.live]
+    blocks = _blocks(state)
+    return [blocks[w] for w in state.live]
 
 
 def hadamard_index(state: StateVector) -> StateVector:
-    """Hadamard on every index qubit (the n-fold tensor).
+    """Hadamard on every index qubit (the n-fold tensor) of every column.
 
     Only the live blocks that hold a nonzero amplitude are transformed
     and stay live: an all-zero block transforms to zero, so dropping it
-    is exact. They go through one kernel call, as the lone 1-D block
-    they usually are, or else gathered into one contiguous
-    ``(2**n, live)`` array."""
+    is exact. They go through one kernel call, as the lone block they
+    usually are, or else gathered into one contiguous array; either way
+    the kernel sees one contiguous index column per column and block."""
     blocks = _blocks(state)
     live = [w for w in state.live if (blocks[w] != 0.0).any()]
     state.live = tuple(live)
     scale = 2.0 ** (-state.n / 2.0)
     if len(live) == 1:
         block = blocks[live[0]]
-        butterfly_axis0(block)
+        butterfly_axis0(block.reshape(-1, 1 << state.n).T)
         block *= scale
     else:
-        columns = np.ascontiguousarray(blocks[live].T)
-        butterfly_axis0(columns)
-        blocks[live] = columns.T * scale
+        gathered = blocks[live]
+        butterfly_axis0(gathered.reshape(-1, 1 << state.n).T)
+        blocks[live] = gathered * scale
     return _checked(state)
 
 
@@ -189,12 +242,13 @@ def cz_answer_phase(state: StateVector) -> StateVector:
 def reflect_zero_index(state: StateVector) -> StateVector:
     """Negate amplitudes whose index register is all zero."""
     for block in _live(state):
-        block[0] *= -1.0
+        block[::1 << state.n] *= -1.0
     return _checked(state)
 
 
 def apply_membership(state: StateVector, f, counter: QueryCounter) -> StateVector:
-    """XOR the oracle bit f(i) into the answer qubit; one quantum query.
+    """XOR the oracle bit f(i) into the answer qubit; one quantum query per
+    column.
 
     Swaps the two answer blocks of each live pair at every index with
     f(i) = 1, and leaves both blocks of the pair live. The swap is a
@@ -204,8 +258,8 @@ def apply_membership(state: StateVector, f, counter: QueryCounter) -> StateVecto
     bit. Self-inverse, so the same call serves as the adjoint query
     (which is counted identically).
     """
-    select = _index_table(f, state.n, bool)
     bits = _blocks(state).view(np.int64)
+    select = _index_table(f, state, bool)
     phases = sorted({w & 1 for w in state.live})
     for phase in phases:
         low, high = bits[phase], bits[2 | phase]
@@ -214,13 +268,13 @@ def apply_membership(state: StateVector, f, counter: QueryCounter) -> StateVecto
         low ^= diff
         high ^= diff
     state.live = tuple(phases + [2 | phase for phase in phases])
-    counter.quantum_queries += 1
+    counter.quantum_queries += state.columns
     return _checked(state)
 
 
 def apply_marked_phase(state: StateVector, marked) -> StateVector:
     """Negate amplitudes whose index value is marked; diagonal, self-inverse."""
-    mask = _index_table(marked, state.n, bool)
+    mask = _index_table(marked, state, bool)
     for block in _live(state):
         np.negative(block, out=block, where=mask)
     return _checked(state)
@@ -253,15 +307,17 @@ def correlation_op_dagger(state: StateVector, f, counter: QueryCounter) -> State
 
 
 def prepare_spectrum_state(f, counter: QueryCounter) -> StateVector:
-    """Correlation operator applied to the all-zero state; two queries.
+    """Correlation operator applied to the all-zero state; two queries per
+    column.
 
-    ``f`` is the oracle's bit table. Measuring the index register of the
-    result samples a parity with probability equal to its squared
-    sign-form correlation coefficient. The whole state's norm is
+    ``f`` is the oracle's bit table, ``(2**n,)`` for one circuit or
+    ``(2**n, k)`` for k circuits, one column each. Measuring the index
+    register of a column samples a parity with probability equal to its
+    squared sign-form correlation coefficient. Every column's norm is
     checked on exit.
     """
     bits = np.asarray(f)
-    state = init_state(int(bits.shape[0]).bit_length() - 1)
+    state = init_state(int(bits.shape[0]).bit_length() - 1, bits.shape[1] if bits.ndim == 2 else 1)
     correlation_op(state, bits, counter)
     return _checked(state, whole=True)
 
@@ -269,7 +325,7 @@ def prepare_spectrum_state(f, counter: QueryCounter) -> StateVector:
 def grover_step(state: StateVector, f, marked, counter: QueryCounter) -> StateVector:
     """One amplification iterate: marked-phase flip, adjoint correlation
     operator, zero reflection, correlation operator, overall sign flip.
-    Four queries. The whole state's norm is checked on exit."""
+    Four queries per column. Every column's norm is checked on exit."""
     apply_marked_phase(state, marked)
     correlation_op_dagger(state, f, counter)
     reflect_zero_index(state)
@@ -280,24 +336,27 @@ def grover_step(state: StateVector, f, marked, counter: QueryCounter) -> StateVe
 
 
 def index_distribution(state: StateVector) -> np.ndarray:
-    """Measurement distribution of the index register; sums to 1."""
-    dist = np.zeros(1 << state.n)
+    """Measurement distribution of the index register, each sums to 1: a
+    ``(2**n,)`` array for a one-column state, else one row per column."""
+    dist = np.zeros(state.amps.size >> 2)
     for block in _live(state):
         dist += np.square(block)
-    return dist
+    return dist if state.columns == 1 else dist.reshape(-1, 1 << state.n)
 
 
 def dump_state(state: StateVector) -> bytes:
-    """Binary dump: 16-byte header (magic, n) then the amplitudes as
-    little-endian doubles in the C order of the view's axes, so the
-    double for ``[i, answer, phase]`` sits at byte
+    """Binary dump of a one-column state: 16-byte header (magic, n) then
+    the amplitudes as little-endian doubles in the C order of the view's
+    axes, so the double for ``[i, answer, phase]`` sits at byte
     ``16 + 8 * ((i << 2) | (answer << 1) | phase)``."""
+    _one_column(state)
     header = _DUMP_MAGIC + int(state.n).to_bytes(8, "little")
     return header + np.ascontiguousarray(_index_view(state.amps), dtype="<f8").tobytes()
 
 
 def load_state(buf: bytes) -> StateVector:
-    """Inverse of :func:`dump_state`, checked like any other state."""
+    """Inverse of :func:`dump_state`, checked like any other state; a
+    one-column state, so a buffer of several columns fails its length check."""
     if buf[:8] != _DUMP_MAGIC:
         raise ValueError("bad state dump magic")
     state = init_state(int.from_bytes(buf[8:16], "little"))

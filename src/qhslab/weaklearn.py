@@ -17,7 +17,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .boolfn import chi, to_pm1, top_index, wht, wht_unscaled
-from .simulator import QueryCounter, grover_step, index_distribution, prepare_spectrum_state
+from .simulator import (QueryCounter, batch_columns, grover_step, index_distribution,
+                        prepare_spectrum_state)
 
 
 RETRIES = 4  # weighted_weak_parity passes before it gives up
@@ -103,7 +104,8 @@ class SharedSample:
 
 
 def sample_correlations(sample: SharedSample, values) -> np.ndarray:
-    """Sample correlation with every parity at once.
+    """Sample correlation with every parity at once, per column of a
+    ``(2**n, k)`` table of values.
 
     Transforms the count-weighted value vector and divides by the draw
     count. This equals the per-parity sum over the sample term for term:
@@ -111,7 +113,8 @@ def sample_correlations(sample: SharedSample, values) -> np.ndarray:
     """
     if sample.size == 0:
         raise ValueError("sample is empty")
-    mass = sample.counts * np.asarray(values, dtype=np.float64)
+    values = np.asarray(values, dtype=np.float64)
+    mass = sample.counts.reshape((-1,) + (1,) * (values.ndim - 1)) * values
     return wht_unscaled(mass) / sample.size
 
 
@@ -123,10 +126,39 @@ def _doubling_depths(k_max: int) -> tuple:
 
 def choice_cdf(probs) -> np.ndarray:
     """The CDF ``Generator.choice(probs.size, p=probs / probs.sum())`` builds per call;
-    ``cdf.searchsorted(rng.random(), side="right")`` then draws the index it draws."""
-    cdf = np.cumsum(probs / probs.sum())
-    cdf /= cdf[-1]
+    ``cdf.searchsorted(rng.random(), side="right")`` then draws the index it draws.
+    A 2-D ``probs`` gives each row's CDF, the same bits as the row alone."""
+    cdf = np.cumsum(probs / probs.sum(axis=-1, keepdims=True), axis=-1)
+    cdf /= cdf[..., -1:]
     return cdf
+
+
+def fill_records(records, g_sign, sample, gamma_target) -> tuple:
+    """Fill the empty search records ``records[c]`` (see
+    :func:`quantum_weak_parity`) from column c of ``g_sign``, a ``(2**n, k)``
+    +-1 table validated here: ``est`` and ``heavy`` from one correlation
+    pass over all columns, and for every column with a heavy entry the
+    depth-0 CDF and that circuit's oracle tally, from one preparation of
+    all of them. A column's record is bit for bit the one it gets alone.
+    Returns that preparation and its query counter, or ``(None, None)``
+    when no column is heavy.
+    """
+    g_sign = np.asarray(g_sign, dtype=np.float64)
+    if not np.all(np.abs(g_sign) == 1.0):
+        raise ValueError("g_sign must be a +-1 table")
+    est = sample_correlations(sample, g_sign).T
+    heavy = np.abs(est) >= gamma_target
+    for record, row_est, row_heavy in zip(records, est, heavy):
+        record.update(est=row_est, heavy=row_heavy, dists={})
+    rows = np.flatnonzero(heavy.any(axis=1))
+    if not rows.size:
+        return None, None
+    scratch = QueryCounter()  # the circuits' oracle calls, one share per column
+    state = prepare_spectrum_state((g_sign[:, rows] < 0).astype(np.uint8), scratch)
+    cdfs = choice_cdf(index_distribution(state)).reshape(rows.size, -1)
+    for row, cdf in zip(rows, cdfs):
+        records[row]["dists"][0] = (cdf, scratch.quantum_queries // rows.size)
+    return state, scratch
 
 
 def quantum_weak_parity(n, gamma_target, delta, g_sign, sample, counter, rng,
@@ -147,10 +179,14 @@ def quantum_weak_parity(n, gamma_target, delta, g_sign, sample, counter, rng,
     All but the draws is a function of g, the sample and gamma_target,
     kept between calls on one row in ``record`` (a dict, empty at first):
     ``est``, the ``heavy`` mask and, per depth reached, the measurement
-    CDF and the oracle tally. It keeps no state; a call that goes deeper
-    prepares again from depth 0, deterministically. So every attempt is
-    an independent draw from the exact distribution of a fresh
-    preparation, billed that circuit's own oracle calls.
+    CDF and the oracle tally. A call that finds the record empty fills it
+    through :func:`fill_records` with one column, which validates g_sign,
+    and extends that preparation to the deeper depths it needs; a record
+    already filled is trusted to be g's. It keeps no state; a call that
+    goes deeper than its record prepares again from depth 0,
+    deterministically. So every attempt is an independent draw from the
+    exact distribution of a fresh preparation, billed that circuit's own
+    oracle calls.
     """
     if not 0.0 < gamma_target < 0.5:
         raise ValueError("gamma_target must lie in (0, 1/2)")
@@ -159,28 +195,27 @@ def quantum_weak_parity(n, gamma_target, delta, g_sign, sample, counter, rng,
     g_sign = np.asarray(g_sign, dtype=np.float64)
     if n != sample.n or g_sign.shape != (1 << n,):
         raise ValueError(f"n={n} needs a sample and a target on 2**{n} points")
-    if not np.all(np.abs(g_sign) == 1.0):
-        raise ValueError("g_sign must be a +-1 table")
     if record is None:
         record = {}
+    state = None  # this call's preparation of g, extended to each depth the record lacks
     if not record:
-        est = sample_correlations(sample, g_sign)
-        record.update(est=est, heavy=np.abs(est) >= gamma_target, dists={})
+        state, scratch = fill_records([record], g_sign[:, None], sample, gamma_target)
     est, heavy, dists = record["est"], record["heavy"], record["dists"]
-    if not heavy.any():
+    if 0 not in dists:  # fill_records prepares exactly the rows with a heavy entry
         raise NoHeavyCoefficient(f"no sampled correlation reaches {gamma_target:g}")
     k_max = max(1, math.ceil(1.0 / gamma_target))
     depths = _doubling_depths(k_max)
     reps = max(1, math.ceil(math.log2(1.0 / delta)))
 
-    state = None  # prepared on the first depth the record lacks, then extended
+    deepest, bits = 0, None
     for _ in range(reps):
         for k in depths:
             if k not in dists:
-                if state is None:
+                if bits is None:
                     bits = (g_sign < 0).astype(np.uint8)
+                if state is None:
                     scratch = QueryCounter()  # the circuit's oracle calls, read off per depth
-                    state, deepest = prepare_spectrum_state(bits, scratch), 0
+                    state = prepare_spectrum_state(bits, scratch)
                 while deepest < k:
                     grover_step(state, bits, heavy, scratch)
                     deepest += 1
@@ -258,7 +293,10 @@ def weighted_weak_parity(f_sign, m_values, big_gamma, delta, sample, counter, rn
     :func:`quantum_weak_parity`); it is sound while f_sign, the sample and
     big_gamma stay fixed, as within the run that owns it. A call keeps
     its own rows' records, reusing the previous call's, and drops the
-    rest, so it holds the rows of at most two consecutive stages.
+    rest, so it holds the rows of at most two consecutive stages. The
+    rows without a record are filled before any search, as the columns
+    of one :func:`fill_records` call (several when they exceed
+    :func:`simulator.batch_columns`).
     """
     if not 0.0 < big_gamma < 1.0:
         raise ValueError("big_gamma must lie in (0, 1)")
@@ -272,19 +310,26 @@ def weighted_weak_parity(f_sign, m_values, big_gamma, delta, sample, counter, rn
     first = {}  # f is +-1, so two digit rows alpha[j] * f are equal exactly when alpha[j] are
     for j, row in enumerate(digits.alpha):
         first.setdefault(row.tobytes(), j)
-    delta_bit = delta / len(first)
+    keys = list(first)
+    table = digits.alpha[list(first.values())] * f_sign  # row i is the i-th distinct alpha[j] * f
+    delta_bit = delta / len(keys)
     if records is None:
         records = {}
-    kept = {key: records.get(key, {}) for key in first}
+    kept = {key: records.get(key, {}) for key in keys}
     records.clear()
     records.update(kept)
+    empty = [i for i, key in enumerate(keys) if not records[key]]
+    width = batch_columns(n)
+    for start in range(0, len(empty), width):
+        batch = empty[start:start + width]
+        fill_records([records[keys[i]] for i in batch], table[batch].T, sample, gamma_bit)
 
     for _ in range(RETRIES):
         candidates = set()
-        for key, j in first.items():
+        for key, g_row in zip(keys, table):
             try:
-                hyp = quantum_weak_parity(n, gamma_bit, delta_bit, digits.alpha[j] * f_sign, sample,
-                                          counter, rng, record=records[key])
+                hyp = quantum_weak_parity(n, gamma_bit, delta_bit, g_row, sample, counter, rng,
+                                          record=records[key])
             except NoHeavyCoefficient:
                 continue
             candidates.add(hyp.a)

@@ -173,7 +173,7 @@ def test_spectrum_subcommand(tmp_path, literal_instance):
 def test_verify_full_run_counts_every_check(capsys):
     assert run_cli("verify") == EXIT_OK
     out = capsys.readouterr().out
-    for name, count in (("spectrum-measurement", 15), ("amplification-law", 8),
+    for name, count in (("spectrum-measurement", 33), ("amplification-law", 8),
                         ("boost-bounds", 752), ("signed-digits", 8)):
         assert f"PASS {name}: {count}/{count} checks" in out
 
@@ -264,6 +264,18 @@ def test_sweep_subcommand(tmp_path):
     assert (tmp_path / "sweep.csv").read_bytes() == first
     assert (tmp_path / "sweep.json").read_bytes() == fits_first
     assert json.loads(fits_first)["schema"] == 2
+
+
+@pytest.mark.parametrize("argv", [
+    ("--n", "14,24", "--s", 2, "--epsilon", 0.1, "--seeds", 1),
+    ("--n", 14, "--s", "2,0", "--epsilon", 0.3, "--c2", 20),
+    ("--n", 6, "--s", 1, "--seeds", 0),
+    ("--n", 6, "--s", 1, "--seeds", -1),
+    ("--n", 6, "--s", 1, "--jobs", 0),
+], ids=["n", "s", "seeds-0", "seeds-negative", "jobs"])
+def test_sweep_rejects_a_bad_flag_before_any_run(tmp_path, argv):
+    assert run_cli("sweep", *argv, "--out", tmp_path / "sweep") == EXIT_PARAMS
+    assert not list(tmp_path.iterdir())
 
 
 def test_tuning_flag_defaults_are_the_config_defaults():

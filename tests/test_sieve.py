@@ -194,7 +194,8 @@ def test_row_records_change_no_decision(monkeypatch, formula, cfg, deeper):
         return hyp
 
     def watched_prepare(bits, counter):
-        events.append((len(stages) - 1, bits.tobytes(), "prepare"))
+        for column in bits.reshape(bits.shape[0], -1).T:  # a batched preparation, once per column
+            events.append((len(stages) - 1, column.tobytes(), "prepare"))
         return prepare(bits, counter)
 
     def watched_step(state, bits, heavy, counter):
@@ -337,6 +338,29 @@ def test_query_sweep_rows_fits_and_determinism():
     again = query_sweep(grid, **kw)
     assert result == again
     assert result["fits"]["quantum_vs_s"] == []  # no quantum queries in this mode
+
+
+@pytest.mark.parametrize("grid, mode, overrides", [
+    ([(8, 1, 0.4), (24, 1, 0.4)], "classical_exact", {}),  # n past the cap
+    ([(8, 2, 0.3), (8, 0, 0.3)], "quantum_sim", {"threshold_scale": 20.0}),  # big_gamma 2
+    ([(8, 1, 0.4), (0, 1, 0.4)], "classical_exact", {}),  # random_dnf needs a variable
+], ids=["n", "big_gamma", "formula"])
+def test_query_sweep_rejects_a_bad_last_cell_before_running_any(monkeypatch, grid, mode,
+                                                                overrides):
+    runs = []
+    monkeypatch.setattr(sieve, "learn_dnf", lambda *args: runs.append(args))
+    with pytest.raises(ValueError):
+        query_sweep(grid, n_seeds=2, mode=mode, overrides=overrides)
+    assert runs == []
+
+
+def test_query_sweep_rejects_no_seeds_or_no_jobs(monkeypatch):
+    runs = []
+    monkeypatch.setattr(sieve, "learn_dnf", lambda *args: runs.append(args))
+    for kw in ({"n_seeds": 0}, {"n_seeds": -1}, {"n_seeds": 1, "jobs": 0}):
+        with pytest.raises(ValueError):
+            query_sweep([(6, 1, 0.4)], mode="classical_exact", **kw)
+    assert runs == []
 
 
 def test_query_sweep_quantum_monotone_in_s():

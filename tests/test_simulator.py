@@ -5,10 +5,10 @@ import pytest
 
 from qhslab import (QueryCounter, grover_step, index_distribution, planted_parity,
                     prepare_spectrum_state, simulator, to_pm1, wht)
-from qhslab.simulator import (ALL_BLOCKS, StateNormError, StateVector, apply_marked_phase,
-                              apply_membership, correlation_op, correlation_op_dagger,
-                              cz_answer_phase, dump_state, hadamard_index, init_state,
-                              load_state, reflect_zero_index, x_phase)
+from qhslab.simulator import (ALL_BLOCKS, BATCH_AMPS, StateNormError, StateVector,
+                              apply_marked_phase, apply_membership, batch_columns,
+                              correlation_op, correlation_op_dagger, cz_answer_phase, dump_state,
+                              hadamard_index, init_state, load_state, reflect_zero_index, x_phase)
 
 
 def random_state(n, seed):
@@ -486,3 +486,64 @@ def test_dump_is_the_c_order_of_the_view():
     for i, a, p in np.ndindex(view.shape):
         at = 16 + 8 * ((i << 2) | (a << 1) | p)
         assert np.frombuffer(blob, dtype="<f8", count=1, offset=at)[0] == view[i, a, p]
+
+
+def test_each_column_of_a_batch_runs_its_own_circuit_bit_for_bit():
+    rng = np.random.default_rng(30)
+    for n in (1, 5, 6, 9, 10):  # odd n: the amplitudes are not dyadic
+        k = 4
+        bits = rng.integers(0, 2, size=(1 << n, k)).astype(np.uint8)
+        marked = rng.random((1 << n, k)) < 0.2
+        counter = QueryCounter()
+        batch = grover_step(prepare_spectrum_state(bits, counter), bits, marked, counter)
+        assert batch.columns == k and counter.quantum_queries == k * (2 + 4)
+        dists = index_distribution(batch)
+        assert dists.shape == (k, 1 << n)
+        for c in range(k):
+            alone = prepare_spectrum_state(bits[:, c], QueryCounter())
+            grover_step(alone, bits[:, c], marked[:, c], QueryCounter())
+            assert batch.amps.reshape(4, k, -1)[:, c].tobytes() == alone.amps.tobytes()
+            assert dists[c].tobytes() == index_distribution(alone).tobytes()
+
+
+def test_a_batch_holds_at_most_its_amplitude_cap():
+    assert batch_columns(10) == BATCH_AMPS >> 12 >= 9  # a stage's digit rows at n = 10
+    assert batch_columns(20) == 1 and init_state(20).columns == 1
+    with pytest.raises(ValueError):
+        init_state(10, batch_columns(10) + 1)
+    with pytest.raises(ValueError):
+        init_state(4, 0)
+    with pytest.raises(ValueError):
+        prepare_spectrum_state(np.zeros((1 << 16, 2), dtype=np.uint8), QueryCounter())
+    with pytest.raises(ValueError):  # an index table fits the state's column count or is shared
+        apply_membership(init_state(4, 3), np.zeros((16, 2), dtype=np.uint8), QueryCounter())
+
+
+def test_a_gate_moving_norm_between_columns_fails_the_composite_exit_check(monkeypatch):
+    n, k = 6, 3
+    bits = np.random.default_rng(31).integers(0, 2, size=(1 << n, k)).astype(np.uint8)
+    cz = simulator.cz_answer_phase
+
+    def tilting_cz(state):  # column 0 gains the squared norm column 1 loses
+        cz(state)
+        for block in simulator._live(state):
+            columns = block.reshape(k, -1)
+            columns[0] *= math.sqrt(1.5)
+            columns[1] *= math.sqrt(0.5)
+        return simulator._checked(state)  # the live blocks still total k
+
+    monkeypatch.setattr(simulator, "cz_answer_phase", tilting_cz)
+    correlation_op(init_state(n, k), bits, QueryCounter())  # every gate passes its own check
+    with pytest.raises(StateNormError):
+        prepare_spectrum_state(bits, QueryCounter())
+
+
+def test_one_column_layouts_refuse_a_batch():
+    state = prepare_spectrum_state(np.zeros((8, 2), dtype=np.uint8), QueryCounter())
+    with pytest.raises(ValueError):
+        state.view()
+    with pytest.raises(ValueError):
+        dump_state(state)
+    single = dump_state(prepare_spectrum_state(np.zeros(8, dtype=np.uint8), QueryCounter()))
+    with pytest.raises(ValueError):  # two columns' amplitudes under a one-column header
+        load_state(single + single[16:])

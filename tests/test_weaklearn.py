@@ -10,7 +10,7 @@ from qhslab import (QhsConfig, QueryCounter, SharedSample, exact_weak_parity, pl
 from qhslab import seeds, simulator, weaklearn
 from qhslab.boolfn import chi
 from qhslab.weaklearn import (RETRIES, NoHeavyCoefficient, WeakHypothesis, choice_cdf,
-                              sample_correlations, sampled_weak_parity, signed_digit_decompose,
+                              fill_records, sample_correlations, sampled_weak_parity, signed_digit_decompose,
                               verdict, weighted_weak_parity)
 
 
@@ -136,18 +136,64 @@ def test_quantum_weak_parity_bills_the_circuits_own_oracle_calls(monkeypatch):
 
 
 @settings(max_examples=100, deadline=None)
-@given(st.integers(2, 4096), st.floats(0.0, 0.9), st.integers(1, 8), st.integers(0, 2**32 - 1))
-def test_cached_cdf_draws_what_generator_choice_draws(size, zero_share, power, seed):
+@given(st.integers(2, 4096), st.floats(0.0, 0.9), st.integers(1, 8), st.integers(0, 2**32 - 1),
+       st.integers(1, 9))
+def test_cached_cdf_draws_what_generator_choice_draws(size, zero_share, power, seed, rows):
     # the searches draw from choice_cdf; if numpy's choice ever draws differently, this fails
     # here instead of moving every fingerprint
     make = np.random.default_rng(seed)
-    probs = make.random(size) ** power * (make.random(size) >= zero_share)
-    probs[make.integers(size)] += 0.5  # some mass
+    table = make.random((rows, size)) ** power * (make.random((rows, size)) >= zero_share)
+    table[np.arange(rows), make.integers(size, size=rows)] += 0.5  # some mass in every row
+    probs = table[-1]
     cdf = choice_cdf(probs)
     ours, numpys = np.random.default_rng(seed + 1), np.random.default_rng(seed + 1)
     for _ in range(50):
         assert (int(cdf.searchsorted(ours.random(), side="right"))
                 == int(numpys.choice(probs.size, p=probs / probs.sum())))
+    # a batch of records takes its CDFs from the rows of one table, bit for bit the row's own
+    assert choice_cdf(table).tobytes() == b"".join(choice_cdf(row).tobytes() for row in table)
+
+
+def batch_of_targets(n):
+    """Nine +-1 target columns on n variables: planted parities at correlation
+    1/4, which reach a 1/5 target, between inner-product functions shifted by a
+    parity, whose coefficients are at most 2**-(n // 2) in magnitude, which do not."""
+    xs = np.arange(1 << n)
+    half = n // 2
+    inner = np.bitwise_count(xs & (xs >> half) & ((1 << half) - 1)) & 1
+    columns = [planted_parity(n, 5 * c + 1, 1 / 8, seed=c) if c % 2 == 0
+               else inner ^ parity_bits(n, 3 * c) for c in range(9)]
+    return to_pm1(np.stack(columns, axis=1))
+
+
+@pytest.mark.parametrize("n", [6, 9, 10])
+def test_records_filled_in_one_batch_equal_one_column_records(n):
+    gamma_target = 0.2
+    table = batch_of_targets(n)
+    sample = SharedSample.draw(n, 256 << n, parity_bits(n, 1), QueryCounter(),
+                               np.random.default_rng(n))
+    alone = []  # each column's record, filled by a search that finds it empty
+    for c in range(table.shape[1]):
+        record = {}
+        try:
+            quantum_weak_parity(n, gamma_target, 0.5, table[:, c], sample, QueryCounter(),
+                                np.random.default_rng(c), record=record)
+        except NoHeavyCoefficient:
+            pass
+        alone.append(record)
+    assert {0 in record["dists"] for record in alone} == {True, False}  # both kinds occur
+    for k in range(1, 10):
+        batch = [{} for _ in range(k)]
+        fill_records(batch, table[:, :k], sample, gamma_target)
+        for got, want in zip(batch, alone):
+            assert got["est"].tobytes() == want["est"].tobytes()
+            assert got["heavy"].tobytes() == want["heavy"].tobytes()
+            assert set(got["dists"]) <= {0} and (0 in got["dists"]) == (0 in want["dists"])
+            if 0 in got["dists"]:
+                (cdf, bill), (want_cdf, want_bill) = got["dists"][0], want["dists"][0]
+                assert cdf.tobytes() == want_cdf.tobytes() and bill == want_bill == 2
+    with pytest.raises(ValueError):
+        fill_records([{}], table[:, :1] * 0.5, sample, gamma_target)
 
 
 def test_quantum_weak_parity_planted_recovery_rate():
