@@ -114,16 +114,25 @@ def chi(a, x) -> np.ndarray:
     return 1 - 2 * (par.astype(np.int64) & 1)
 
 
-def wht_unscaled(values) -> np.ndarray:
+def wht_unscaled(values, out=None) -> np.ndarray:
     """Unnormalized Walsh-Hadamard transform along the first axis, of length 2**n.
 
-    Returns a new C-contiguous float64 array whose entry ``[a, ...]`` is
-    the plain sum of ``values[x, ...] * chi(a, x)``; trailing axes are
-    transformed independently. Applying it twice multiplies by 2**n.
+    Returns a float64 array whose entry ``[a, ...]`` is the plain sum of
+    ``values[x, ...] * chi(a, x)``; trailing axes are transformed
+    independently. Applying it twice multiplies by 2**n. The result is a
+    new C-contiguous array by default. Given ``out``, a float64 array of
+    the input's shape laid out as :func:`butterfly_axis0` accepts, the
+    input is copied into it and transformed there; with ``out is values``
+    the table is transformed in place, without a copy.
     """
-    a = np.array(values, dtype=np.float64, order="C")
-    butterfly_axis0(a)
-    return a
+    if out is None:
+        out = np.array(values, dtype=np.float64, order="C")
+    elif out.dtype != np.float64 or out.shape != np.shape(values):
+        raise ValueError("out must be a float64 array of the input's shape")
+    elif out is not values:
+        np.copyto(out, values)
+    butterfly_axis0(out)
+    return out
 
 
 BLOCK_BITS = 5  # widest dense Hadamard block: 2**5 x 2**5 doubles, 8 KB
@@ -177,9 +186,13 @@ def butterfly_axis0(a: np.ndarray) -> np.ndarray:
     return a
 
 
-def wht(table) -> np.ndarray:
-    """Correlation spectrum: ``wht(g)[a]`` is the mean of ``g(x) chi(a, x)``."""
-    a = wht_unscaled(table)
+def wht(table, out=None) -> np.ndarray:
+    """Correlation spectrum: ``wht(g)[a]`` is the mean of ``g(x) chi(a, x)``.
+
+    ``out`` is as in :func:`wht_unscaled`; ``wht(g, out=g)`` overwrites g
+    with its spectrum.
+    """
+    a = wht_unscaled(table, out=out)
     a /= a.shape[0]
     return a
 
@@ -203,10 +216,11 @@ def top_index(values) -> int:
     the smallest tied index wins. Raises ``ValueError`` on an empty or
     non-finite input.
     """
-    mags = np.abs(np.asarray(values, dtype=np.float64))
-    if mags.size == 0 or not np.isfinite(mags).all():
+    v = np.asarray(values, dtype=np.float64)
+    if v.size == 0 or not np.isfinite(top := max(v.max(), -v.min())):  # max and min keep a NaN
         raise ValueError("top_index needs a nonempty, finite input")
-    return int(np.argmax(mags >= _tie_floor(mags.max())))
+    floor = _tie_floor(top)
+    return int(np.argmax((v >= floor) | (v <= -floor)))
 
 
 def heavy_coeffs(table, theta: float) -> list:

@@ -6,9 +6,9 @@ after t stages a point's margin is (2u - t) - t * theta, where u counts
 the stages whose hypothesis agreed with f there, and its weight is 1
 below zero margin and (1 - gamma)**(margin / 2) above, so every weight
 stays in (0, 1]. The loop keeps u as an int32 tally, gathers the weights
-from a table of t + 1 entries, estimates the mean weight from one
-shared labeled sample and stops at 2 * epsilon / 3, so the
-true mean is at most epsilon whenever the estimate stayed within its
+from a table of t + 1 entries into one buffer it owns, estimates the
+mean weight from one shared labeled sample and stops at 2 * epsilon / 3,
+so the true mean is at most epsilon whenever the estimate stayed within its
 epsilon / 3 budget. The induced stage distributions never put more than
 a 3 / epsilon multiple of uniform on any point, which is the smoothness
 the weak learner needs.
@@ -34,10 +34,25 @@ def weight_from_margin(margins, gamma: float):
     return (1.0 - gamma) ** (np.maximum(margins, 0.0) / 2.0)
 
 
-def tally_weights(tally, stages: int, gamma: float) -> np.ndarray:
-    """Weights after ``stages`` stages, gathered from the rule at every possible tally."""
+def tally_weights(tally, stages: int, gamma: float, out=None) -> np.ndarray:
+    """Weights after ``stages`` stages, gathered from the rule at every possible
+    tally (each in [0, stages]) into ``out``, a float64 array of the tally's
+    shape (a new one by default)."""
     net = 2 * np.arange(stages + 1) - stages
-    return weight_from_margin(net - stages * (gamma / (2.0 + gamma)), gamma)[tally]
+    table = weight_from_margin(net - stages * (gamma / (2.0 + gamma)), gamma)
+    # "clip" writes straight into out; the default "raise" mode buffers a copy
+    return np.take(table, tally, out=out, mode="clip")
+
+
+def agreement_bits(f_sign: np.ndarray, a: int, sign: int) -> np.ndarray:
+    """Packed bits of where ``sign * chi(a, x)`` agrees in sign with ``f_sign``.
+
+    The parity bit of ``a & x`` is 1 exactly where ``chi(a, x)`` is -1, so
+    the hypothesis agrees with f where that bit differs from
+    ``(f_sign > 0) xor (sign < 0)``; no signed table is built.
+    """
+    odd = np.bitwise_count(np.arange(f_sign.size, dtype=np.uint32) & np.uint32(a)) & 1
+    return np.packbits(odd != ((f_sign > 0) ^ (sign < 0)))
 
 
 def advance_tally(tally: np.ndarray, agrees: np.ndarray) -> None:
@@ -55,20 +70,35 @@ class CombinedHypothesis:
         if not self.hypotheses:
             raise ValueError("cannot combine an empty hypothesis list")
 
-    def vote(self, xs):
-        """Mean hypothesis value, in [-1, 1], tallied exactly per distinct parity."""
-        xs = np.asarray(xs, dtype=np.int64)
+    def _net_counts(self) -> Counter:
+        """Net sign count per distinct parity: +1 per stage that accepted it
+        positively, -1 per negative one."""
         tally = Counter()
         for hyp in self.hypotheses:
             tally[hyp.a] += hyp.sign
+        return tally
+
+    def vote(self, xs):
+        """Mean hypothesis value, in [-1, 1], tallied exactly per distinct parity."""
+        xs = np.asarray(xs, dtype=np.int64)
         total = np.zeros(xs.shape, dtype=np.int64)
-        for a, count in tally.items():
+        for a, count in self._net_counts().items():
             total += count * chi(a, xs)
         return total / len(self.hypotheses)
 
     def sign_table(self, n: int) -> np.ndarray:
-        """Majority sign over the cube; a tied vote resolves to +1."""
-        return np.where(self.vote(np.arange(1 << n, dtype=np.int64)) >= 0.0, 1.0, -1.0)
+        """Majority sign over the cube, as float64; a tied vote resolves to +1.
+
+        The sign of :meth:`vote`, from the net count of each distinct parity:
+        the vote total is ``sum(count) - 2 * sum(count * odd)``, with ``odd``
+        the parity bit of ``a & x``, accumulated in int32.
+        """
+        tally = self._net_counts()
+        xs = np.arange(1 << n, dtype=np.uint32)
+        total = np.full(xs.size, sum(tally.values()), dtype=np.int32)
+        for a, count in tally.items():
+            total -= (np.bitwise_count(xs & np.uint32(a)) & 1) * np.int32(2 * count)
+        return np.where(total >= 0, 1.0, -1.0)
 
 
 def boost(f_sign, sample: SharedSample, epsilon: float, gamma: float, budget: int,
@@ -78,7 +108,10 @@ def boost(f_sign, sample: SharedSample, epsilon: float, gamma: float, budget: in
     Each stage estimates the mean weight as ``sample.counts @ weights /
     sample.size`` and stops once it is at most 2*epsilon/3; otherwise
     ``weak_learner(weights)`` returns the next :class:`WeakHypothesis`
-    for the stage distribution ``weights / (2**n * estimate)``. Returns
+    for the stage distribution ``weights / (2**n * estimate)``. The
+    weights are one float64 buffer that the loop owns and refills every
+    stage: the learner gets the same array each time, read-only for the
+    call, and must copy what it keeps past its return. Returns
     the majority vote and the estimates, one per accepted hypothesis
     (taken before it) plus the final one. Raises
     :class:`StageBudgetExceeded` when the estimate is still above
@@ -92,20 +125,26 @@ def boost(f_sign, sample: SharedSample, epsilon: float, gamma: float, budget: in
     if not np.all(np.abs(f_sign) == 1.0):
         raise ValueError("f_sign must be a +-1 table")
     tally = np.zeros(f_sign.size, dtype=np.int32)
+    weights = np.empty(f_sign.size)
+    draws = sample.size  # a pass over the counts, so taken once
     hypotheses, estimates = [], []
     # Where f_sign * h_t is +1, one bit per point and distinct signed parity:
     # runs accept few distinct parities, and float tables take 64x the memory.
     agrees = {}
     while True:
-        weights = tally_weights(tally, len(hypotheses), gamma)
-        estimates.append(float(sample.counts @ weights / sample.size))
+        tally_weights(tally, len(hypotheses), gamma, out=weights)
+        estimates.append(float(sample.counts @ weights / draws))
         if estimates[-1] <= 2.0 * epsilon / 3.0:
             return CombinedHypothesis(hypotheses), estimates
         if len(hypotheses) >= budget:
             raise StageBudgetExceeded(f"estimate above 2*epsilon/3 after all {budget} stages")
-        hyp = weak_learner(weights)
+        weights.flags.writeable = False
+        try:
+            hyp = weak_learner(weights)
+        finally:
+            weights.flags.writeable = True
         hypotheses.append(hyp)
         key = (hyp.a, hyp.sign)
         if key not in agrees:
-            agrees[key] = np.packbits(f_sign * hyp.values(np.arange(f_sign.size)) > 0.0)
+            agrees[key] = agreement_bits(f_sign, *key)
         advance_tally(tally, agrees[key])

@@ -218,6 +218,8 @@ def setup_run(formula: DnfFormula, cfg: QhsConfig) -> tuple:
     learn)``, where ``learn`` is a ``weights -> WeakHypothesis`` callable
     that looks the learners up by name at call time and raises
     :class:`WeakLearnerFailure` for a stage without a verified parity.
+    In ``classical_exact`` mode it owns the spectrum buffer the exact
+    learner overwrites at every stage.
     """
     if formula.n != cfg.n:
         raise ValueError(f"formula has n={formula.n} but the config says n={cfg.n}")
@@ -231,12 +233,13 @@ def setup_run(formula: DnfFormula, cfg: QhsConfig) -> tuple:
     rng = seeds.derive(cfg.seed, seeds.WEAK_LEARNER)
     stages = itertools.count(1)
     records = {}  # weighted_weak_parity's row records, sound for this run's f and sample
+    spectrum = np.empty(f_sign.size) if cfg.mode == "classical_exact" else None  # reused each stage
 
     def learn(weights):
         t = next(stages)
         try:
             if cfg.mode == "classical_exact":
-                return exact_weak_parity(f_sign, weights)
+                return exact_weak_parity(f_sign, weights, out=spectrum)
             if cfg.mode == "classical_sampled":
                 return sampled_weak_parity(sample, weights * f_sign, cfg.verify_threshold)
             return weighted_weak_parity(f_sign, weights, cfg.big_gamma, cfg.stage_delta(),

@@ -71,8 +71,11 @@ class SharedSample:
 
     ``counts[x]`` is how often assignment x was drawn and
     ``labels_sign[x]`` the oracle sign wherever the count is positive
-    (zero elsewhere). The multiset form keeps every correlation estimate
-    one weighted transform, independent of the number of draws. Drawing
+    (zero elsewhere). Both are float64: the counts are exact integers, so
+    products with float64 tables (the booster's ``counts @ weights``
+    every stage) take no cast and round as the integer form would. The
+    multiset form keeps every correlation estimate one weighted
+    transform, independent of the number of draws. Drawing
     charges one classical query per draw; an estimate charges nothing
     further, which is the point of sharing the sample.
     """
@@ -90,7 +93,7 @@ class SharedSample:
         """m uniform draws with replacement, labeled by the oracle."""
         if m < 1:
             raise ValueError("sample size must be positive")
-        counts = rng.multinomial(int(m), np.full(1 << n, 1.0 / (1 << n))).astype(np.int64)
+        counts = rng.multinomial(int(m), np.full(1 << n, 1.0 / (1 << n))).astype(np.float64)
         labels = np.where(counts > 0, to_pm1(f_bits), 0.0)
         counter.classical_queries += int(m)
         return cls(n, counts, labels)
@@ -99,7 +102,7 @@ class SharedSample:
     def full_cube(cls, n, f_bits) -> "SharedSample":
         """Every assignment exactly once; the exact-sample case used by
         oracle tests (no query charge is recorded)."""
-        counts = np.ones(1 << n, dtype=np.int64)
+        counts = np.ones(1 << n)
         return cls(n, counts, to_pm1(f_bits))
 
 
@@ -107,15 +110,18 @@ def sample_correlations(sample: SharedSample, values) -> np.ndarray:
     """Sample correlation with every parity at once, per column of a
     ``(2**n, k)`` table of values.
 
-    Transforms the count-weighted value vector and divides by the draw
-    count. This equals the per-parity sum over the sample term for term:
-    the mass vector is accumulated exactly before the transform runs.
+    Transforms the count-weighted value vector in place, in C order, and
+    divides by the draw count. This equals the per-parity sum over the
+    sample term for term: the mass vector is accumulated exactly before
+    the transform runs.
     """
     if sample.size == 0:
         raise ValueError("sample is empty")
     values = np.asarray(values, dtype=np.float64)
-    mass = sample.counts.reshape((-1,) + (1,) * (values.ndim - 1)) * values
-    return wht_unscaled(mass) / sample.size
+    mass = np.multiply(sample.counts.reshape((-1,) + (1,) * (values.ndim - 1)), values, order="C")
+    wht_unscaled(mass, out=mass)
+    mass /= sample.size
+    return mass
 
 
 @functools.lru_cache(maxsize=64)  # one entry per search target in use
@@ -342,13 +348,18 @@ def weighted_weak_parity(f_sign, m_values, big_gamma, delta, sample, counter, rn
         f"no candidate parity verified at weighted threshold {gamma_bit:g}")
 
 
-def exact_weak_parity(f_sign, m_values) -> WeakHypothesis:
+def exact_weak_parity(f_sign, m_values, out=None) -> WeakHypothesis:
     """Exact argmax of the weighted correlation over the full cube.
 
     The oracle baseline: never fails while a heavy coefficient exists.
+    The product ``m_values * f_sign`` is formed in ``out`` (a float64
+    buffer of the cube's length, overwritten; a new array by default)
+    and transformed and normalized there, so a caller that passes the
+    same buffer every stage allocates no table per call.
     """
-    table = np.asarray(m_values, dtype=np.float64) * np.asarray(f_sign, dtype=np.float64)
-    return verdict(wht(table))
+    table = np.multiply(np.asarray(m_values, dtype=np.float64),
+                        np.asarray(f_sign, dtype=np.float64), out=out)
+    return verdict(wht(table, out=table))
 
 
 def sampled_weak_parity(sample: SharedSample, weighted_values, accept: float) -> WeakHypothesis:

@@ -226,9 +226,71 @@ def test_top_index_tie_rule():
 def test_top_index_rejects_empty_and_non_finite():
     with pytest.raises(ValueError):
         top_index([])
+    with pytest.raises(ValueError):
+        top_index(np.empty((0, 3)))
     for bad in (np.nan, np.inf, -np.inf):
+        for table in ([0.5, bad, 0.25], [bad], [bad, -bad], [-2.0, bad], [bad, 1e300]):
+            with pytest.raises(ValueError):
+                top_index(table)
+    with pytest.raises(ValueError):
+        top_index([np.nan, np.inf, -np.inf])
+
+
+def reference_top_index(values) -> int:
+    """The tie rule read off a table of magnitudes."""
+    mags = np.abs(np.asarray(values, dtype=np.float64))
+    return int(np.argmax(mags >= boolfn._tie_floor(mags.max())))
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(st.floats(-1e6, 1e6), min_size=1, max_size=64), st.data())
+@example([0.0, -0.0], None)
+@example([-0.0, 0.0, -0.0], None)
+@example([-3.0, 3.0], None)
+@example([3.0, -3.0 * (1 + 5e-10), 1.0], None)
+def test_top_index_matches_the_magnitude_table(values, data):
+    """max/min plus one two-sided compare pick the index |v| >= floor picks,
+    with ties, signed zeros and negated maxima planted."""
+    if data is not None:
+        top = max(values, key=abs)
+        for _ in range(data.draw(st.integers(0, 4))):
+            i = data.draw(st.integers(0, len(values) - 1))
+            values[i] = data.draw(st.sampled_from([top, -top, top * (1 - 5e-10), -top * (1 + 5e-10),
+                                                   0.0, -0.0]))
+    assert top_index(values) == reference_top_index(values)
+    assert top_index(np.negative(values)) == reference_top_index(values)
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(0, 13), st.integers(1, 9), st.integers(0, 2**32))
+@example(9, 3, 0)  # an odd n, where interleaved columns would round differently
+def test_in_place_transform_matches_the_copying_one(n, k, seed):
+    """wht(x, out=x) overwrites x with the bits a copying call returns: in 1-D,
+    and in an F-ordered 2-D table column by column, as each column alone."""
+    rng = np.random.default_rng(seed)
+    x = rng.standard_normal(1 << n)
+    want = wht(x.copy())
+    assert wht(x, out=x) is x
+    assert x.tobytes() == want.tobytes()
+    block = np.asfortranarray(rng.standard_normal((1 << n, k)))
+    columns = [wht(block[:, c].copy()) for c in range(k)]
+    spare = np.empty_like(block)
+    assert wht(block, out=spare) is spare
+    assert wht(block, out=block) is block
+    assert block.tobytes() == spare.tobytes()
+    for c in range(k):
+        assert block[:, c].tobytes() == columns[c].tobytes()
+    ints = rng.integers(-5, 5, size=1 << n)
+    assert wht_unscaled(ints, out=np.empty(1 << n)).tobytes() == wht_unscaled(ints).tobytes()
+
+
+def test_transform_rejects_a_mismatched_out():
+    table = np.ones(8)
+    for out in (np.empty(8, dtype=np.float32), np.empty(4), np.empty((8, 1))):
         with pytest.raises(ValueError):
-            top_index([0.5, bad, 0.25])
+            wht(table, out=out)
+    with pytest.raises(ValueError):  # a strided buffer the kernel cannot take
+        wht_unscaled(table, out=np.empty(16)[::2])
 
 
 def test_parseval():

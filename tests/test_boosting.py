@@ -9,7 +9,7 @@ from qhslab import QueryCounter, SharedSample, boost, exact_weak_parity, random_
 from qhslab import QhsConfig, learn_dnf, seeds, sieve
 from qhslab.boolfn import chi
 from qhslab.boosting import (CombinedHypothesis, StageBudgetExceeded, advance_tally,
-                             tally_weights, weight_from_margin)
+                             agreement_bits, tally_weights, weight_from_margin)
 from qhslab.weaklearn import WeakHypothesis
 
 
@@ -24,9 +24,11 @@ def cube_boost(f_sign, epsilon, gamma, weak_learner, budget=None):
 
 
 def recording(f_sign, seen):
-    """Exact weak learner over the cube that records the weights it gets."""
+    """Exact weak learner over the cube that records the weights it gets.
+
+    boost() lends the same buffer every stage, so keep a copy."""
     def wl(weights):
-        seen.append(weights)
+        seen.append(weights.copy())
         return exact_weak_parity(f_sign, weights)
     return wl
 
@@ -115,6 +117,48 @@ def test_tally_weights_are_the_rule_at_the_exact_margins(rows, gamma):
         assert np.all(weights[margin <= 0.0] == 1.0)
     table = tally_weights(np.arange(t + 1), t, gamma)
     assert np.all(np.diff(table) <= 0.0)
+
+
+def test_boost_lends_one_read_only_weight_buffer():
+    """Every stage gets the same array, read-only during the call, holding
+    exactly what a fresh gather from the tally would."""
+    n, gamma = 6, 1.0 / 12
+    rng = np.random.default_rng(1)
+    f_sign = (1 - 2 * rng.integers(0, 2, size=1 << n)).astype(float)
+    tally = np.zeros(1 << n, dtype=np.int32)
+    lent = []
+
+    def wl(weights):
+        lent.append(weights)
+        assert weights is lent[0]
+        assert not weights.flags.writeable
+        with pytest.raises(ValueError):
+            weights[0] = 0.5
+        with pytest.raises(ValueError):
+            weights *= 2.0
+        want = tally_weights(tally, len(lent) - 1, gamma)
+        assert weights.tobytes() == want.tobytes()
+        hyp = WeakHypothesis(int(rng.integers(0, 1 << n)), int(rng.choice([-1, 1])), 0.5)
+        advance_tally(tally, np.packbits(f_sign * hyp.values(np.arange(1 << n)) > 0.0))
+        return hyp
+
+    with pytest.raises(StageBudgetExceeded):
+        cube_boost(f_sign, 0.01, gamma, wl, budget=25)
+    assert len(lent) == 25
+    assert lent[0].flags.writeable  # handed back once the call returns
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(0, 10).flatmap(lambda n: st.tuples(
+    st.lists(st.sampled_from([-1.0, 1.0]), min_size=1 << n, max_size=1 << n),
+    st.integers(0, (1 << n) - 1), st.sampled_from([-1, 1]))))
+def test_agreement_bits_match_the_signed_table(args):
+    """The parity-bit form packs the bits of f_sign * sign * chi(a, x) > 0."""
+    values, a, sign = args
+    f_sign = np.array(values)
+    hyp = WeakHypothesis(a, sign, 0.5)
+    want = np.packbits(f_sign * hyp.values(np.arange(f_sign.size)) > 0.0)
+    assert agreement_bits(f_sign, a, sign).tobytes() == want.tobytes()
 
 
 def float_margin_boost(f_sign, sample, epsilon, gamma, budget, weak_learner):
@@ -300,6 +344,33 @@ def test_vote_tally_matches_per_hypothesis_sum(pairs, data):
     assert combined.vote(xs).tobytes() == reference.tobytes()
     signs = np.where(reference >= 0.0, 1.0, -1.0)
     assert combined.sign_table(4).tobytes() == signs.tobytes()
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(0, 9).flatmap(lambda n: st.tuples(
+    st.just(n), st.lists(st.tuples(st.integers(0, (1 << n) - 1), st.sampled_from([-1, 1])),
+                         min_size=1, max_size=60))), st.integers(0, 3))
+def test_sign_table_is_the_sign_of_the_vote(args, repeats):
+    """The int32 parity-bit tally gives vote's sign, a tied vote +1, also
+    where a parity's net count is negative or cancels to zero."""
+    n, pairs = args
+    pairs = pairs + [(a, -sign) for a, sign in pairs[:repeats]]  # cancel some
+    pairs = pairs + [(a, -1) for a, _ in pairs[:repeats]] * 3     # drive some counts negative
+    combined = CombinedHypothesis([WeakHypothesis(a, sign, 0.5) for a, sign in pairs])
+    xs = np.arange(1 << n)
+    want = np.where(combined.vote(xs) >= 0, 1, -1)
+    got = combined.sign_table(n)
+    assert got.dtype == np.float64
+    assert np.array_equal(got, want)
+
+
+def test_sign_table_ties_resolve_to_plus_one():
+    """Opposite parities cancel exactly on half the cube and tie there."""
+    combined = CombinedHypothesis([WeakHypothesis(3, 1, 0.5), WeakHypothesis(5, -1, 0.5)])
+    xs = np.arange(16)
+    vote = combined.vote(xs)
+    assert np.any(vote == 0.0)
+    assert np.array_equal(combined.sign_table(4), np.where(vote >= 0, 1.0, -1.0))
 
 
 margins = st.lists(st.one_of(st.floats(-50, 50), st.sampled_from([0.0, -0.0, 1e-300, -1e-300])),

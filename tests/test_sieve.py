@@ -1,6 +1,7 @@
 import json
 import math
 import sys
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -20,6 +21,26 @@ def small_cfg(**kw):
     base = dict(n=8, s=2, epsilon=0.15, mode="classical_exact", sample_scale=4096.0, seed=0)
     base.update(kw)
     return QhsConfig(**base)
+
+
+def test_exact_run_allocates_no_table_per_stage():
+    """An exact run's traced peak stays at most 8 tables of 2**14 doubles.
+
+    Measured: 7.88 tables, with the weights gathered into one buffer, the
+    product transformed in place and the agreement bits and the final vote
+    built from uint8 parity bits. A fresh weight table per stage, a
+    copying transform, or int64 +-1 agreement and vote tables each push it
+    past 8 (the copying, int64 version peaked at 8.74)."""
+    cfg = QhsConfig(n=14, s=2, epsilon=0.1, mode="classical_exact", seed=0)
+    formula = random_dnf(14, 2, 3, 0)
+    tracemalloc.start()
+    try:
+        _, report = learn_dnf(formula, cfg)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert report.termination == "converged"
+    assert peak <= 8.0 * (8 << 14)
 
 
 def test_config_derivations():

@@ -44,6 +44,12 @@ def test_shared_sample_draw_accounting_and_labels():
     signs = to_pm1(bits)
     support = np.flatnonzero(sample.counts)
     assert np.all(sample.labels_sign[support] == signs[support])
+    # float64 counts hold the exact integers, so a weighted sum rounds as the int form's would
+    for counts in (sample.counts, SharedSample.full_cube(n, bits).counts):
+        assert counts.dtype == np.float64
+        assert np.array_equal(counts, counts.astype(np.int64))
+        weights = np.random.default_rng(3).uniform(0.0, 1.0, size=1 << n)
+        assert (counts @ weights).tobytes() == (counts.astype(np.int64) @ weights).tobytes()
 
 
 def test_sampled_predicate_exact_cube():
@@ -382,6 +388,18 @@ def test_exact_weak_parity_baseline():
     f_sign = to_pm1(bits).astype(float)
     hyp = exact_weak_parity(f_sign, np.ones(1 << n))
     assert (hyp.a, hyp.sign, hyp.est_advantage) == (b, 1, 1.0)
+
+
+def test_exact_weak_parity_fills_the_given_spectrum_buffer():
+    """With ``out`` the product is transformed in the caller's buffer, which
+    then holds the spectrum, and the verdict is the one a fresh table gives."""
+    n = 9
+    f_sign = random_dnf(n, 3, 3, 11).sign_table()
+    m_values = np.random.default_rng(4).uniform(0.1, 1.0, size=1 << n)
+    spectrum = np.empty(1 << n)
+    for _ in range(2):  # a buffer already holding a spectrum is overwritten
+        assert exact_weak_parity(f_sign, m_values, out=spectrum) == exact_weak_parity(f_sign, m_values)
+        assert spectrum.tobytes() == wht(m_values * f_sign).tobytes()
 
 
 def test_exact_vs_weighted_agree_on_random_instances():
