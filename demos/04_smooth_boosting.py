@@ -17,8 +17,7 @@ f_sign = formula.sign_table()
 
 # enough shared draws to estimate every stage's mean weight within epsilon/3
 draws = math.ceil(8 * math.log(1.0 / (epsilon * gamma) + 2.0) / epsilon**2)
-sample = SharedSample.draw(n, draws, formula.truth_table(), QueryCounter(),
-                           np.random.default_rng(0))
+sample = SharedSample.draw(n, draws, QueryCounter(), np.random.default_rng(0))
 peaks = []
 
 

@@ -123,7 +123,7 @@ def wht_unscaled(values, out=None) -> np.ndarray:
     new C-contiguous array by default. Given ``out``, a float64 array of
     the input's shape laid out as :func:`butterfly_axis0` accepts, the
     input is copied into it and transformed there; with ``out is values``
-    the table is transformed in place, without a copy.
+    the transform overwrites the table, without a copy of the input.
     """
     if out is None:
         out = np.array(values, dtype=np.float64, order="C")
@@ -150,7 +150,7 @@ _BLOCKS = tuple(_hadamard_block(b) for b in range(BLOCK_BITS + 1))
 
 
 def butterfly_axis0(a: np.ndarray) -> np.ndarray:
-    """In-place unnormalized Walsh-Hadamard transform along axis 0.
+    """Unnormalized Walsh-Hadamard transform along axis 0, written back to ``a``.
 
     ``a`` must have a power-of-two first axis and be either C-contiguous,
     its trailing axes transformed independently, or a 2-D F-contiguous
@@ -160,8 +160,11 @@ def butterfly_axis0(a: np.ndarray) -> np.ndarray:
     n index bits are split into ceil(n / BLOCK_BITS) chunks of nearly
     equal width, and each chunk's dense Hadamard block is applied as BLAS
     matmuls on a reshaped view (Fino & Algazi, IEEE Trans. Computers
-    1976). The entries are +-1, so integer input transforms exactly;
-    other input differs from any other summation order by roundoff alone.
+    1976). The chunks ping-pong between ``a`` and one scratch table of
+    its size, allocated per call: each matmul reads one and writes the
+    other, and an odd chunk count ends with one copy back into ``a``.
+    The entries are +-1, so integer input transforms exactly; other input
+    differs from any other summation order by roundoff alone.
     """
     m = a.shape[0] if a.ndim else 0
     if m == 0 or m & (m - 1):
@@ -174,15 +177,19 @@ def butterfly_axis0(a: np.ndarray) -> np.ndarray:
         raise ValueError("need a C-contiguous array or a 2-D F-contiguous one")
     n = m.bit_length() - 1
     chunks = -(-n // BLOCK_BITS)
+    src, dst = rows, np.empty(rows.shape, dtype=rows.dtype)
     for i in range(chunks):
         lo, hi = n * i // chunks, n * (i + 1) // chunks
         block = _BLOCKS[hi - lo]
         if inner << lo == 1:
-            flat = rows.reshape(outer, m >> hi, 1 << hi)
-            flat[...] = flat @ block
+            shape = (outer, m >> hi, 1 << hi)
+            np.matmul(src.reshape(shape), block, out=dst.reshape(shape))
         else:
-            view = rows.reshape(outer * (m >> hi), 1 << (hi - lo), inner << lo)
-            view[...] = block @ view
+            shape = (outer * (m >> hi), 1 << (hi - lo), inner << lo)
+            np.matmul(block, src.reshape(shape), out=dst.reshape(shape))
+        src, dst = dst, src
+    if src is not rows:
+        np.copyto(rows, src)
     return a
 
 

@@ -126,14 +126,13 @@ def boost(f_sign, sample: SharedSample, epsilon: float, gamma: float, budget: in
         raise ValueError("f_sign must be a +-1 table")
     tally = np.zeros(f_sign.size, dtype=np.int32)
     weights = np.empty(f_sign.size)
-    draws = sample.size  # a pass over the counts, so taken once
     hypotheses, estimates = [], []
     # Where f_sign * h_t is +1, one bit per point and distinct signed parity:
     # runs accept few distinct parities, and float tables take 64x the memory.
     agrees = {}
     while True:
         tally_weights(tally, len(hypotheses), gamma, out=weights)
-        estimates.append(float(sample.counts @ weights / draws))
+        estimates.append(float(sample.counts @ weights / sample.size))
         if estimates[-1] <= 2.0 * epsilon / 3.0:
             return CombinedHypothesis(hypotheses), estimates
         if len(hypotheses) >= budget:

@@ -23,7 +23,7 @@ from dataclasses import asdict, astuple, dataclass, field, fields
 import numpy as np
 
 from . import seeds
-from .boolfn import DnfFormula, check_cap, check_random_dnf, random_dnf, to_pm1
+from .boolfn import DnfFormula, check_cap, check_random_dnf, random_dnf
 from .boosting import StageBudgetExceeded, boost
 from .simulator import QueryCounter
 from .weaklearn import (NoHeavyCoefficient, SharedSample, bit_threshold, digit_depth,
@@ -226,9 +226,8 @@ def setup_run(formula: DnfFormula, cfg: QhsConfig) -> tuple:
     if formula.size() > cfg.s:
         raise ValueError(f"formula has {formula.size()} terms, above the configured s={cfg.s}")
     counter = QueryCounter()
-    f_bits = formula.truth_table()
-    f_sign = to_pm1(f_bits)
-    sample = SharedSample.draw(cfg.n, cfg.sample_size, f_bits, counter,
+    f_sign = formula.sign_table()
+    sample = SharedSample.draw(cfg.n, cfg.sample_size, counter,
                                seeds.derive(cfg.seed, seeds.SAMPLE_DRAW))
     rng = seeds.derive(cfg.seed, seeds.WEAK_LEARNER)
     stages = itertools.count(1)

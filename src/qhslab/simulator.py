@@ -212,7 +212,8 @@ def hadamard_index(state: StateVector) -> StateVector:
     else:
         gathered = blocks[live]
         butterfly_axis0(gathered.reshape(-1, 1 << state.n).T)
-        blocks[live] = gathered * scale
+        gathered *= scale
+        blocks[live] = gathered
     return _checked(state)
 
 

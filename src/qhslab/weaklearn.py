@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .boolfn import chi, to_pm1, top_index, wht, wht_unscaled
+from .boolfn import chi, top_index, wht_unscaled
 from .simulator import (QueryCounter, batch_columns, grover_step, index_distribution,
                         prepare_spectrum_state)
 
@@ -67,14 +67,15 @@ def digit_depth(big_gamma: float) -> int:
 
 @dataclass
 class SharedSample:
-    """Uniform labeled sample stored as per-assignment multiplicities.
+    """Uniform sample of the cube stored as per-assignment multiplicities.
 
-    ``counts[x]`` is how often assignment x was drawn and
-    ``labels_sign[x]`` the oracle sign wherever the count is positive
-    (zero elsewhere). Both are float64: the counts are exact integers, so
-    products with float64 tables (the booster's ``counts @ weights``
-    every stage) take no cast and round as the integer form would. The
-    multiset form keeps every correlation estimate one weighted
+    ``counts[x]`` is how often assignment x was drawn, and ``size`` the
+    number of draws, ``counts.sum()``, set once by the constructor that
+    knows it. The counts are float64 holding exact integers, so products
+    with float64 tables (the booster's ``counts @ weights`` every stage)
+    take no cast and round as the integer form would. The learners read
+    the labels off the target table itself, so the sample stores none.
+    The multiset form keeps every correlation estimate one weighted
     transform, independent of the number of draws. Drawing
     charges one classical query per draw; an estimate charges nothing
     further, which is the point of sharing the sample.
@@ -82,28 +83,25 @@ class SharedSample:
 
     n: int
     counts: np.ndarray
-    labels_sign: np.ndarray
-
-    @property
-    def size(self) -> int:
-        return int(self.counts.sum())
+    size: int
 
     @classmethod
-    def draw(cls, n, m, f_bits, counter: QueryCounter, rng) -> "SharedSample":
-        """m uniform draws with replacement, labeled by the oracle."""
+    def draw(cls, n, m, counter: QueryCounter, rng) -> "SharedSample":
+        """m uniform draws with replacement, each charged as one oracle query."""
         if m < 1:
             raise ValueError("sample size must be positive")
         counts = rng.multinomial(int(m), np.full(1 << n, 1.0 / (1 << n))).astype(np.float64)
-        labels = np.where(counts > 0, to_pm1(f_bits), 0.0)
         counter.classical_queries += int(m)
-        return cls(n, counts, labels)
+        return cls(n, counts, int(m))
 
     @classmethod
     def full_cube(cls, n, f_bits) -> "SharedSample":
         """Every assignment exactly once; the exact-sample case used by
-        oracle tests (no query charge is recorded)."""
-        counts = np.ones(1 << n)
-        return cls(n, counts, to_pm1(f_bits))
+        oracle tests (no query charge is recorded). ``f_bits``, the
+        target's table, must have one entry per assignment."""
+        if np.shape(f_bits) != (1 << n,):
+            raise ValueError(f"f_bits must have 2**{n} entries")
+        return cls(n, np.ones(1 << n), 1 << n)
 
 
 def sample_correlations(sample: SharedSample, values) -> np.ndarray:
@@ -354,12 +352,17 @@ def exact_weak_parity(f_sign, m_values, out=None) -> WeakHypothesis:
     The oracle baseline: never fails while a heavy coefficient exists.
     The product ``m_values * f_sign`` is formed in ``out`` (a float64
     buffer of the cube's length, overwritten; a new array by default)
-    and transformed and normalized there, so a caller that passes the
-    same buffer every stage allocates no table per call.
+    and transformed there, so a caller that passes the same buffer every
+    stage allocates no table per call. ``out`` then holds the unscaled
+    spectrum ``wht_unscaled(m_values * f_sign)``: the verdict is taken on
+    it, and only the advantage is divided by 2**n. Scaling by a power of
+    two is exact, so parity, sign and advantage are those of ``wht``.
     """
     table = np.multiply(np.asarray(m_values, dtype=np.float64),
                         np.asarray(f_sign, dtype=np.float64), out=out)
-    return verdict(wht(table, out=table))
+    hyp = verdict(wht_unscaled(table, out=table))
+    hyp.est_advantage /= table.size
+    return hyp
 
 
 def sampled_weak_parity(sample: SharedSample, weighted_values, accept: float) -> WeakHypothesis:

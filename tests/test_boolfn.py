@@ -1,5 +1,6 @@
 import itertools
 import json
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -33,6 +34,26 @@ def naive_spectrum(table):
             total += table[x] * (-1) ** bin(a & x).count("1")
         out[a] = total / size
     return out
+
+
+def copy_back_axis0(a):
+    """Reference kernel: the blocked transform with each chunk's matmul built
+    as a fresh table and copied back, ``x[...] = x @ block``; the same chunks,
+    blocks and matmul shapes as :func:`boolfn.butterfly_axis0`."""
+    m = a.shape[0]
+    rows, outer, inner = (a, 1, a.size // m) if a.flags.c_contiguous else (a.T, a.shape[1], 1)
+    n = m.bit_length() - 1
+    chunks = -(-n // boolfn.BLOCK_BITS)
+    for i in range(chunks):
+        lo, hi = n * i // chunks, n * (i + 1) // chunks
+        block = boolfn._BLOCKS[hi - lo]
+        if inner << lo == 1:
+            flat = rows.reshape(outer, m >> hi, 1 << hi)
+            flat[...] = flat @ block
+        else:
+            view = rows.reshape(outer * (m >> hi), 1 << (hi - lo), inner << lo)
+            view[...] = block @ view
+    return a
 
 
 def radix2_axis0(a):
@@ -175,6 +196,46 @@ def test_kernel_rejects_bad_layout():
         butterfly_axis0(np.ones(12))
     with pytest.raises(ValueError):
         butterfly_axis0(np.ones((8, 2))[:, 0])  # strided: a reshape would copy, not write back
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.integers(0, 16), st.sampled_from(["1-D", "C", "F"]), st.sampled_from([1, 2, 3, 5, 9, 16]),
+       st.integers(0, 2**32))
+@example(5, "1-D", 1, 0)  # the chunk count changes between 5 and 6, 10 and 11, 15 and 16
+@example(6, "C", 3, 0)
+@example(10, "F", 9, 0)
+@example(11, "1-D", 1, 0)  # n = 11-15: three chunks, so the scratch table holds the result
+@example(12, "C", 2, 0)
+@example(13, "F", 3, 0)
+@example(14, "F", 5, 0)
+@example(15, "1-D", 1, 0)
+@example(16, "C", 1, 0)
+@example(16, "F", 2, 0)
+def test_kernel_matches_the_copy_back_form_bit_for_bit(n, layout, k, seed):
+    """Ping-ponging between the table and one scratch table changes where each
+    chunk's matmul lands, not its bits."""
+    k = min(k, max(1, (1 << 18) >> n))  # at most 2 MB of doubles
+    rng = np.random.default_rng(seed)
+    shape = (1 << n,) if layout == "1-D" else (1 << n, k)
+    values = rng.standard_normal(shape)
+    got = np.asfortranarray(values) if layout == "F" else values.copy()
+    want = copy_back_axis0(got.copy(order="A"))
+    assert butterfly_axis0(got) is got
+    assert got.tobytes(order="A") == want.tobytes(order="A")
+
+
+@pytest.mark.parametrize("shape, order", [((1 << 12,), "C"), ((1 << 16,), "C"),
+                                          ((1 << 11, 4), "C"), ((1 << 12, 4), "F")])
+def test_kernel_peaks_at_one_scratch_table(shape, order):
+    """Whatever the chunk count, a transform holds one table beside its input."""
+    table = np.asarray(np.random.default_rng(0).standard_normal(shape), order=order)
+    tracemalloc.start()
+    try:
+        butterfly_axis0(table)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert table.nbytes <= peak < 1.25 * table.nbytes
 
 
 @settings(max_examples=30, deadline=None)

@@ -275,7 +275,7 @@ def test_smoothboost_filter_exact_runs():
     for seed in range(100):
         formula = random_dnf(n, s, 3, 400 + seed)
         f_sign = formula.sign_table()
-        sample = SharedSample.draw(n, drawn_sample_size(epsilon, gamma), formula.truth_table(),
+        sample = SharedSample.draw(n, drawn_sample_size(epsilon, gamma),
                                    QueryCounter(), seeds.derive(seed, 3))
         combined, _ = boost(f_sign, sample, epsilon, gamma, budget, recording(f_sign, []))
         err = float(np.mean(combined.sign_table(n) != f_sign))
@@ -292,7 +292,7 @@ def test_smoothboost_filter_smoothness_and_estimates():
     for seed in range(10):
         formula = random_dnf(n, s, 3, 500 + seed)
         f_sign = formula.sign_table()
-        sample = SharedSample.draw(n, drawn_sample_size(epsilon, gamma), formula.truth_table(),
+        sample = SharedSample.draw(n, drawn_sample_size(epsilon, gamma),
                                    QueryCounter(), seeds.derive(seed, 4))
         seen = []
         _, estimates = boost(f_sign, sample, epsilon, gamma, budget, recording(f_sign, seen))
@@ -312,7 +312,7 @@ def test_margin_identity_after_termination():
     formula = random_dnf(n, s, 3, 42)
     f_sign = formula.sign_table()
     xs = np.arange(1 << n)
-    sample = SharedSample.draw(n, drawn_sample_size(epsilon, gamma), formula.truth_table(),
+    sample = SharedSample.draw(n, drawn_sample_size(epsilon, gamma),
                                QueryCounter(), seeds.derive(0, 5))
     combined, _ = boost(f_sign, sample, epsilon, gamma, math.ceil(2.0 / (epsilon * gamma**2)),
                         recording(f_sign, []))

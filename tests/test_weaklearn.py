@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 from qhslab import (QhsConfig, QueryCounter, SharedSample, exact_weak_parity, planted_parity,
                     quantum_weak_parity, random_dnf, to_pm1, wht)
 from qhslab import seeds, simulator, weaklearn
-from qhslab.boolfn import chi
+from qhslab.boolfn import chi, wht_unscaled
 from qhslab.weaklearn import (RETRIES, NoHeavyCoefficient, WeakHypothesis, choice_cdf,
                               fill_records, sample_correlations, sampled_weak_parity, signed_digit_decompose,
                               verdict, weighted_weak_parity)
@@ -38,12 +38,13 @@ def test_shared_sample_draw_accounting_and_labels():
     n, m = 6, 500
     bits = random_dnf(n, 2, 3, 0).truth_table()
     counter = QueryCounter()
-    sample = SharedSample.draw(n, m, bits, counter, np.random.default_rng(1))
+    sample = SharedSample.draw(n, m, counter, np.random.default_rng(1))
     assert counter.classical_queries == m
     assert sample.size == m
-    signs = to_pm1(bits)
-    support = np.flatnonzero(sample.counts)
-    assert np.all(sample.labels_sign[support] == signs[support])
+    assert SharedSample.full_cube(n, bits).size == 1 << n
+    for wrong in (bits[:-1], bits.reshape(8, 8)):  # a table of another shape is refused
+        with pytest.raises(ValueError):
+            SharedSample.full_cube(n, wrong)
     # float64 counts hold the exact integers, so a weighted sum rounds as the int form's would
     for counts in (sample.counts, SharedSample.full_cube(n, bits).counts):
         assert counts.dtype == np.float64
@@ -66,7 +67,7 @@ def test_sample_correlations_match_direct_sum_bit_for_bit():
     n, m = 8, 100
     bits = random_dnf(n, 3, 3, 7).truth_table()
     counter = QueryCounter()
-    sample = SharedSample.draw(n, m, bits, counter, np.random.default_rng(2))
+    sample = SharedSample.draw(n, m, counter, np.random.default_rng(2))
     values = to_pm1(bits).astype(float)
     fast = sample_correlations(sample, values)
     # direct per-parity sum over the multiset; integer mass keeps both exact
@@ -85,7 +86,7 @@ def test_sampled_predicate_hoeffding_frequency():
     m = int(64 / gamma**2)
     hits = 0
     for rep in range(200):
-        sample = SharedSample.draw(n, m, bits, QueryCounter(), np.random.default_rng(rep))
+        sample = SharedSample.draw(n, m, QueryCounter(), np.random.default_rng(rep))
         hits += bool(np.abs(sample_correlations(sample, values)[b]) >= gamma)
     assert hits >= 190
 
@@ -176,8 +177,7 @@ def batch_of_targets(n):
 def test_records_filled_in_one_batch_equal_one_column_records(n):
     gamma_target = 0.2
     table = batch_of_targets(n)
-    sample = SharedSample.draw(n, 256 << n, parity_bits(n, 1), QueryCounter(),
-                               np.random.default_rng(n))
+    sample = SharedSample.draw(n, 256 << n, QueryCounter(), np.random.default_rng(n))
     alone = []  # each column's record, filled by a search that finds it empty
     for c in range(table.shape[1]):
         record = {}
@@ -392,14 +392,17 @@ def test_exact_weak_parity_baseline():
 
 def test_exact_weak_parity_fills_the_given_spectrum_buffer():
     """With ``out`` the product is transformed in the caller's buffer, which
-    then holds the spectrum, and the verdict is the one a fresh table gives."""
+    then holds the unscaled spectrum, and the verdict is the one a fresh
+    table gives, its advantage the normalized coefficient bit for bit."""
     n = 9
     f_sign = random_dnf(n, 3, 3, 11).sign_table()
     m_values = np.random.default_rng(4).uniform(0.1, 1.0, size=1 << n)
     spectrum = np.empty(1 << n)
     for _ in range(2):  # a buffer already holding a spectrum is overwritten
-        assert exact_weak_parity(f_sign, m_values, out=spectrum) == exact_weak_parity(f_sign, m_values)
-        assert spectrum.tobytes() == wht(m_values * f_sign).tobytes()
+        hyp = exact_weak_parity(f_sign, m_values, out=spectrum)
+        assert hyp == exact_weak_parity(f_sign, m_values)
+        assert spectrum.tobytes() == wht_unscaled(m_values * f_sign).tobytes()
+        assert hyp.est_advantage == abs(wht(m_values * f_sign)[hyp.a])
 
 
 def test_exact_vs_weighted_agree_on_random_instances():
@@ -414,8 +417,7 @@ def test_exact_vs_weighted_agree_on_random_instances():
         f_sign = formula.sign_table()
         rng = np.random.default_rng(trial)
         m_values = rng.uniform(0.25, 1.0, size=1 << n)
-        sample = SharedSample.draw(n, m, formula.truth_table(), QueryCounter(),
-                                   seeds.derive(trial, 9))
+        sample = SharedSample.draw(n, m, QueryCounter(), seeds.derive(trial, 9))
         found = weighted_weak_parity(f_sign, m_values, big_gamma, 0.05, sample,
                                      QueryCounter(), seeds.derive(trial, 2))
         exact = wht(m_values * f_sign)
