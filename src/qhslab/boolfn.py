@@ -117,16 +117,18 @@ def chi(a, x) -> np.ndarray:
 def wht_unscaled(values, out=None) -> np.ndarray:
     """Unnormalized Walsh-Hadamard transform along the first axis, of length 2**n.
 
+    ``values`` is one table or a 2-D array of tables, one per column.
     Returns a float64 array whose entry ``[a, ...]`` is the plain sum of
-    ``values[x, ...] * chi(a, x)``; trailing axes are transformed
-    independently. Applying it twice multiplies by 2**n. The result is a
-    new C-contiguous array by default. Given ``out``, a float64 array of
-    the input's shape laid out as :func:`butterfly_axis0` accepts, the
-    input is copied into it and transformed there; with ``out is values``
-    the transform overwrites the table, without a copy of the input.
+    ``values[x, ...] * chi(a, x)``; each column is transformed
+    independently, bit for bit as it would be alone. Applying it twice
+    multiplies by 2**n. The result is a new F-contiguous array by
+    default. Given ``out``, a float64 array of the input's shape laid out
+    as :func:`butterfly_axis0` accepts, the input is copied into it and
+    transformed there; with ``out is values`` the transform overwrites
+    the table, without a copy of the input.
     """
     if out is None:
-        out = np.array(values, dtype=np.float64, order="C")
+        out = np.array(values, dtype=np.float64, order="F")
     elif out.dtype != np.float64 or out.shape != np.shape(values):
         raise ValueError("out must be a float64 array of the input's shape")
     elif out is not values:
@@ -152,13 +154,13 @@ _BLOCKS = tuple(_hadamard_block(b) for b in range(BLOCK_BITS + 1))
 def butterfly_axis0(a: np.ndarray) -> np.ndarray:
     """Unnormalized Walsh-Hadamard transform along axis 0, written back to ``a``.
 
-    ``a`` must have a power-of-two first axis and be either C-contiguous,
-    its trailing axes transformed independently, or a 2-D F-contiguous
-    array, each of whose contiguous columns goes through exactly the
-    matmuls a 1-D transform of it would, all columns in one call per
-    chunk, so a column's bits do not depend on the columns beside it. The
-    n index bits are split into ceil(n / BLOCK_BITS) chunks of nearly
-    equal width, and each chunk's dense Hadamard block is applied as BLAS
+    ``a`` must have a power-of-two first axis and be a contiguous 1-D
+    array or a 2-D F-contiguous one, so every transformed column is
+    contiguous. Each column goes through exactly the matmuls a 1-D
+    transform of it would, all columns in one call per chunk, so a
+    column's bits do not depend on the columns beside it. The n index
+    bits are split into ceil(n / BLOCK_BITS) chunks of nearly equal
+    width, and each chunk's dense Hadamard block is applied as BLAS
     matmuls on a reshaped view (Fino & Algazi, IEEE Trans. Computers
     1976). The chunks ping-pong between ``a`` and one scratch table of
     its size, allocated per call: each matmul reads one and writes the
@@ -169,23 +171,20 @@ def butterfly_axis0(a: np.ndarray) -> np.ndarray:
     m = a.shape[0] if a.ndim else 0
     if m == 0 or m & (m - 1):
         raise ValueError("need an array whose first axis is a power of two")
-    if a.flags.c_contiguous:
-        rows, outer, inner = a, 1, a.size // m
-    elif a.ndim == 2 and a.flags.f_contiguous:
-        rows, outer, inner = a.T, a.shape[1], 1
-    else:
-        raise ValueError("need a C-contiguous array or a 2-D F-contiguous one")
+    if a.ndim > 2 or not a.flags.f_contiguous:
+        raise ValueError("need a contiguous 1-D array or a 2-D F-contiguous one")
+    rows, columns = a.T, a.size // m  # rows[c] is column c, contiguous
     n = m.bit_length() - 1
     chunks = -(-n // BLOCK_BITS)
     src, dst = rows, np.empty(rows.shape, dtype=rows.dtype)
     for i in range(chunks):
         lo, hi = n * i // chunks, n * (i + 1) // chunks
         block = _BLOCKS[hi - lo]
-        if inner << lo == 1:
-            shape = (outer, m >> hi, 1 << hi)
+        if lo == 0:
+            shape = (columns, m >> hi, 1 << hi)
             np.matmul(src.reshape(shape), block, out=dst.reshape(shape))
         else:
-            shape = (outer * (m >> hi), 1 << (hi - lo), inner << lo)
+            shape = (columns * (m >> hi), 1 << (hi - lo), 1 << lo)
             np.matmul(block, src.reshape(shape), out=dst.reshape(shape))
         src, dst = dst, src
     if src is not rows:
@@ -193,13 +192,10 @@ def butterfly_axis0(a: np.ndarray) -> np.ndarray:
     return a
 
 
-def wht(table, out=None) -> np.ndarray:
-    """Correlation spectrum: ``wht(g)[a]`` is the mean of ``g(x) chi(a, x)``.
-
-    ``out`` is as in :func:`wht_unscaled`; ``wht(g, out=g)`` overwrites g
-    with its spectrum.
-    """
-    a = wht_unscaled(table, out=out)
+def wht(table) -> np.ndarray:
+    """Correlation spectrum: ``wht(g)[a]`` is the mean of ``g(x) chi(a, x)``,
+    per column of a 2-D table; a new array, as :func:`wht_unscaled` returns."""
+    a = wht_unscaled(table)
     a /= a.shape[0]
     return a
 

@@ -20,7 +20,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .boolfn import chi
 from .weaklearn import SharedSample
 
 
@@ -78,20 +77,13 @@ class CombinedHypothesis:
             tally[hyp.a] += hyp.sign
         return tally
 
-    def vote(self, xs):
-        """Mean hypothesis value, in [-1, 1], tallied exactly per distinct parity."""
-        xs = np.asarray(xs, dtype=np.int64)
-        total = np.zeros(xs.shape, dtype=np.int64)
-        for a, count in self._net_counts().items():
-            total += count * chi(a, xs)
-        return total / len(self.hypotheses)
-
     def sign_table(self, n: int) -> np.ndarray:
         """Majority sign over the cube, as float64; a tied vote resolves to +1.
 
-        The sign of :meth:`vote`, from the net count of each distinct parity:
-        the vote total is ``sum(count) - 2 * sum(count * odd)``, with ``odd``
-        the parity bit of ``a & x``, accumulated in int32.
+        The vote total at x is the sum of the hypotheses' values there,
+        ``sum(count) - 2 * sum(count * odd)`` from the net count of each
+        distinct parity, with ``odd`` the parity bit of ``a & x``,
+        accumulated exactly in int32.
         """
         tally = self._net_counts()
         xs = np.arange(1 << n, dtype=np.uint32)

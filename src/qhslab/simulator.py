@@ -36,12 +36,16 @@ that can be nonzero after it: :func:`x_phase` moves or swaps blocks and
 relabels, :func:`apply_membership` swaps marked entries of the live
 answer pairs bit for bit, and :func:`hadamard_index` drops a live block
 that has cancelled to exact zero in every column, so along those
-operators every index Hadamard transforms a single block. The index
-transform sends each column through the same matmuls as a one-column
-state, so a column's amplitudes do not depend on the columns beside it,
-bit for bit. Operations mutate the state in place and return it. Every
-gate is real (H, X, CZ, the membership permutation, the marked phase),
-so the amplitudes are float64.
+operators every index Hadamard transforms a single block. It transforms
+the span from the first live block to the last in one kernel call; only
+states built from an array, through :meth:`view` or by
+:func:`load_state`, or gate sequences the learners do not run, leave a
+dead block inside that span, which then holds zeros that may read
+``-0.0``. The index transform sends each column through the same
+matmuls as a one-column state, so a column's amplitudes do not depend
+on the columns beside it, bit for bit. Operations mutate the state in
+place and return it. Every gate is real (H, X, CZ, the membership
+permutation, the marked phase), so the amplitudes are float64.
 
 Nothing here renormalizes silently. Each gate checks on exit that the
 live blocks' total squared norm is k, one dot product per live block,
@@ -112,9 +116,6 @@ class StateVector:
         _one_column(self)
         self.live = ALL_BLOCKS
         return _index_view(self.amps)
-
-    def norm(self) -> float:
-        return float(np.linalg.norm(self.amps))
 
 
 def batch_columns(n: int) -> int:
@@ -198,22 +199,18 @@ def hadamard_index(state: StateVector) -> StateVector:
 
     Only the live blocks that hold a nonzero amplitude are transformed
     and stay live: an all-zero block transforms to zero, so dropping it
-    is exact. They go through one kernel call, as the lone block they
-    usually are, or else gathered into one contiguous array; either way
-    the kernel sees one contiguous index column per column and block."""
+    is exact. One kernel call transforms the span of blocks from the
+    first such block to the last, usually a lone block, one contiguous
+    index column per column and block; a dead block inside the span is
+    zero and stays zero, possibly ``-0.0``. An all-zero state transforms
+    nothing and fails the norm check."""
     blocks = _blocks(state)
     live = [w for w in state.live if (blocks[w] != 0.0).any()]
     state.live = tuple(live)
-    scale = 2.0 ** (-state.n / 2.0)
-    if len(live) == 1:
-        block = blocks[live[0]]
-        butterfly_axis0(block.reshape(-1, 1 << state.n).T)
-        block *= scale
-    else:
-        gathered = blocks[live]
-        butterfly_axis0(gathered.reshape(-1, 1 << state.n).T)
-        gathered *= scale
-        blocks[live] = gathered
+    if live:
+        span = blocks[live[0]:live[-1] + 1]
+        butterfly_axis0(span.reshape(-1, 1 << state.n).T)
+        span *= 2.0 ** (-state.n / 2.0)
     return _checked(state)
 
 

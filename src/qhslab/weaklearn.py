@@ -108,15 +108,15 @@ def sample_correlations(sample: SharedSample, values) -> np.ndarray:
     """Sample correlation with every parity at once, per column of a
     ``(2**n, k)`` table of values.
 
-    Transforms the count-weighted value vector in place, in C order, and
-    divides by the draw count. This equals the per-parity sum over the
-    sample term for term: the mass vector is accumulated exactly before
-    the transform runs.
+    Transforms the count-weighted value vector in place, in F order, so
+    each column as it would be alone, and divides by the draw count. This
+    equals the per-parity sum over the sample term for term: the mass
+    vector is accumulated exactly before the transform runs.
     """
     if sample.size == 0:
         raise ValueError("sample is empty")
     values = np.asarray(values, dtype=np.float64)
-    mass = np.multiply(sample.counts.reshape((-1,) + (1,) * (values.ndim - 1)), values, order="C")
+    mass = np.multiply(sample.counts.reshape((-1,) + (1,) * (values.ndim - 1)), values, order="F")
     wht_unscaled(mass, out=mass)
     mass /= sample.size
     return mass

@@ -98,7 +98,7 @@ def test_init_state():
     stepped = grover_step(prepare_spectrum_state(bits, QueryCounter()), bits,
                           np.array([False, True]), QueryCounter())
     assert stepped.amps.dtype == np.float64
-    assert abs(state.norm() - 1.0) < 1e-12
+    assert abs(np.linalg.norm(state.amps) - 1.0) < 1e-12
     assert init_state(3).amps.size == 32
     with pytest.raises(ValueError):
         init_state(0)
@@ -143,15 +143,25 @@ def test_hadamard_transforms_the_live_work_blocks_in_one_kernel_call(monkeypatch
             state.amps[:] = 0.0
             for w in live:
                 state.view()[:, w >> 1, w & 1] = rng.standard_normal(1 << n)
-            state.amps /= state.norm()
+            state.amps /= np.linalg.norm(state.amps)
             before = state.view().copy()
             calls.clear()
             hadamard_index(state)
-            assert len(calls) == 1
+            assert calls == [(1 << n, live[-1] - live[0] + 1)]  # the span of live blocks
             dense = np.einsum("ji,iap->jap", dense_hadamard(n), before)
             assert np.allclose(state.view(), dense, atol=1e-12)
             for w in set(range(4)) - set(live):
                 assert np.all(state.view()[:, w >> 1, w & 1] == 0.0)
+
+
+def test_hadamard_of_an_all_zero_state_fails_the_norm_check():
+    for n, columns in ((3, 1), (4, 2)):
+        for state in (init_state(n, columns), StateVector(n, np.zeros(columns << (n + 2)))):
+            state.amps[:] = 0.0
+            with pytest.raises(StateNormError):
+                hadamard_index(state)
+            assert state.live == ()
+            assert not state.amps.any()
 
 
 def test_x_phase_and_cz():
@@ -263,7 +273,7 @@ def test_reflect_zero_index():
     assert np.allclose(state.view()[1:], before[1:])
     reflect_zero_index(state)
     assert np.allclose(state.view(), before)
-    assert abs(state.norm() - 1.0) < 1e-12
+    assert abs(np.linalg.norm(state.amps) - 1.0) < 1e-12
 
 
 def test_membership_zero_oracle_and_involution():
