@@ -21,9 +21,10 @@ sample = SharedSample.draw(n, draws, QueryCounter(), np.random.default_rng(0))
 peaks = []
 
 
-def weak_learner(weights):
-    peaks.append(weights.max())
-    return exact_weak_parity(f_sign, weights)
+def weak_learner(g_values):
+    # boost lends the weighted target g = weights * f; the weights are |g|
+    peaks.append(np.abs(g_values).max())
+    return exact_weak_parity(g_values, out=g_values)
 
 
 combined, estimates = boost(f_sign, sample, epsilon, gamma,

@@ -165,8 +165,12 @@ def butterfly_axis0(a: np.ndarray) -> np.ndarray:
     1976). The chunks ping-pong between ``a`` and one scratch table of
     its size, allocated per call: each matmul reads one and writes the
     other, and an odd chunk count ends with one copy back into ``a``.
-    The entries are +-1, so integer input transforms exactly; other input
-    differs from any other summation order by roundoff alone.
+    The first chunk multiplies rows by the block from the right, in
+    panels of at most 2**(2 * BLOCK_BITS) rows, each within one column:
+    a stack of short matmuls, which BLAS runs faster than one tall one,
+    with every row through the same dot product. The entries are +-1, so
+    integer input transforms exactly; other input differs from any other
+    summation order by roundoff alone.
     """
     m = a.shape[0] if a.ndim else 0
     if m == 0 or m & (m - 1):
@@ -180,8 +184,9 @@ def butterfly_axis0(a: np.ndarray) -> np.ndarray:
     for i in range(chunks):
         lo, hi = n * i // chunks, n * (i + 1) // chunks
         block = _BLOCKS[hi - lo]
-        if lo == 0:
-            shape = (columns, m >> hi, 1 << hi)
+        if lo == 0:  # a panel's rows divide a column's, so no panel spans two columns
+            panel = min(m >> hi, 1 << 2 * BLOCK_BITS)
+            shape = (columns * (m >> hi) // panel, panel, 1 << hi)
             np.matmul(src.reshape(shape), block, out=dst.reshape(shape))
         else:
             shape = (columns * (m >> hi), 1 << (hi - lo), 1 << lo)
@@ -217,13 +222,22 @@ def top_index(values) -> int:
 
     Magnitudes within ``TIE_TOL * max|v|`` of the maximum tie with it, and
     the smallest tied index wins. Raises ``ValueError`` on an empty or
-    non-finite input.
+    non-finite input. Two passes find the first largest entry ``hi`` and
+    the first smallest ``lo``, one of which holds the top magnitude. A
+    tied entry on the positive side lies at or before ``hi`` and one on
+    the negative side at or before ``lo``, so the tie scan reads only
+    those prefixes, and only on a side that ties.
     """
-    v = np.asarray(values, dtype=np.float64)
-    if v.size == 0 or not np.isfinite(top := max(v.max(), -v.min())):  # max and min keep a NaN
+    v = np.asarray(values, dtype=np.float64).ravel()
+    if v.size:
+        hi, lo = int(np.argmax(v)), int(np.argmin(v))  # each lands on a NaN if there is one
+        top = max(v[hi], -v[lo])
+    if v.size == 0 or not np.isfinite(top):
         raise ValueError("top_index needs a nonempty, finite input")
     floor = _tie_floor(top)
-    return int(np.argmax((v >= floor) | (v <= -floor)))
+    first_pos = int(np.argmax(v[:hi + 1] >= floor)) if v[hi] >= floor else v.size
+    first_neg = int(np.argmax(v[:lo + 1] <= -floor)) if -v[lo] >= floor else v.size
+    return min(first_pos, first_neg)
 
 
 def heavy_coeffs(table, theta: float) -> list:

@@ -5,8 +5,9 @@ Weights follow the fixed-margin rule with theta = gamma / (2 + gamma):
 after t stages a point's margin is (2u - t) - t * theta, where u counts
 the stages whose hypothesis agreed with f there, and its weight is 1
 below zero margin and (1 - gamma)**(margin / 2) above, so every weight
-stays in (0, 1]. The loop keeps u as an int32 tally, gathers the weights
-from a table of t + 1 entries into one buffer it owns, estimates the
+stays in (0, 1]. The loop keeps the int32 tally 2u + [f(x) < 0], gathers
+the weighted target g = w * f from a signed table of 2(t + 1) entries
+into one buffer it owns and lends to the weak learner, estimates the
 mean weight from one shared labeled sample and stops at 2 * epsilon / 3,
 so the true mean is at most epsilon whenever the estimate stayed within its
 epsilon / 3 budget. The induced stage distributions never put more than
@@ -34,11 +35,17 @@ def weight_from_margin(margins, gamma: float):
 
 
 def tally_weights(tally, stages: int, gamma: float, out=None) -> np.ndarray:
-    """Weights after ``stages`` stages, gathered from the rule at every possible
-    tally (each in [0, stages]) into ``out``, a float64 array of the tally's
-    shape (a new one by default)."""
+    """The weighted target g = w * f after ``stages`` stages, gathered into
+    ``out``, a float64 array of the tally's shape (a new one by default).
+
+    ``tally`` holds 2u + [f(x) < 0], u in [0, stages] counting the stages
+    that agreed with f at x. The gather reads a signed table of
+    2 * (stages + 1) entries, the rule's weight w_u at 2u and -w_u at
+    2u + 1, so each entry of g is w or its exact negation.
+    """
     net = 2 * np.arange(stages + 1) - stages
-    table = weight_from_margin(net - stages * (gamma / (2.0 + gamma)), gamma)
+    weights = weight_from_margin(net - stages * (gamma / (2.0 + gamma)), gamma)
+    table = np.stack((weights, -weights), axis=1).ravel()
     # "clip" writes straight into out; the default "raise" mode buffers a copy
     return np.take(table, tally, out=out, mode="clip")
 
@@ -55,8 +62,11 @@ def agreement_bits(f_sign: np.ndarray, a: int, sign: int) -> np.ndarray:
 
 
 def advance_tally(tally: np.ndarray, agrees: np.ndarray) -> None:
-    """Add one to ``tally``, in place, where the packed bits ``agrees`` are set."""
-    tally += np.unpackbits(agrees, count=tally.size)
+    """Add 2 to ``tally``, in place, where the packed bits ``agrees`` are set:
+    one more agreeing stage, keeping the low bit that holds f's sign."""
+    step = np.unpackbits(agrees, count=tally.size)
+    step += step  # doubles the 0/1 bytes; numpy's uint8 shift is several times slower
+    tally += step
 
 
 @dataclass
@@ -97,15 +107,18 @@ def boost(f_sign, sample: SharedSample, epsilon: float, gamma: float, budget: in
           weak_learner) -> tuple:
     """Smooth-boost the +-1 target table ``f_sign`` over the whole cube.
 
-    Each stage estimates the mean weight as ``sample.counts @ weights /
-    sample.size`` and stops once it is at most 2*epsilon/3; otherwise
-    ``weak_learner(weights)`` returns the next :class:`WeakHypothesis`
-    for the stage distribution ``weights / (2**n * estimate)``. The
-    weights are one float64 buffer that the loop owns and refills every
-    stage: the learner gets the same array each time, read-only for the
-    call, and must copy what it keeps past its return. Returns
-    the majority vote and the estimates, one per accepted hypothesis
-    (taken before it) plus the final one. Raises
+    Each stage gathers the weighted target g = w * f and estimates the
+    mean weight as ``(sample.counts * f_sign) @ g / sample.size``, the
+    signed counts formed once per run; each product equals the one of
+    ``sample.counts @ w`` exactly, so the estimate has its bits. The run
+    stops once the estimate is at most 2*epsilon/3; otherwise
+    ``weak_learner(g)`` returns the next :class:`WeakHypothesis` for the
+    stage distribution ``|g| / (2**n * estimate)``. g is one float64
+    buffer that the loop owns and refills from the tally every stage: the
+    learner gets the same array each time, may overwrite it (the exact
+    learner transforms it in place), and must copy what it keeps past its
+    return. Returns the majority vote and the estimates, one per accepted
+    hypothesis (taken before it) plus the final one. Raises
     :class:`StageBudgetExceeded` when the estimate is still above
     2*epsilon/3 after ``budget`` stages.
     """
@@ -116,24 +129,21 @@ def boost(f_sign, sample: SharedSample, epsilon: float, gamma: float, budget: in
     f_sign = np.asarray(f_sign, dtype=np.float64)
     if not np.all(np.abs(f_sign) == 1.0):
         raise ValueError("f_sign must be a +-1 table")
-    tally = np.zeros(f_sign.size, dtype=np.int32)
-    weights = np.empty(f_sign.size)
+    tally = (f_sign < 0).astype(np.int32)
+    signed_counts = sample.counts * f_sign
+    target = np.empty(f_sign.size)
     hypotheses, estimates = [], []
     # Where f_sign * h_t is +1, one bit per point and distinct signed parity:
     # runs accept few distinct parities, and float tables take 64x the memory.
     agrees = {}
     while True:
-        tally_weights(tally, len(hypotheses), gamma, out=weights)
-        estimates.append(float(sample.counts @ weights / sample.size))
+        tally_weights(tally, len(hypotheses), gamma, out=target)
+        estimates.append(float(signed_counts @ target / sample.size))
         if estimates[-1] <= 2.0 * epsilon / 3.0:
             return CombinedHypothesis(hypotheses), estimates
         if len(hypotheses) >= budget:
             raise StageBudgetExceeded(f"estimate above 2*epsilon/3 after all {budget} stages")
-        weights.flags.writeable = False
-        try:
-            hyp = weak_learner(weights)
-        finally:
-            weights.flags.writeable = True
+        hyp = weak_learner(target)
         hypotheses.append(hyp)
         key = (hyp.a, hyp.sign)
         if key not in agrees:

@@ -108,7 +108,8 @@ def suite_boost_bounds(seed: int = 0):
     """Exact-learner runs of :func:`boosting.boost`: final error below
     epsilon, stage count within 2/(epsilon gamma**2), and every stage
     distribution at most 3/epsilon times uniform (checked exactly over
-    the cube from the weights each stage hands the learner)."""
+    the cube from the magnitudes |g| of the weighted target each stage
+    hands the learner)."""
     n, epsilon = 8, 0.2
     for s in (1, 2):
         for rep in range(2):
@@ -118,9 +119,9 @@ def suite_boost_bounds(seed: int = 0):
             f_sign, sample, _, learn = setup_run(formula, cfg)
             maxima = []
 
-            def recorded(weights):
-                maxima.append(float(weights.max()))
-                return learn(weights)
+            def recorded(g_values):
+                maxima.append(float(np.abs(g_values).max()))  # before learn overwrites g
+                return learn(g_values)
 
             try:
                 combined, estimates = boost(f_sign, sample, epsilon, cfg.gamma,

@@ -121,8 +121,8 @@ def cmd_learn(args) -> int:
 def cmd_weak(args) -> int:
     """One weak-learning call against the uniform weighting."""
     formula, cfg = _load_run(args)
-    _, _, counter, learn = setup_run(formula, cfg)
-    hyp = learn(np.ones(1 << cfg.n))
+    f_sign, _, counter, learn = setup_run(formula, cfg)
+    hyp = learn(f_sign.copy())  # g = f under unit weights
     payload = {
         "schema": REPORT_SCHEMA,
         "config": cfg.to_dict(),

@@ -17,7 +17,6 @@ import json
 import math
 import numbers
 import sys
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import asdict, astuple, dataclass, field, fields
 
 import numpy as np
@@ -215,11 +214,12 @@ def setup_run(formula: DnfFormula, cfg: QhsConfig) -> tuple:
     the shared sample on the ``seeds.SAMPLE_DRAW`` stream (charging it to
     a fresh counter) and builds the configured weak learner on the
     ``seeds.WEAK_LEARNER`` stream. Returns ``(f_sign, sample, counter,
-    learn)``, where ``learn`` is a ``weights -> WeakHypothesis`` callable
-    that looks the learners up by name at call time and raises
+    learn)``, where ``learn`` is a ``g -> WeakHypothesis`` callable, g
+    the weighted target ``weights * f_sign`` as :func:`boosting.boost`
+    lends it, that looks the learners up by name at call time and raises
     :class:`WeakLearnerFailure` for a stage without a verified parity.
-    In ``classical_exact`` mode it owns the spectrum buffer the exact
-    learner overwrites at every stage.
+    In ``classical_exact`` mode it transforms g in place, so the buffer
+    it is given holds g's unscaled spectrum on return.
     """
     if formula.n != cfg.n:
         raise ValueError(f"formula has n={formula.n} but the config says n={cfg.n}")
@@ -232,17 +232,17 @@ def setup_run(formula: DnfFormula, cfg: QhsConfig) -> tuple:
     rng = seeds.derive(cfg.seed, seeds.WEAK_LEARNER)
     stages = itertools.count(1)
     records = {}  # weighted_weak_parity's row records, sound for this run's f and sample
-    spectrum = np.empty(f_sign.size) if cfg.mode == "classical_exact" else None  # reused each stage
 
-    def learn(weights):
+    def learn(g_values):
         t = next(stages)
         try:
             if cfg.mode == "classical_exact":
-                return exact_weak_parity(f_sign, weights, out=spectrum)
+                return exact_weak_parity(g_values, out=g_values)
             if cfg.mode == "classical_sampled":
-                return sampled_weak_parity(sample, weights * f_sign, cfg.verify_threshold)
-            return weighted_weak_parity(f_sign, weights, cfg.big_gamma, cfg.stage_delta(),
-                                        sample, counter, rng, records=records)
+                return sampled_weak_parity(sample, g_values, cfg.verify_threshold)
+            # f is +-1, so g * f is the weights, bit for bit
+            return weighted_weak_parity(f_sign, g_values * f_sign, cfg.big_gamma,
+                                        cfg.stage_delta(), sample, counter, rng, records=records)
         except NoHeavyCoefficient as exc:
             raise WeakLearnerFailure(f"stage {t}: {exc}") from exc
 
@@ -259,8 +259,8 @@ def learn_dnf(formula: DnfFormula, cfg: QhsConfig) -> tuple:
     f_sign, sample, counter, learn = setup_run(formula, cfg)
     spent = [(0, 0)]  # query totals after each stage; stage 1 absorbs the sample draw
 
-    def stage(weights):
-        hyp = learn(weights)
+    def stage(g_values):
+        hyp = learn(g_values)
         spent.append((counter.quantum_queries, counter.classical_queries))
         return hyp
 
@@ -339,6 +339,7 @@ def query_sweep(grid, n_seeds: int, mode: str = "quantum_sim", base_seed: int = 
             cells.append((cfg, seed_index))
     workers = min(jobs, len(cells))
     if workers > 1:
+        from concurrent.futures import ProcessPoolExecutor  # loaded only by a pooled sweep
         with ProcessPoolExecutor(max_workers=workers) as pool:
             rows = list(pool.map(_sweep_cell, cells))
     else:

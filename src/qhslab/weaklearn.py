@@ -346,25 +346,26 @@ def weighted_weak_parity(f_sign, m_values, big_gamma, delta, sample, counter, rn
         f"no candidate parity verified at weighted threshold {gamma_bit:g}")
 
 
-def exact_weak_parity(f_sign, m_values, out=None) -> WeakHypothesis:
-    """Exact argmax of the weighted correlation over the full cube.
+def exact_weak_parity(g_values, out=None) -> WeakHypothesis:
+    """Exact argmax of the correlation with the weighted target g = M * f
+    over the full cube.
 
     The oracle baseline: never fails while a heavy coefficient exists.
-    The product ``m_values * f_sign`` is formed in ``out`` (a float64
-    buffer of the cube's length, overwritten; a new array by default)
-    and transformed there, so a caller that passes the same buffer every
+    g is transformed in ``out`` (a float64 buffer of the cube's length,
+    overwritten; a new array by default), in place without a copy when
+    ``out is g_values``, so a caller that lends the same buffer every
     stage allocates no table per call. ``out`` then holds the unscaled
-    spectrum ``wht_unscaled(m_values * f_sign)``: the verdict is taken on
-    it, and only the advantage is divided by 2**n. Scaling by a power of
-    two is exact, so parity, sign and advantage are those of ``wht``.
+    spectrum ``wht_unscaled(g_values)``: the verdict is taken on it, and
+    only the advantage is divided by 2**n. Scaling by a power of two is
+    exact, so parity, sign and advantage are those of ``wht``.
     """
-    table = np.multiply(np.asarray(m_values, dtype=np.float64),
-                        np.asarray(f_sign, dtype=np.float64), out=out)
-    hyp = verdict(wht_unscaled(table, out=table))
-    hyp.est_advantage /= table.size
+    spectrum = wht_unscaled(g_values, out=out)
+    hyp = verdict(spectrum)
+    hyp.est_advantage /= spectrum.size
     return hyp
 
 
-def sampled_weak_parity(sample: SharedSample, weighted_values, accept: float) -> WeakHypothesis:
-    """Argmax of the sampled weighted correlations, verified at ``accept``."""
-    return verdict(sample_correlations(sample, weighted_values), accept)
+def sampled_weak_parity(sample: SharedSample, g_values, accept: float) -> WeakHypothesis:
+    """Argmax of the sampled correlations with the weighted target g,
+    verified at ``accept``."""
+    return verdict(sample_correlations(sample, g_values), accept)

@@ -39,9 +39,10 @@ def naive_spectrum(table):
 
 def copy_back_axis0(a):
     """Reference kernel: the blocked transform with each chunk's matmul built
-    as a fresh table and copied back, ``x[...] = x @ block``; the same chunks,
-    blocks and matmul shapes as :func:`boolfn.butterfly_axis0`, on a 1-D or
-    a 2-D F-contiguous table."""
+    as a fresh table and copied back, ``x[...] = x @ block``; the same chunks
+    and blocks as :func:`boolfn.butterfly_axis0`, on a 1-D or a 2-D
+    F-contiguous table, with the first chunk as one tall matmul per column
+    where the kernel splits a column of more than 1,024 rows into panels."""
     m = a.shape[0]
     rows, columns = a.T, a.size // m
     n = m.bit_length() - 1
@@ -219,9 +220,12 @@ def test_kernel_rejects_bad_layout():
 @example(15, "1-D", 1, 0)
 @example(16, "1-D", 1, 0)
 @example(16, "F", 2, 0)
+@example(17, "1-D", 1, 0)  # the first chunk's panels: 8,192 rows of one column, 1,024 per panel
+@example(16, "F", 3, 0)  # 4,096 rows per column, four panels each
+@example(13, "F", 3, 0)  # 512 rows per column: a panel of all 1,536 rows would span columns
 def test_kernel_matches_the_copy_back_form_bit_for_bit(n, layout, k, seed):
-    """Ping-ponging between the table and one scratch table changes where each
-    chunk's matmul lands, not its bits."""
+    """Ping-ponging between the table and one scratch table, and running the
+    first chunk in row panels, change where each matmul lands, not its bits."""
     k = min(k, max(1, (1 << 18) >> n))  # at most 2 MB of doubles
     rng = np.random.default_rng(seed)
     shape = (1 << n,) if layout == "1-D" else (1 << n, k)
@@ -297,7 +301,8 @@ def test_top_index_rejects_empty_and_non_finite():
     with pytest.raises(ValueError):
         top_index(np.empty((0, 3)))
     for bad in (np.nan, np.inf, -np.inf):
-        for table in ([0.5, bad, 0.25], [bad], [bad, -bad], [-2.0, bad], [bad, 1e300]):
+        for table in ([0.5, bad, 0.25], [bad], [bad, -bad], [-2.0, bad], [bad, 1e300],
+                      [bad, 0.5], [3.0, -3.0, bad]):  # behind a tied pair of extremes
             with pytest.raises(ValueError):
                 top_index(table)
     with pytest.raises(ValueError):
@@ -310,6 +315,16 @@ def reference_top_index(values) -> int:
     return int(np.argmax(mags >= boolfn._tie_floor(mags.max())))
 
 
+def five_pass_top_index(values) -> int:
+    """The former :func:`boolfn.top_index`: max, min, two compares and an
+    argmax over the whole table."""
+    v = np.asarray(values, dtype=np.float64)
+    if v.size == 0 or not np.isfinite(top := max(v.max(), -v.min())):
+        raise ValueError("top_index needs a nonempty, finite input")
+    floor = boolfn._tie_floor(top)
+    return int(np.argmax((v >= floor) | (v <= -floor)))
+
+
 @settings(max_examples=300, deadline=None)
 @given(st.lists(st.floats(-1e6, 1e6), min_size=1, max_size=64), st.data())
 @example([0.0, -0.0], None)
@@ -317,8 +332,8 @@ def reference_top_index(values) -> int:
 @example([-3.0, 3.0], None)
 @example([3.0, -3.0 * (1 + 5e-10), 1.0], None)
 def test_top_index_matches_the_magnitude_table(values, data):
-    """max/min plus one two-sided compare pick the index |v| >= floor picks,
-    with ties, signed zeros and negated maxima planted."""
+    """argmax/argmin plus the one-sided prefix scans pick the index
+    |v| >= floor picks, with ties, signed zeros and negated maxima planted."""
     if data is not None:
         top = max(values, key=abs)
         for _ in range(data.draw(st.integers(0, 4))):
@@ -327,6 +342,36 @@ def test_top_index_matches_the_magnitude_table(values, data):
                                                    0.0, -0.0]))
     assert top_index(values) == reference_top_index(values)
     assert top_index(np.negative(values)) == reference_top_index(values)
+
+
+near_ties = st.sampled_from([1.0, 1.0 - 0.5 * boolfn.TIE_TOL, 1.0 - 0.99 * boolfn.TIE_TOL,
+                             1.0 - 2.0 * boolfn.TIE_TOL, 1.0 + 0.5 * boolfn.TIE_TOL])
+
+
+@settings(max_examples=400, deadline=None)
+@given(st.lists(st.floats(-1e3, 1e3), min_size=1, max_size=300), st.data())
+@example([0.0], None)
+@example([-0.0], None)
+@example([0.0] * 300, None)
+@example([2.5], None)
+@example([-2.5], None)
+def test_top_index_matches_the_five_pass_form(values, data):
+    """The two-pass form returns the former form's index, on near ties within
+    TIE_TOL planted before and after the winner on either sign, on exact
+    ties, on an all-zero table and on a single entry."""
+    if data is not None:
+        win = data.draw(st.integers(0, len(values) - 1))
+        top = max(data.draw(st.floats(1e-300, 1e6)), *map(abs, values))  # the largest magnitude
+        values[win] = top = top * data.draw(st.sampled_from([-1.0, 1.0]))
+        for _ in range(data.draw(st.integers(0, 6))):
+            i = data.draw(st.integers(0, len(values) - 1))  # before or after the winner
+            if i != win:
+                sign = data.draw(st.sampled_from([-1.0, 1.0]))
+                values[i] = sign * abs(top) * data.draw(near_ties)
+        if data.draw(st.booleans()):
+            values = [0.0 * v for v in values]  # an all-zero table, signed zeros kept
+    assert top_index(values) == five_pass_top_index(values)
+    assert top_index(np.negative(values)) == five_pass_top_index(np.negative(values))
 
 
 @settings(max_examples=40, deadline=None)

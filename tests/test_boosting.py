@@ -24,14 +24,22 @@ def cube_boost(f_sign, epsilon, gamma, weak_learner, budget=None):
     return boost(f_sign, SharedSample.full_cube(n, bits), epsilon, gamma, budget, weak_learner)
 
 
-def recording(f_sign, seen):
-    """Exact weak learner over the cube that records the weights it gets.
-
-    boost() lends the same buffer every stage, so keep a copy."""
-    def wl(weights):
-        seen.append(weights.copy())
-        return exact_weak_parity(f_sign, weights)
+def recording(seen):
+    """Exact weak learner over the cube that records the weighted target g
+    it gets. boost() lends the same buffer every stage and the learner
+    transforms it in place, so keep a copy."""
+    def wl(g_values):
+        seen.append(g_values.copy())
+        return exact_weak_parity(g_values, out=g_values)
     return wl
+
+
+def reference_weights(agreed, stages, gamma):
+    """The booster's former gather: the rule's weight at every possible
+    count of agreeing stages, gathered unsigned by each point's count."""
+    net = 2 * np.arange(stages + 1) - stages
+    table = weight_from_margin(net - stages * (gamma / (2.0 + gamma)), gamma)
+    return np.take(table, agreed, mode="clip")
 
 
 def reference_vote(combined, xs):
@@ -58,13 +66,13 @@ def test_boost_state_theta_range():
     f_sign = chi(b, np.arange(1 << n)).astype(float)
     for gamma in (0.01, 0.1, 0.3, 0.49):
         seen = []
-        cube_boost(f_sign, 0.4, gamma, recording(f_sign, seen))
-        theta = 1.0 - 2.0 * math.log(seen[1][0]) / math.log(1.0 - gamma)
+        cube_boost(f_sign, 0.4, gamma, recording(seen))
+        theta = 1.0 - 2.0 * math.log(abs(seen[1][0])) / math.log(1.0 - gamma)
         assert abs(theta - gamma / (2.0 + gamma)) < 1e-9
         assert 0 < theta <= 0.2
     for gamma in (0.0, 0.5):
         with pytest.raises(ValueError):
-            cube_boost(f_sign, 0.4, gamma, recording(f_sign, []), budget=10)
+            cube_boost(f_sign, 0.4, gamma, recording([]), budget=10)
 
 
 def test_margin_trivials():
@@ -72,15 +80,16 @@ def test_margin_trivials():
     n, b, gamma = 3, 3, 0.25
     f_sign = chi(b, np.arange(1 << n)).astype(float)
     seen = []
-    cube_boost(f_sign, 0.3, gamma, recording(f_sign, seen))
-    assert np.all(seen[0] == weight_from_margin(np.zeros(1 << n), gamma))
+    cube_boost(f_sign, 0.3, gamma, recording(seen))
+    assert np.all(seen[0] == weight_from_margin(np.zeros(1 << n), gamma) * f_sign)
     theta = gamma / (2 + gamma)
-    assert np.allclose(seen[1], weight_from_margin(np.full(1 << n, 1.0 - theta), gamma))
+    assert np.allclose(seen[1], weight_from_margin(np.full(1 << n, 1.0 - theta), gamma) * f_sign)
 
 
 def test_margin_matches_incremental_table():
-    """Each stage's weights are the rule at the integer margins, bit for bit,
-    and stay within roundoff of a float margin accumulated stage by stage."""
+    """Each stage's target is f times the rule at the integer margins, bit
+    for bit, and its magnitudes stay within roundoff of the rule at a float
+    margin accumulated stage by stage."""
     rng = np.random.default_rng(0)
     n, gamma = 6, 1.0 / 12
     xs = np.arange(1 << n)
@@ -90,12 +99,12 @@ def test_margin_matches_incremental_table():
     table = np.zeros(1 << n)
     stages = 0
 
-    def random_wl(weights):
+    def random_wl(g_values):
         nonlocal table, stages
         exact = weight_from_margin((2 * agreed - stages) - stages * theta, gamma)
-        assert np.array_equal(weights, exact)  # bit for bit
+        assert g_values.tobytes() == (exact * f_sign).tobytes()
         accumulated = weight_from_margin(table, gamma)
-        assert np.allclose(weights, accumulated, rtol=1e-12, atol=0.0)
+        assert np.allclose(np.abs(g_values), accumulated, rtol=1e-12, atol=0.0)
         hyp = WeakHypothesis(int(rng.integers(0, 1 << n)), int(rng.choice([-1, 1])), 0.5)
         agreed[f_sign * hyp.values(xs) > 0] += 1
         table = table + f_sign * hyp.values(xs) - theta
@@ -108,58 +117,87 @@ def test_margin_matches_incremental_table():
 
 
 agreement_runs = st.integers(1, 64).flatmap(
-    lambda points: st.lists(st.lists(st.booleans(), min_size=points, max_size=points),
-                            min_size=1, max_size=200))
+    lambda points: st.tuples(
+        st.lists(st.booleans(), min_size=points, max_size=points),
+        st.lists(st.lists(st.booleans(), min_size=points, max_size=points),
+                 min_size=1, max_size=200)))
 
 
 @settings(max_examples=200, deadline=None)
 @given(agreement_runs, st.floats(0.0, 0.5, exclude_min=True, exclude_max=True))
-def test_tally_weights_are_the_rule_at_the_exact_margins(rows, gamma):
-    """Gathered weights equal the rule at (2u - t) - t * theta bit for bit,
-    lie in (0, 1], are 1 wherever the margin is at most 0, and never grow with u."""
+def test_tally_weights_are_the_rule_at_the_exact_margins(runs, gamma):
+    """The tally holds 2u + [f < 0], and its gather is f times the rule at
+    (2u - t) - t * theta bit for bit: the unsigned reference gather times f.
+    Its magnitudes lie in (0, 1], are 1 wherever the margin is at most 0,
+    and never grow with u."""
+    negative, rows = runs
     theta = gamma / (2 + gamma)
+    f_sign = np.where(negative, -1.0, 1.0)
     bits = np.array(rows, dtype=bool)
-    tally = np.zeros(bits.shape[1], dtype=np.int32)
+    tally = np.array(negative, dtype=np.int32)
     for t, row in enumerate(bits, start=1):
         advance_tally(tally, np.packbits(row))
         agreed = bits[:t].sum(axis=0)
-        assert np.array_equal(tally, agreed)
+        assert np.array_equal(tally, 2 * agreed + np.array(negative))
         margin = (2 * agreed - t) - t * theta
-        weights = tally_weights(tally, t, gamma)
-        assert weights.tobytes() == weight_from_margin(margin, gamma).tobytes()
+        g_values = tally_weights(tally, t, gamma)
+        assert g_values.tobytes() == (weight_from_margin(margin, gamma) * f_sign).tobytes()
+        assert g_values.tobytes() == (reference_weights(agreed, t, gamma) * f_sign).tobytes()
+        weights = np.abs(g_values)
         assert np.all((weights > 0.0) & (weights <= 1.0))
         assert np.all(weights[margin <= 0.0] == 1.0)
-    table = tally_weights(np.arange(t + 1), t, gamma)
+    table = tally_weights(2 * np.arange(t + 1), t, gamma)
     assert np.all(np.diff(table) <= 0.0)
+    assert tally_weights(2 * np.arange(t + 1) + 1, t, gamma).tobytes() == (-table).tobytes()
 
 
-def test_boost_lends_one_read_only_weight_buffer():
-    """Every stage gets the same array, read-only during the call, holding
-    exactly what a fresh gather from the tally would."""
-    n, gamma = 6, 1.0 / 12
-    rng = np.random.default_rng(1)
-    f_sign = (1 - 2 * rng.integers(0, 2, size=1 << n)).astype(float)
-    tally = np.zeros(1 << n, dtype=np.int32)
-    lent = []
+def test_boost_lends_one_writable_target_buffer():
+    """Every stage gets the same writable array holding f times the
+    reference gather bit for bit, whatever the previous learner left in it,
+    and every estimate equals ``counts @ weights / size`` bit for bit."""
+    n, gamma = 7, 1.0 / 20
+    f_sign = random_dnf(n, 2, 3, 17).sign_table()
+    sample = SharedSample.draw(n, 5000, QueryCounter(), seeds.derive(1, 6))
+    agreed = np.zeros(1 << n, dtype=np.int64)
+    lent, weights = [], []
 
-    def wl(weights):
-        lent.append(weights)
-        assert weights is lent[0]
-        assert not weights.flags.writeable
-        with pytest.raises(ValueError):
-            weights[0] = 0.5
-        with pytest.raises(ValueError):
-            weights *= 2.0
-        want = tally_weights(tally, len(lent) - 1, gamma)
-        assert weights.tobytes() == want.tobytes()
-        hyp = WeakHypothesis(int(rng.integers(0, 1 << n)), int(rng.choice([-1, 1])), 0.5)
-        advance_tally(tally, np.packbits(f_sign * hyp.values(np.arange(1 << n)) > 0.0))
+    def wl(g_values):
+        lent.append(g_values)
+        assert g_values is lent[0]
+        assert g_values.flags.writeable
+        weights.append(reference_weights(agreed, len(lent) - 1, gamma))
+        assert g_values.tobytes() == (weights[-1] * f_sign).tobytes()
+        hyp = exact_weak_parity(g_values, out=g_values)
+        agreed[f_sign * hyp.values(np.arange(1 << n)) > 0.0] += 1
+        g_values[::2] = np.nan  # the booster reads nothing from the buffer after the call
         return hyp
 
-    with pytest.raises(StageBudgetExceeded):
-        cube_boost(f_sign, 0.01, gamma, wl, budget=25)
-    assert len(lent) == 25
-    assert lent[0].flags.writeable  # handed back once the call returns
+    _, estimates = boost(f_sign, sample, 0.2, gamma, 2000, wl)
+    weights.append(reference_weights(agreed, len(lent), gamma))
+    assert len(estimates) == len(weights) == len(lent) + 1 > 10
+    for estimate, w in zip(estimates, weights):
+        assert estimate == float(sample.counts @ w / sample.size)
+
+
+@pytest.mark.parametrize("mode", ["quantum_sim", "classical_exact", "classical_sampled"])
+def test_a_learner_that_spoils_the_lent_target_changes_no_report(monkeypatch, mode):
+    """A weak learner that writes NaN over the whole buffer after choosing
+    its parity leaves the run's report byte for byte as it was."""
+    formula = random_dnf(8, 2, 3, 7)
+    cfg = QhsConfig(n=8, s=2, epsilon=0.2, mode=mode, seed=3)
+    clean = learn_dnf(formula, cfg)[1]
+
+    def spoiling_boost(f_sign, sample, epsilon, gamma, budget, weak_learner):
+        def spoiling(g_values):
+            hyp = weak_learner(g_values)
+            g_values.fill(np.nan)
+            return hyp
+        return boost(f_sign, sample, epsilon, gamma, budget, spoiling)
+
+    monkeypatch.setattr(sieve, "boost", spoiling_boost)
+    spoiled = learn_dnf(formula, cfg)[1]
+    assert spoiled.to_json() == clean.to_json()
+    assert spoiled.to_csv() == clean.to_csv()
 
 
 @settings(max_examples=200, deadline=None)
@@ -176,8 +214,9 @@ def test_agreement_bits_match_the_signed_table(args):
 
 
 def float_margin_boost(f_sign, sample, epsilon, gamma, budget, weak_learner):
-    """The booster with a float margin accumulated stage by stage: the
-    reference the integer tally must reproduce decision for decision."""
+    """The booster with a float margin accumulated stage by stage, lending
+    the weighted target weights * f: the reference the integer tally must
+    reproduce decision for decision."""
     f_sign = np.asarray(f_sign, dtype=np.float64)
     theta = gamma / (2.0 + gamma)
     margins = np.zeros(f_sign.size)
@@ -189,7 +228,7 @@ def float_margin_boost(f_sign, sample, epsilon, gamma, budget, weak_learner):
             return CombinedHypothesis(hypotheses), estimates
         if len(hypotheses) >= budget:
             raise StageBudgetExceeded("budget")
-        hyp = weak_learner(weights)
+        hyp = weak_learner(weights * f_sign)
         hypotheses.append(hyp)
         margins += f_sign * hyp.values(np.arange(f_sign.size)) - theta
 
@@ -235,7 +274,7 @@ def test_smoothboost_sample_perfect_learner():
     n, b = 6, 9
     points = np.arange(1 << n)
     labels = chi(b, points).astype(float)
-    combined, _ = cube_boost(labels, 1.5 * 0.1, 1.0 / 12, recording(labels, []))
+    combined, _ = cube_boost(labels, 1.5 * 0.1, 1.0 / 12, recording([]))
     assert {(h.a, h.sign) for h in combined.hypotheses} == {(b, 1)}
     assert np.array_equal(combined.sign_table(n), labels)
 
@@ -248,13 +287,13 @@ def test_smoothboost_sample_random_dnfs():
         formula = random_dnf(n, s, 3, 300 + trial)
         labels = formula.sign_table()
         seen = []
-        combined, estimates = cube_boost(labels, 1.5 * epsilon, gamma, recording(labels, seen),
+        combined, estimates = cube_boost(labels, 1.5 * epsilon, gamma, recording(seen),
                                          budget=math.ceil(2.0 / (epsilon * gamma**2)))
         err = float(np.mean(combined.sign_table(n) != labels))
         assert err < epsilon
         assert len(combined.hypotheses) <= 2.0 / (epsilon * gamma**2)
         # smoothness: 2**n D_t never exceeds 1/epsilon
-        for weights, mean_weight in zip(seen, estimates):
+        for weights, mean_weight in zip(map(np.abs, seen), estimates):
             assert weights.max() / (weights.mean()) <= 1.0 / epsilon + 1e-9
             assert abs(weights.mean() - mean_weight) < 1e-12
 
@@ -273,12 +312,12 @@ def test_smoothboost_sample_budget_error():
 def test_smoothboost_sample_validation():
     labels = np.ones(4)
     with pytest.raises(ValueError):
-        cube_boost(labels, 0.6, 0.1, recording(labels, []), budget=10)
+        cube_boost(labels, 0.6, 0.1, recording([]), budget=10)
     with pytest.raises(ValueError):
-        cube_boost(labels, 0.1, 0.0, recording(labels, []), budget=10)
+        cube_boost(labels, 0.1, 0.0, recording([]), budget=10)
     bits = np.array([0.0, 1.0, 1.0, 0.0])  # a bit table passed where signs belong
     with pytest.raises(ValueError):
-        boost(bits, SharedSample.full_cube(2, bits), 0.1, 0.1, 10, recording(bits, []))
+        boost(bits, SharedSample.full_cube(2, bits), 0.1, 0.1, 10, recording([]))
 
 
 def test_smoothboost_filter_exact_runs():
@@ -291,7 +330,7 @@ def test_smoothboost_filter_exact_runs():
         f_sign = formula.sign_table()
         sample = SharedSample.draw(n, drawn_sample_size(epsilon, gamma),
                                    QueryCounter(), seeds.derive(seed, 3))
-        combined, _ = boost(f_sign, sample, epsilon, gamma, budget, recording(f_sign, []))
+        combined, _ = boost(f_sign, sample, epsilon, gamma, budget, recording([]))
         err = float(np.mean(combined.sign_table(n) != f_sign))
         failures += (err >= epsilon)
     assert failures <= 5
@@ -309,8 +348,8 @@ def test_smoothboost_filter_smoothness_and_estimates():
         sample = SharedSample.draw(n, drawn_sample_size(epsilon, gamma),
                                    QueryCounter(), seeds.derive(seed, 4))
         seen = []
-        _, estimates = boost(f_sign, sample, epsilon, gamma, budget, recording(f_sign, seen))
-        for weights, estimate in zip(seen, estimates):
+        _, estimates = boost(f_sign, sample, epsilon, gamma, budget, recording(seen))
+        for weights, estimate in zip(map(np.abs, seen), estimates):
             # exact sup norm of 2**n D_t with the estimated normalizer
             assert weights.max() / estimate <= 3.0 / epsilon + 1e-9
             total += 1
@@ -329,7 +368,7 @@ def test_margin_identity_after_termination():
     sample = SharedSample.draw(n, drawn_sample_size(epsilon, gamma),
                                QueryCounter(), seeds.derive(0, 5))
     combined, _ = boost(f_sign, sample, epsilon, gamma, math.ceil(2.0 / (epsilon * gamma**2)),
-                        recording(f_sign, []))
+                        recording([]))
     stages = len(combined.hypotheses)
     total_margin = sum(f_sign * hyp.values(xs) - theta for hyp in combined.hypotheses)
     vote = reference_vote(combined, xs)

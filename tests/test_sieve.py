@@ -1,5 +1,8 @@
+import concurrent.futures
 import json
 import math
+import os
+import subprocess
 import sys
 import tracemalloc
 
@@ -26,11 +29,11 @@ def small_cfg(**kw):
 def test_exact_run_allocates_no_table_per_stage():
     """An exact run's traced peak stays at most 6.9 tables of 2**14 doubles.
 
-    Measured: 6.88 tables, with the weights gathered into one buffer, the
-    product transformed in place, the agreement bits and the final vote
-    built from uint8 parity bits, and a sample that stores no label
-    table. A fresh weight table per stage, a copying transform, or int64
-    +-1 agreement and vote tables each push it past the bound (the
+    Measured: 6.58 tables, with the weighted target gathered into one
+    buffer and transformed there in place, the agreement bits and the
+    final vote built from uint8 parity bits, and a sample that stores no
+    label table. A fresh target table per stage, a copying transform, or
+    int64 +-1 agreement and vote tables each push it past the bound (the
     copying, int64 version peaked at 8.74; the label table alone held
     one more table, 7.88)."""
     cfg = QhsConfig(n=14, s=2, epsilon=0.1, mode="classical_exact", seed=0)
@@ -287,7 +290,7 @@ def test_reports_are_reproducible():
 
 def test_estimate_mean_weight():
     """boost()'s shared-sample estimate of the mean weight, against the exact
-    mean of the weights it hands the weak learner."""
+    mean of the weights |g| it hands the weak learner."""
     n, epsilon, gamma = 8, 0.3, 0.05
     formula = random_dnf(n, 2, 3, 3)
     bits = formula.truth_table()
@@ -297,9 +300,9 @@ def test_estimate_mean_weight():
     def run(sample):
         means = []
 
-        def wl(weights):
-            means.append(float(np.mean(weights)))
-            return exact_weak_parity(f_sign, weights)
+        def wl(g_values):
+            means.append(float(np.mean(np.abs(g_values))))
+            return exact_weak_parity(g_values, out=g_values)
 
         _, estimates = boost(f_sign, sample, epsilon, gamma, budget, wl)
         return estimates, means
@@ -455,13 +458,26 @@ def test_query_sweep_pool_has_at_most_one_worker_per_run(monkeypatch):
         def map(self, fn, items):
             return map(fn, items)
 
-    monkeypatch.setattr(sieve, "ProcessPoolExecutor", SerialPool)
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", SerialPool)
     kw = dict(mode="classical_exact", base_seed=9, overrides={"sample_scale": 2048.0})
     grid = [(7, 1, 0.3), (7, 2, 0.3)]
     assert query_sweep(grid, n_seeds=1, jobs=8, **kw) == query_sweep(grid, n_seeds=1, **kw)
     assert sizes == [2]
     query_sweep(grid[:1], n_seeds=1, jobs=8, **kw)  # one run needs no pool
     assert sizes == [2]
+
+
+def test_importing_the_package_loads_no_process_pool():
+    """``concurrent.futures.process`` is imported by a pooled sweep alone,
+    not by ``import qhslab``; checked in a fresh interpreter."""
+    src = os.path.dirname(os.path.dirname(sieve.__file__))
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    env = dict(os.environ, PYTHONPATH=path)
+    code = "import sys, qhslab; print('concurrent.futures.process' in sys.modules)"
+    proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True,
+                          timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.split() == ["False"]
 
 
 def test_query_sweep_records_failures():

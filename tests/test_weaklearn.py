@@ -386,23 +386,30 @@ def test_exact_weak_parity_baseline():
     n, b = 7, 66
     bits = parity_bits(n, b)
     f_sign = to_pm1(bits).astype(float)
-    hyp = exact_weak_parity(f_sign, np.ones(1 << n))
+    hyp = exact_weak_parity(f_sign)  # g = f under unit weights
     assert (hyp.a, hyp.sign, hyp.est_advantage) == (b, 1, 1.0)
 
 
 def test_exact_weak_parity_fills_the_given_spectrum_buffer():
-    """With ``out`` the product is transformed in the caller's buffer, which
+    """With ``out`` the target g is transformed in the caller's buffer, which
     then holds the unscaled spectrum, and the verdict is the one a fresh
-    table gives, its advantage the normalized coefficient bit for bit."""
+    table gives, its advantage the normalized coefficient bit for bit. With
+    ``out`` the input itself, g is transformed in place; otherwise g is left
+    as it was."""
     n = 9
     f_sign = random_dnf(n, 3, 3, 11).sign_table()
-    m_values = np.random.default_rng(4).uniform(0.1, 1.0, size=1 << n)
+    g_values = np.random.default_rng(4).uniform(0.1, 1.0, size=1 << n) * f_sign
+    before = g_values.tobytes()
     spectrum = np.empty(1 << n)
     for _ in range(2):  # a buffer already holding a spectrum is overwritten
-        hyp = exact_weak_parity(f_sign, m_values, out=spectrum)
-        assert hyp == exact_weak_parity(f_sign, m_values)
-        assert spectrum.tobytes() == wht_unscaled(m_values * f_sign).tobytes()
-        assert hyp.est_advantage == abs(wht(m_values * f_sign)[hyp.a])
+        hyp = exact_weak_parity(g_values, out=spectrum)
+        assert hyp == exact_weak_parity(g_values)
+        assert g_values.tobytes() == before
+        assert spectrum.tobytes() == wht_unscaled(g_values).tobytes()
+        assert hyp.est_advantage == abs(wht(g_values)[hyp.a])
+    lent = g_values.copy()
+    assert exact_weak_parity(lent, out=lent) == hyp
+    assert lent.tobytes() == spectrum.tobytes()
 
 
 def test_exact_vs_weighted_agree_on_random_instances():
@@ -423,7 +430,7 @@ def test_exact_vs_weighted_agree_on_random_instances():
         exact = wht(m_values * f_sign)
         assert abs(found.est_advantage - abs(exact[found.a])) <= slack
         assert abs(exact[found.a]) >= big_gamma / 6.0 - slack
-        best = exact_weak_parity(f_sign, m_values)
+        best = exact_weak_parity(m_values * f_sign)
         assert best.est_advantage >= abs(exact[found.a]) - 1e-12
 
 
