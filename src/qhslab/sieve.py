@@ -240,9 +240,8 @@ def setup_run(formula: DnfFormula, cfg: QhsConfig) -> tuple:
                 return exact_weak_parity(g_values, out=g_values)
             if cfg.mode == "classical_sampled":
                 return sampled_weak_parity(sample, g_values, cfg.verify_threshold)
-            # f is +-1, so g * f is the weights, bit for bit
-            return weighted_weak_parity(f_sign, g_values * f_sign, cfg.big_gamma,
-                                        cfg.stage_delta(), sample, counter, rng, records=records)
+            return weighted_weak_parity(g_values, cfg.big_gamma, cfg.stage_delta(), sample,
+                                        counter, rng, records=records)
         except NoHeavyCoefficient as exc:
             raise WeakLearnerFailure(f"stage {t}: {exc}") from exc
 

@@ -111,11 +111,13 @@ def sample_correlations(sample: SharedSample, values) -> np.ndarray:
     Transforms the count-weighted value vector in place, in F order, so
     each column as it would be alone, and divides by the draw count. This
     equals the per-parity sum over the sample term for term: the mass
-    vector is accumulated exactly before the transform runs.
+    vector is accumulated exactly before the transform runs. The values
+    may have any numeric dtype (a 1-byte +-1 table, say); they become
+    float64 only in that product, with the bits a float64 table gives.
     """
     if sample.size == 0:
         raise ValueError("sample is empty")
-    values = np.asarray(values, dtype=np.float64)
+    values = np.asarray(values)
     mass = np.multiply(sample.counts.reshape((-1,) + (1,) * (values.ndim - 1)), values, order="F")
     wht_unscaled(mass, out=mass)
     mass /= sample.size
@@ -140,15 +142,16 @@ def choice_cdf(probs) -> np.ndarray:
 def fill_records(records, g_sign, sample, gamma_target) -> tuple:
     """Fill the empty search records ``records[c]`` (see
     :func:`quantum_weak_parity`) from column c of ``g_sign``, a ``(2**n, k)``
-    +-1 table validated here: ``est`` and ``heavy`` from one correlation
-    pass over all columns, and for every column with a heavy entry the
-    depth-0 CDF and that circuit's oracle tally, from one preparation of
-    all of them. A column's record is bit for bit the one it gets alone.
-    Returns that preparation and its query counter, or ``(None, None)``
-    when no column is heavy.
+    +-1 table of any numeric dtype, read as it is and validated here once:
+    ``est`` and ``heavy`` from one correlation pass over all columns, which
+    forms the float values in its own buffer, and for every column with a
+    heavy entry the depth-0 CDF and that circuit's oracle tally, from one
+    preparation of all of them. A column's record is bit for bit the one
+    it gets alone, whatever the table's dtype. Returns that preparation and
+    its query counter, or ``(None, None)`` when no column is heavy.
     """
-    g_sign = np.asarray(g_sign, dtype=np.float64)
-    if not np.all(np.abs(g_sign) == 1.0):
+    g_sign = np.asarray(g_sign)
+    if not np.all(np.abs(g_sign) == 1):
         raise ValueError("g_sign must be a +-1 table")
     est = sample_correlations(sample, g_sign).T
     heavy = np.abs(est) >= gamma_target
@@ -158,7 +161,7 @@ def fill_records(records, g_sign, sample, gamma_target) -> tuple:
     if not rows.size:
         return None, None
     scratch = QueryCounter()  # the circuits' oracle calls, one share per column
-    state = prepare_spectrum_state((g_sign[:, rows] < 0).astype(np.uint8), scratch)
+    state = prepare_spectrum_state((g_sign[:, rows] < 0).view(np.uint8), scratch)
     cdfs = choice_cdf(index_distribution(state)).reshape(rows.size, -1)
     for row, cdf in zip(rows, cdfs):
         records[row]["dists"][0] = (cdf, scratch.quantum_queries // rows.size)
@@ -178,7 +181,9 @@ def quantum_weak_parity(n, gamma_target, delta, g_sign, sample, counter, rng,
     Every attempt at depth k is charged the oracle calls the circuit made
     to reach depth k: 2(2k + 1) with this circuit. The attempt loop repeats
     ceil(log2(1/delta)) times before giving up. ``n`` must match the
-    sample's cube and ``g_sign`` must be a +-1 table with one entry per point.
+    sample's cube and ``g_sign`` must be a +-1 table with one entry per
+    point, of any numeric dtype; a 1-byte table is read as it is, with no
+    float64 copy.
 
     All but the draws is a function of g, the sample and gamma_target,
     kept between calls on one row in ``record`` (a dict, empty at first):
@@ -196,7 +201,7 @@ def quantum_weak_parity(n, gamma_target, delta, g_sign, sample, counter, rng,
         raise ValueError("gamma_target must lie in (0, 1/2)")
     if not 0.0 < delta < 1.0:
         raise ValueError("delta must lie in (0, 1)")
-    g_sign = np.asarray(g_sign, dtype=np.float64)
+    g_sign = np.asarray(g_sign)
     if n != sample.n or g_sign.shape != (1 << n,):
         raise ValueError(f"n={n} needs a sample and a target on 2**{n} points")
     if record is None:
@@ -216,7 +221,7 @@ def quantum_weak_parity(n, gamma_target, delta, g_sign, sample, counter, rng,
         for k in depths:
             if k not in dists:
                 if bits is None:
-                    bits = (g_sign < 0).astype(np.uint8)
+                    bits = (g_sign < 0).view(np.uint8)
                 if state is None:
                     scratch = QueryCounter()  # the circuit's oracle calls, read off per depth
                     state = prepare_spectrum_state(bits, scratch)
@@ -235,66 +240,100 @@ def quantum_weak_parity(n, gamma_target, delta, g_sign, sample, counter, rng,
 
 @dataclass
 class SignedDigits:
-    """Exact signed-digit form of truncated weights.
+    """Exact signed-digit form of truncated weights, held as bit planes.
 
     Per point, ``v = floor(2**d * M)`` is written as
     ``sum_j alpha[j] * 2**(d-1-j) + k`` with alpha entries in {-1, +1}
-    and k in {-1, 0, +1}. The identity is exact in integers.
+    and k in {-1, 0, +1}. The identity is exact in integers. The digits
+    are stored as ``planes``, one byte per point and digit: row j is 1
+    exactly where bit d-1-j of u = (v - k + 2**d - 1) / 2 is set, and
+    ``alpha`` is derived from it as ``2 * planes - 1``.
     """
 
     d: int
-    alpha: np.ndarray  # (d, N) signs
-    k: np.ndarray      # (N,)
-    v: np.ndarray      # (N,) truncated integers
+    planes: np.ndarray  # (d, N) uint8 bits of u, the highest first
+    k: np.ndarray       # (N,)
+    v: np.ndarray       # (N,) truncated integers
+
+    @property
+    def alpha(self) -> np.ndarray:
+        """(d, N) int8 signs, ``2 * planes - 1``."""
+        return self.planes.view(np.int8) * 2 - 1
 
     def reconstruct(self) -> np.ndarray:
         weights = (1 << np.arange(self.d - 1, -1, -1, dtype=np.int64))
         return weights @ self.alpha.astype(np.int64) + self.k
 
 
-def signed_digit_decompose(m_values, d: int) -> SignedDigits:
-    """Decompose weights in (0, 1] at bit depth d.
+_LANE_LOW_BITS = np.uint64(0x0101010101010101)  # the low bit of each byte of a 64-bit lane
 
-    Picks the odd integer w nearest v with 1 <= w <= 2**d - 1 and assigns
-    the leftover v - w to k. Writing alpha_j = 2 b_j - 1 turns
-    w = sum_j alpha_j 2**(d-1-j) into u = (w + 2**d - 1) / 2 = sum_j b_j
-    2**(d-1-j), so alpha_j is +1 exactly where bit d-1-j of u is set.
+
+def signed_digit_decompose(m_values, d: int) -> SignedDigits:
+    """Decompose weights in (0, 1] at bit depth d into the bit planes of u.
+
+    Picks the odd integer w = min(v | 1, 2**d - 1) nearest v with
+    1 <= w <= 2**d - 1 and assigns the leftover v - w to k. Writing
+    alpha_j = 2 b_j - 1 turns w = sum_j alpha_j 2**(d-1-j) into
+    u = (w + 2**d - 1) / 2 = sum_j b_j 2**(d-1-j), so alpha_j is +1
+    exactly where bit d-1-j of u is set: the digit rows are u's d bit
+    planes. They are read off u's low bytes with the bytes of eight
+    points packed in one 64-bit lane, so one shift and mask moves eight
+    points' bits at once. The post-condition is O(2**n): 0 <= u < 2**d
+    and |v - w| <= 1, which is exactly ``reconstruct() == v`` with every
+    k in range, and builds no (d, 2**n) integer table.
     """
     if d < 1:
         raise ValueError("d must be at least 1")
     m = np.asarray(m_values, dtype=np.float64)
-    if not np.all((m > 0.0) & (m <= 1.0)):
+    if not (m.min(initial=1.0) > 0.0 and m.max(initial=1.0) <= 1.0):  # a NaN fails both
         raise ValueError("weights must lie in (0, 1]")
-    v = np.floor(np.ldexp(m, d)).astype(np.int64)
+    v = np.empty(m.shape, dtype=np.int64)
+    np.multiply(m, float(1 << d), out=v, casting="unsafe")  # exact; truncation floors positives
     top = (1 << d) - 1
-    w = np.where(v % 2 == 1, v, np.where(v + 1 <= top, v + 1, v - 1))
-    u = (w + top) >> 1
-    alpha = (((u >> np.arange(d - 1, -1, -1)[:, None]) & 1) * 2 - 1).astype(np.int8)
-    digits = SignedDigits(d, alpha, v - w, v)
-    if np.any(digits.reconstruct() != v) or np.any(np.abs(digits.k) > 1):
+    w = v | 1
+    np.minimum(w, top, out=w)
+    k = v - w
+    u = w  # u = (w + top) / 2, formed in w's buffer
+    u += top
+    u >>= 1
+    if not (u.min(initial=0) >= 0 and u.max(initial=0) <= top
+            and k.min(initial=0) >= -1 and k.max(initial=0) <= 1):
         raise AssertionError("signed-digit decomposition failed")
-    return digits
+    bit = np.arange(d - 1, -1, -1)  # plane j is bit d-1-j of u, bit & 7 of u's byte bit >> 3
+    low_bytes = u.astype("<i8", copy=False).view(np.uint8).reshape(-1, 8)[:, :(d + 7) // 8]
+    lanes = np.zeros((low_bytes.shape[1], -(-u.size // 8)), dtype=np.uint64)  # row b: byte b
+    lanes.view(np.uint8)[:, :u.size] = low_bytes.T
+    planes = lanes[bit >> 3]
+    planes >>= (bit & 7).astype(np.uint64)[:, None]
+    planes &= _LANE_LOW_BITS
+    return SignedDigits(d, planes.view(np.uint8)[:, :u.size], k, v)
 
 
-def weighted_weak_parity(f_sign, m_values, big_gamma, delta, sample, counter, rng,
+def weighted_weak_parity(g_values, big_gamma, delta, sample, counter, rng,
                          records=None) -> WeakHypothesis:
-    """Find a parity correlated with the weighted target M * f.
+    """Find a parity correlated with the weighted target g = M * f.
 
-    Truncates the weights at depth d = ceil(log2(3 / big_gamma)) and
-    splits them into sign bits; whenever some parity has weighted
+    g is the booster's lent target: its magnitude is the weight M and its
+    sign f's, as M > 0 and f is +-1. Truncates the weights at depth
+    d = ceil(log2(3 / big_gamma)) and splits them into sign bits
+    (:func:`signed_digit_decompose`); whenever some parity has weighted
     correlation at least big_gamma, one bit function carries correlation
     at least big_gamma / 3 with it, which is twice the per-bit search
     target :func:`bit_threshold`. Each distinct bit function (duplicates
     collapse, and early boosting stages produce few distinct weights) is
     searched with :func:`quantum_weak_parity` at failure budget delta over
     the number of distinct rows, unfloored; candidates are then
-    verified against the sampled weighted correlation at that same
+    verified against the sampled weighted correlation of g at that same
     threshold and the best verified one is returned, ties toward the
     smaller index. The whole pass retries with fresh randomness up to
     ``RETRIES`` times before giving up.
 
-    ``records`` maps a digit row's int8 bytes to its search record (see
-    :func:`quantum_weak_parity`); it is sound while f_sign, the sample and
+    The bit function of digit j is alpha[j] * f. Its oracle bits (where
+    it is -1) are planes[j] XOR [f > 0], and the stage holds its distinct
+    rows as one signed byte per point; no float table of the rows is
+    built. ``records`` maps a digit row's packed bit plane
+    (``np.packbits``, 2**n / 8 bytes) to its search record (see
+    :func:`quantum_weak_parity`); it is sound while f, the sample and
     big_gamma stay fixed, as within the run that owns it. A call keeps
     its own rows' records, reusing the previous call's, and drops the
     rest, so it holds the rows of at most two consecutive stages. The
@@ -304,18 +343,22 @@ def weighted_weak_parity(f_sign, m_values, big_gamma, delta, sample, counter, rn
     """
     if not 0.0 < big_gamma < 1.0:
         raise ValueError("big_gamma must lie in (0, 1)")
-    f_sign = np.asarray(f_sign, dtype=np.float64)
+    g_values = np.asarray(g_values, dtype=np.float64)
     n = sample.n
-    d = digit_depth(big_gamma)
-    digits = signed_digit_decompose(m_values, d)
-    weighted_est = sample_correlations(sample, np.asarray(m_values, dtype=np.float64) * f_sign)
+    digits = signed_digit_decompose(np.abs(g_values), digit_depth(big_gamma))
+    weighted_est = sample_correlations(sample, g_values)
     gamma_bit = bit_threshold(big_gamma)
 
-    first = {}  # f is +-1, so two digit rows alpha[j] * f are equal exactly when alpha[j] are
-    for j, row in enumerate(digits.alpha):
-        first.setdefault(row.tobytes(), j)
+    first = {}  # f is +-1, so two digit rows alpha[j] * f are equal exactly when planes[j] are
+    for j, key in enumerate(np.packbits(digits.planes, axis=1)):
+        first.setdefault(key.tobytes(), j)
     keys = list(first)
-    table = digits.alpha[list(first.values())] * f_sign  # row i is the i-th distinct alpha[j] * f
+    # row i is the i-th distinct alpha[j] * f as one signed byte per point: its oracle bits
+    # (where it is -1) are planes[j] XOR [f > 0], and its values 1 - 2 * those bits
+    table = digits.planes[list(first.values())].view(np.int8)
+    table ^= g_values > 0
+    table *= -2
+    table += 1
     delta_bit = delta / len(keys)
     if records is None:
         records = {}

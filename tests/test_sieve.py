@@ -48,6 +48,49 @@ def test_exact_run_allocates_no_table_per_stage():
     assert peak <= 6.9 * (8 << 14)
 
 
+def traced_peak_tables(call, n) -> float:
+    """The traced peak of ``call()``, in tables of 2**n doubles."""
+    tracemalloc.start()
+    try:
+        call()
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    return peak / (8 << n)
+
+
+def test_quantum_stage_holds_no_float_row_table():
+    """One quantum n = 12 stage's traced peak, in tables of 2**12 doubles:
+    at most 53 with its nine digit rows' records to fill, and at most 8
+    with them filled by the stage before.
+
+    Measured: 49.6 and 6.6 tables. The digit rows are one byte per point
+    and digit, and their +-1 values exist as floats only inside the
+    correlation pass's own buffer; the filling stage's peak is the batched
+    preparation of four rows (16 tables of state). A stage that builds and
+    holds the float64 table of its rows, and splits the weights through
+    (d, 2**n) int64 tables, peaked at 61.8 and 19.5."""
+    n = 12
+    cfg = QhsConfig(n=n, s=2, epsilon=0.1, seed=0)
+    f_sign = random_dnf(n, 2, 3, 0).sign_table()
+    sample = SharedSample.draw(n, cfg.sample_size, QueryCounter(), np.random.default_rng(0))
+    weights = np.random.default_rng(1).uniform(0.05, 1.0, 1 << n)  # every digit row distinct
+    g_values = weights * f_sign
+    records = {}
+    found = []
+
+    def stage():
+        found.append(weaklearn.weighted_weak_parity(
+            g_values, cfg.big_gamma, cfg.stage_delta(), sample, QueryCounter(),
+            np.random.default_rng(2), records=records))
+
+    assert digit_depth(cfg.big_gamma) == 9
+    assert traced_peak_tables(stage, n) <= 53.0
+    assert len(records) == 9
+    assert traced_peak_tables(stage, n) <= 8.0
+    assert found[0] == found[1]
+
+
 def test_config_derivations():
     cfg = QhsConfig(n=10, s=3, epsilon=0.1, delta=0.1, seed=1)
     assert cfg.gamma == 1.0 / 28
@@ -206,16 +249,17 @@ def test_row_records_change_no_decision(monkeypatch, formula, cfg, deeper):
     f_sign = formula.sign_table()
     weighted, prepare, step = (sieve.weighted_weak_parity, weaklearn.prepare_spectrum_state,
                                weaklearn.grover_step)
-    stages = []  # per stage, the oracle bits of each distinct row alpha[j] * f
+    stages = []  # per stage, packed bit plane -> the oracle bits of its row alpha[j] * f
     events = []  # (stage, oracle bits, prepared or stepped)
 
-    def watched(f_sign_, weights, big_gamma, delta, sample, counter, rng, records):
-        alpha = signed_digit_decompose(weights, digit_depth(big_gamma)).alpha
-        rows = {key.tobytes(): ((key * f_sign) < 0).astype(np.uint8).tobytes() for key in alpha}
+    def watched(g_values, big_gamma, delta, sample, counter, rng, records):
+        digits = signed_digit_decompose(np.abs(g_values), digit_depth(big_gamma))
+        rows = {np.packbits(plane).tobytes(): ((alpha * f_sign) < 0).astype(np.uint8).tobytes()
+                for plane, alpha in zip(digits.planes, digits.alpha)}
         previous = set(stages[-1]) if stages else set()
         stages.append(rows)
         assert set(records) <= previous
-        hyp = weighted(f_sign_, weights, big_gamma, delta, sample, counter, rng, records=records)
+        hyp = weighted(g_values, big_gamma, delta, sample, counter, rng, records=records)
         assert set(records) == set(rows)
         return hyp
 

@@ -2,7 +2,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from qhslab import (QhsConfig, QueryCounter, SharedSample, exact_weak_parity, planted_parity,
@@ -266,14 +266,32 @@ def test_signed_digits_exhaustive_small_depth():
     assert np.all(np.abs(digits.k) <= 1)
 
 
-@settings(max_examples=150, deadline=None)
-@given(st.integers(1, 16),
-       st.lists(st.floats(0.0, 1.0, exclude_min=True), min_size=1, max_size=64))
-def test_signed_digits_closed_form_matches_greedy_reference(d, weights):
+@st.composite
+def depth_and_weights(draw):
+    """A depth up to 62 and weights mixing m = 1, points of the 2**-d grid
+    (where v is exact and even or odd) and arbitrary floats in (0, 1]."""
+    d = draw(st.integers(1, 62))
+    weight = st.one_of(st.just(1.0),
+                       st.integers(1, 1 << d).map(lambda i: math.ldexp(i, -d)),
+                       st.floats(0.0, 1.0, exclude_min=True))
+    return d, draw(st.lists(weight, min_size=1, max_size=80))
+
+
+@settings(max_examples=300, deadline=None)
+@given(depth_and_weights())
+@example((1, [1.0, 0.5, 0.25]))
+@example((62, [1.0, 0.5, 2.0**-62, 3 * 2.0**-62, 1 - 2.0**-53, 5e-324]))
+@example((9, [1.0] * 8 + [0.5] * 9))  # one whole 64-bit lane, then a part one
+def test_signed_digits_closed_form_matches_greedy_reference(case):
+    """The planes are the greedy reference's digits as bits, bit for bit,
+    and alpha is derived from them as 2 * planes - 1."""
+    d, weights = case
     digits = signed_digit_decompose(weights, d)
     alpha, k, v = greedy_signed_digits(weights, d)
+    assert digits.planes.dtype == np.uint8 and digits.planes.shape == (d, len(weights))
+    assert np.array_equal(digits.planes, (alpha + 1) // 2)
     assert digits.alpha.dtype == np.int8
-    assert np.array_equal(digits.alpha, alpha)
+    assert np.array_equal(digits.alpha, 2 * digits.planes.astype(np.int8) - 1)
     assert np.array_equal(digits.k, k) and np.array_equal(digits.v, v)
     assert np.array_equal(digits.reconstruct(), v)
 
@@ -296,7 +314,7 @@ def test_weighted_reduces_to_plain_search_when_weights_are_one():
     sample = SharedSample.full_cube(n, bits)
     big_gamma = 0.3
     counter = QueryCounter()
-    hyp = weighted_weak_parity(f_sign, np.ones(1 << n), big_gamma, 0.05, sample,
+    hyp = weighted_weak_parity(f_sign, big_gamma, 0.05, sample,  # g = f under unit weights
                                counter, seeds.derive(0, 1))
     plain = quantum_weak_parity(n, big_gamma / 6.0, 0.05, f_sign, sample,
                                 QueryCounter(), seeds.derive(0, 1))
@@ -320,18 +338,28 @@ def test_weighted_searches_each_distinct_digit_row_once_in_order(monkeypatch):
         searched.append((delta, g_sign))
         raise NoHeavyCoefficient("recorded")
 
+    split = weaklearn.signed_digit_decompose
+    split_weights = []  # the weights the stage reads off its target g = m * f
+
+    def recording_split(weights, d):
+        split_weights.append(weights)
+        return split(weights, d)
+
     monkeypatch.setattr(weaklearn, "quantum_weak_parity", recording)
+    monkeypatch.setattr(weaklearn, "signed_digit_decompose", recording_split)
     sample = SharedSample.full_cube(n, parity_bits(n, 9))
     # each row gets its unfloored share of delta, also of a stage_delta() below 1e-12
     tiny = QhsConfig(n=10, s=2, epsilon=0.1, stage_scale=4e12).stage_delta()
     for stage_delta in (0.06, tiny):
         searched.clear()
         with pytest.raises(NoHeavyCoefficient):  # d = ceil(log2(3 / 0.3)) = 4
-            weighted_weak_parity(f_sign, m_values, 0.3, stage_delta, sample, QueryCounter(),
+            weighted_weak_parity(m_values * f_sign, 0.3, stage_delta, sample, QueryCounter(),
                                  seeds.derive(0, 1))
         assert len(searched) == RETRIES * len(rows)
         for (delta, g_sign), row in zip(searched, rows * RETRIES):
             assert delta == stage_delta / 3 and np.array_equal(g_sign, row)
+            assert g_sign.itemsize == 1  # the rows are signed bytes, never a float table
+        assert split_weights[-1].tobytes() == m_values.tobytes()  # |g| is m bit for bit
 
 
 def test_weighted_candidate_meets_exact_pigeonhole_floor():
@@ -342,7 +370,7 @@ def test_weighted_candidate_meets_exact_pigeonhole_floor():
     m_values = rng.uniform(0.5, 1.0, size=1 << n)
     big_gamma = 0.2
     sample = SharedSample.full_cube(n, bits)
-    hyp = weighted_weak_parity(f_sign, m_values, big_gamma, 0.05, sample,
+    hyp = weighted_weak_parity(m_values * f_sign, big_gamma, 0.05, sample,
                                QueryCounter(), seeds.derive(1, 1))
     exact = wht(m_values * f_sign)
     assert abs(exact[hyp.a]) >= big_gamma / 3.0
@@ -365,7 +393,7 @@ def test_weighted_constant_weight_edge_meets_pigeonhole():
         for j in range(d))
     assert bit_best >= big_gamma / 3.0 - 1e-12
     sample = SharedSample.full_cube(n, bits)
-    hyp = weighted_weak_parity(f_sign, m_values, big_gamma, 0.05, sample,
+    hyp = weighted_weak_parity(m_values * f_sign, big_gamma, 0.05, sample,
                                QueryCounter(), seeds.derive(2, 1))
     assert abs(exact[hyp.a]) >= big_gamma / 6.0
 
@@ -378,7 +406,7 @@ def test_weighted_failure_when_nothing_heavy():
     sample = SharedSample.full_cube(n, bits)
     with pytest.raises(NoHeavyCoefficient):
         # every weighted coefficient is 0.25 * 0.1; demand far more
-        weighted_weak_parity(f_sign, np.full(1 << n, 0.1), 0.9, 0.05, sample,
+        weighted_weak_parity(np.full(1 << n, 0.1) * f_sign, 0.9, 0.05, sample,
                              QueryCounter(), seeds.derive(3, 1))
 
 
@@ -425,7 +453,7 @@ def test_exact_vs_weighted_agree_on_random_instances():
         rng = np.random.default_rng(trial)
         m_values = rng.uniform(0.25, 1.0, size=1 << n)
         sample = SharedSample.draw(n, m, QueryCounter(), seeds.derive(trial, 9))
-        found = weighted_weak_parity(f_sign, m_values, big_gamma, 0.05, sample,
+        found = weighted_weak_parity(m_values * f_sign, big_gamma, 0.05, sample,
                                      QueryCounter(), seeds.derive(trial, 2))
         exact = wht(m_values * f_sign)
         assert abs(found.est_advantage - abs(exact[found.a])) <= slack
