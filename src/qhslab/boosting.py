@@ -107,10 +107,14 @@ def boost(f_sign, sample: SharedSample, epsilon: float, gamma: float, budget: in
           weak_learner) -> tuple:
     """Smooth-boost the +-1 target table ``f_sign`` over the whole cube.
 
-    Each stage gathers the weighted target g = w * f and estimates the
-    mean weight as ``(sample.counts * f_sign) @ g / sample.size``, the
-    signed counts formed once per run; each product equals the one of
-    ``sample.counts @ w`` exactly, so the estimate has its bits. The run
+    ``f_sign`` may have any numeric dtype; it is validated once and read
+    as it is, with no float copy, so a run's one signed byte per point
+    (:func:`sieve.setup_run`) stays one byte per point. Each stage
+    gathers the weighted target g = w * f and estimates the mean weight
+    as ``(sample.counts * f_sign) @ g / sample.size``, the signed counts
+    formed once per run; +-counts are exact in float64, so each product
+    equals the one of ``sample.counts @ w`` exactly and the estimate has
+    its bits, whatever f's dtype. The run
     stops once the estimate is at most 2*epsilon/3; otherwise
     ``weak_learner(g)`` returns the next :class:`WeakHypothesis` for the
     stage distribution ``|g| / (2**n * estimate)``. g is one float64
@@ -126,9 +130,9 @@ def boost(f_sign, sample: SharedSample, epsilon: float, gamma: float, budget: in
         raise ValueError("epsilon must lie in (0, 1/2)")
     if not 0.0 < gamma < 0.5:
         raise ValueError("gamma must lie in (0, 1/2)")
-    f_sign = np.asarray(f_sign, dtype=np.float64)
-    if not np.all(np.abs(f_sign) == 1.0):
-        raise ValueError("f_sign must be a +-1 table")
+    f_sign = np.asarray(f_sign)
+    if f_sign.dtype.kind not in "iuf" or not np.all(np.abs(f_sign) == 1):
+        raise ValueError("f_sign must be a numeric +-1 table")
     tally = (f_sign < 0).astype(np.int32)
     signed_counts = sample.counts * f_sign
     target = np.empty(f_sign.size)

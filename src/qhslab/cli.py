@@ -122,7 +122,7 @@ def cmd_weak(args) -> int:
     """One weak-learning call against the uniform weighting."""
     formula, cfg = _load_run(args)
     f_sign, _, counter, learn = setup_run(formula, cfg)
-    hyp = learn(f_sign.copy())  # g = f under unit weights
+    hyp = learn(f_sign.astype(np.float64))  # g = f under unit weights, in a buffer of its own
     payload = {
         "schema": REPORT_SCHEMA,
         "config": cfg.to_dict(),

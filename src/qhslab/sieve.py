@@ -210,23 +210,24 @@ class RunReport:
 def setup_run(formula: DnfFormula, cfg: QhsConfig) -> tuple:
     """Everything a run needs before its first stage.
 
-    Checks the formula against the config, builds its sign table, draws
-    the shared sample on the ``seeds.SAMPLE_DRAW`` stream (charging it to
-    a fresh counter) and builds the configured weak learner on the
-    ``seeds.WEAK_LEARNER`` stream. Returns ``(f_sign, sample, counter,
-    learn)``, where ``learn`` is a ``g -> WeakHypothesis`` callable, g
-    the weighted target ``weights * f_sign`` as :func:`boosting.boost`
-    lends it, that looks the learners up by name at call time and raises
-    :class:`WeakLearnerFailure` for a stage without a verified parity.
-    In ``classical_exact`` mode it transforms g in place, so the buffer
-    it is given holds g's unscaled spectrum on return.
+    Checks the formula against the config, builds its sign table as one
+    signed byte per point (int8 +-1, which :func:`boosting.boost` reads as
+    it is), draws the shared sample on the ``seeds.SAMPLE_DRAW`` stream
+    (charging it to a fresh counter) and builds the configured weak
+    learner on the ``seeds.WEAK_LEARNER`` stream. Returns ``(f_sign,
+    sample, counter, learn)``, where ``learn`` is a ``g -> WeakHypothesis``
+    callable, g the float64 weighted target ``weights * f_sign`` as
+    :func:`boosting.boost` lends it, that looks the learners up by name at
+    call time and raises :class:`WeakLearnerFailure` for a stage without a
+    verified parity. In ``classical_exact`` mode it transforms g in place,
+    so the buffer it is given holds g's unscaled spectrum on return.
     """
     if formula.n != cfg.n:
         raise ValueError(f"formula has n={formula.n} but the config says n={cfg.n}")
     if formula.size() > cfg.s:
         raise ValueError(f"formula has {formula.size()} terms, above the configured s={cfg.s}")
     counter = QueryCounter()
-    f_sign = formula.sign_table()
+    f_sign = formula.sign_table().astype(np.int8)
     sample = SharedSample.draw(cfg.n, cfg.sample_size, counter,
                                seeds.derive(cfg.seed, seeds.SAMPLE_DRAW))
     rng = seeds.derive(cfg.seed, seeds.WEAK_LEARNER)

@@ -34,9 +34,10 @@ starts it at ``(0,)``; a state built from an array, :meth:`view` and
 and exact. Each gate touches only the live blocks and leaves the set
 that can be nonzero after it: :func:`x_phase` moves or swaps blocks and
 relabels, :func:`apply_membership` swaps marked entries of the live
-answer pairs bit for bit, and :func:`hadamard_index` drops a live block
-that has cancelled to exact zero in every column, so along those
-operators every index Hadamard transforms a single block. It transforms
+answer pairs bit for bit, and :func:`x_phase` and :func:`hadamard_index`
+drop a live block that has cancelled to exact zero in every column, so
+along those operators every index Hadamard transforms a single block
+and no gate moves an all-zero block. It transforms
 the span from the first live block to the last in one kernel call; only
 states built from an array, through :meth:`view` or by
 :func:`load_state`, or gate sequences the learners do not run, leave a
@@ -217,16 +218,22 @@ def hadamard_index(state: StateVector) -> StateVector:
 def x_phase(state: StateVector) -> StateVector:
     """Pauli X on the phase qubit: block w moves to w ^ 1. A live block
     whose partner is dead is moved and zeroed behind; two live partners
-    are swapped."""
+    are swapped. Beside other live blocks (a lone one holds the whole
+    norm), a block that is exactly zero in every column is dropped from
+    the set instead of moved, which is exact: it is the block that
+    membership-CZ-membership cancels in the adjoint correlation operator."""
     blocks = _blocks(state)
-    for w in state.live:
+    live = state.live
+    if len(live) > 1:
+        live = tuple(w for w in live if w ^ 1 in state.live or blocks[w].any())
+    for w in live:
         partner = w ^ 1
-        if partner not in state.live:
+        if partner not in live:
             blocks[partner] = blocks[w]
             blocks[w] = 0.0
         elif w < partner:
             blocks[[w, partner]] = blocks[[partner, w]]
-    state.live = tuple(sorted(w ^ 1 for w in state.live))
+    state.live = tuple(sorted(w ^ 1 for w in live))
     return _checked(state)
 
 

@@ -325,13 +325,18 @@ def weighted_weak_parity(g_values, big_gamma, delta, sample, counter, rng,
     the number of distinct rows, unfloored; candidates are then
     verified against the sampled weighted correlation of g at that same
     threshold and the best verified one is returned, ties toward the
-    smaller index. The whole pass retries with fresh randomness up to
+    smaller index. That correlation is formed once per call, when the
+    first candidates need it, so it is not held through the records'
+    preparations. The whole pass retries with fresh randomness up to
     ``RETRIES`` times before giving up.
 
     The bit function of digit j is alpha[j] * f. Its oracle bits (where
     it is -1) are planes[j] XOR [f > 0], and the stage holds its distinct
     rows as one signed byte per point; no float table of the rows is
-    built. ``records`` maps a digit row's packed bit plane
+    built. Of the split it keeps only ``planes``, and those only until
+    the distinct rows are copied out, so its int64 ``k`` and ``v`` and
+    the float |g| it splits are gone before any record is filled.
+    ``records`` maps a digit row's packed bit plane
     (``np.packbits``, 2**n / 8 bytes) to its search record (see
     :func:`quantum_weak_parity`); it is sound while f, the sample and
     big_gamma stay fixed, as within the run that owns it. A call keeps
@@ -345,17 +350,17 @@ def weighted_weak_parity(g_values, big_gamma, delta, sample, counter, rng,
         raise ValueError("big_gamma must lie in (0, 1)")
     g_values = np.asarray(g_values, dtype=np.float64)
     n = sample.n
-    digits = signed_digit_decompose(np.abs(g_values), digit_depth(big_gamma))
-    weighted_est = sample_correlations(sample, g_values)
+    planes = signed_digit_decompose(np.abs(g_values), digit_depth(big_gamma)).planes
     gamma_bit = bit_threshold(big_gamma)
 
     first = {}  # f is +-1, so two digit rows alpha[j] * f are equal exactly when planes[j] are
-    for j, key in enumerate(np.packbits(digits.planes, axis=1)):
+    for j, key in enumerate(np.packbits(planes, axis=1)):
         first.setdefault(key.tobytes(), j)
     keys = list(first)
     # row i is the i-th distinct alpha[j] * f as one signed byte per point: its oracle bits
     # (where it is -1) are planes[j] XOR [f > 0], and its values 1 - 2 * those bits
-    table = digits.planes[list(first.values())].view(np.int8)
+    table = planes[list(first.values())].view(np.int8)
+    del planes
     table ^= g_values > 0
     table *= -2
     table += 1
@@ -371,6 +376,7 @@ def weighted_weak_parity(g_values, big_gamma, delta, sample, counter, rng,
         batch = empty[start:start + width]
         fill_records([records[keys[i]] for i in batch], table[batch].T, sample, gamma_bit)
 
+    weighted_est = None  # formed once, when the first candidates need it
     for _ in range(RETRIES):
         candidates = set()
         for key, g_row in zip(keys, table):
@@ -381,6 +387,8 @@ def weighted_weak_parity(g_values, big_gamma, delta, sample, counter, rng,
                 continue
             candidates.add(hyp.a)
         if candidates:
+            if weighted_est is None:
+                weighted_est = sample_correlations(sample, g_values)
             try:
                 return verdict(weighted_est, gamma_bit, candidates)
             except NoHeavyCoefficient:

@@ -179,6 +179,36 @@ def test_boost_lends_one_writable_target_buffer():
         assert estimate == float(sample.counts @ w / sample.size)
 
 
+def boost_outcome(f_sign, sample, epsilon, gamma, budget):
+    """The exact learner's hypotheses under :func:`boost`, then the estimates'
+    bytes, or None where the stage budget ran out."""
+    hypotheses = []
+
+    def wl(g_values):
+        hypotheses.append(exact_weak_parity(g_values, out=g_values))
+        return hypotheses[-1]
+
+    try:
+        _, estimates = boost(f_sign, sample, epsilon, gamma, budget, wl)
+    except StageBudgetExceeded:
+        return hypotheses, None
+    return hypotheses, np.array(estimates).tobytes()
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(1, 9), st.integers(1, 2), st.integers(1, 4096), st.floats(0.1, 0.4),
+       st.integers(0, 2**32 - 1))
+def test_an_int8_target_boosts_as_its_float64_form(n, s, draws, epsilon, seed):
+    """f as one signed byte per point, the form a run passes, gives the same
+    hypotheses and bit-equal estimates as the same f in float64."""
+    f_sign = random_dnf(n, s, min(3, n), seed).sign_table()
+    sample = SharedSample.draw(n, draws, QueryCounter(), np.random.default_rng(seed))
+    gamma = 1.0 / (8 * s + 4)
+    wide = boost_outcome(f_sign, sample, epsilon, gamma, 300)
+    assert len(wide[0]) > 0
+    assert boost_outcome(f_sign.astype(np.int8), sample, epsilon, gamma, 300) == wide
+
+
 @pytest.mark.parametrize("mode", ["quantum_sim", "classical_exact", "classical_sampled"])
 def test_a_learner_that_spoils_the_lent_target_changes_no_report(monkeypatch, mode):
     """A weak learner that writes NaN over the whole buffer after choosing

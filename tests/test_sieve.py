@@ -27,15 +27,16 @@ def small_cfg(**kw):
 
 
 def test_exact_run_allocates_no_table_per_stage():
-    """An exact run's traced peak stays at most 6.9 tables of 2**14 doubles.
+    """An exact run's traced peak stays at most 6.0 tables of 2**14 doubles.
 
-    Measured: 6.58 tables, with the weighted target gathered into one
+    Measured: 5.60 tables, with the sign table held as one signed byte
+    per point and read as it is, the weighted target gathered into one
     buffer and transformed there in place, the agreement bits and the
     final vote built from uint8 parity bits, and a sample that stores no
-    label table. A fresh target table per stage, a copying transform, or
-    int64 +-1 agreement and vote tables each push it past the bound (the
-    copying, int64 version peaked at 8.74; the label table alone held
-    one more table, 7.88)."""
+    label table. A float64 sign table (6.48), a fresh target table per
+    stage, a copying transform, or int64 +-1 agreement and vote tables
+    each push it past the bound (the copying, int64 version peaked at
+    8.74; a label table in the sample held one more table, 7.88)."""
     cfg = QhsConfig(n=14, s=2, epsilon=0.1, mode="classical_exact", seed=0)
     formula = random_dnf(14, 2, 3, 0)
     tracemalloc.start()
@@ -45,7 +46,7 @@ def test_exact_run_allocates_no_table_per_stage():
     finally:
         tracemalloc.stop()
     assert report.termination == "converged"
-    assert peak <= 6.9 * (8 << 14)
+    assert peak <= 6.0 * (8 << 14)
 
 
 def traced_peak_tables(call, n) -> float:
@@ -61,13 +62,17 @@ def traced_peak_tables(call, n) -> float:
 
 def test_quantum_stage_holds_no_float_row_table():
     """One quantum n = 12 stage's traced peak, in tables of 2**12 doubles:
-    at most 53 with its nine digit rows' records to fill, and at most 8
+    at most 46 with its nine digit rows' records to fill, and at most 8
     with them filled by the stage before.
 
-    Measured: 49.6 and 6.6 tables. The digit rows are one byte per point
+    Measured: 45.5 and 6.6 tables. The digit rows are one byte per point
     and digit, and their +-1 values exist as floats only inside the
     correlation pass's own buffer; the filling stage's peak is the batched
-    preparation of four rows (16 tables of state). A stage that builds and
+    preparation of four rows (16 tables of state). The split's int64 k
+    and v, and its planes once the distinct rows are copied out, are gone
+    before that preparation, and the weighted estimate is formed after it.
+    Holding k and v through the fills peaked at 48.6, the planes at 46.6,
+    the estimate at 46.5, and all three at 49.6; a stage that builds and
     holds the float64 table of its rows, and splits the weights through
     (d, 2**n) int64 tables, peaked at 61.8 and 19.5."""
     n = 12
@@ -85,10 +90,17 @@ def test_quantum_stage_holds_no_float_row_table():
             np.random.default_rng(2), records=records))
 
     assert digit_depth(cfg.big_gamma) == 9
-    assert traced_peak_tables(stage, n) <= 53.0
+    assert traced_peak_tables(stage, n) <= 46.0
     assert len(records) == 9
     assert traced_peak_tables(stage, n) <= 8.0
     assert found[0] == found[1]
+
+
+def test_setup_run_holds_the_sign_table_in_one_signed_byte():
+    formula = random_dnf(8, 2, 3, 0)
+    f_sign = sieve.setup_run(formula, small_cfg())[0]
+    assert f_sign.dtype == np.int8
+    assert np.array_equal(f_sign, formula.sign_table())
 
 
 def test_config_derivations():

@@ -243,6 +243,44 @@ def test_blocks_outside_the_live_set_stay_zero_through_the_circuit(monkeypatch):
     assert state.live == ALL_BLOCKS
 
 
+def test_the_adjoint_operator_moves_no_cancelled_block(monkeypatch):
+    """In the adjoint correlation operator, membership-CZ-membership cancels
+    one answer block; x_phase drops it instead of moving it onto its dead
+    partner, so no index Hadamard of the adjoint receives an all-zero live
+    block. The closing Hadamard of the forward operator still receives the
+    one that operator cancels, and drops it."""
+    n, b, gamma = 8, 19, 0.125
+    bits = planted_parity(n, b, gamma, seed=26)
+    marked = np.abs(wht(to_pm1(bits))) >= 1.8 * gamma
+    hadamard, dagger = simulator.hadamard_index, simulator.correlation_op_dagger
+    zero_blocks = {"adjoint": [], "forward": []}
+    inside = ["forward"]
+
+    def recording_hadamard(state):
+        blocks = state.amps.reshape(4, -1)
+        zero_blocks[inside[-1]].append(sum(not blocks[w].any() for w in state.live))
+        return hadamard(state)
+
+    def marked_dagger(state, f, counter):
+        inside.append("adjoint")
+        try:
+            return dagger(state, f, counter)
+        finally:
+            inside.pop()
+
+    counter = QueryCounter()
+    state = prepare_spectrum_state(bits, counter)
+    monkeypatch.setattr(simulator, "hadamard_index", recording_hadamard)
+    monkeypatch.setattr(simulator, "correlation_op_dagger", marked_dagger)
+    steps = 2
+    for _ in range(steps):
+        grover_step(state, bits, marked, counter)
+    assert zero_blocks["adjoint"] == [0, 0] * steps
+    assert zero_blocks["forward"] == [0, 1] * steps
+    assert counter.quantum_queries == 2 + 4 * steps
+    assert len(state.live) == 1
+
+
 def test_a_gate_writing_outside_the_live_set_fails_the_composite_exit_check(monkeypatch):
     n = 6
     bits = np.random.default_rng(27).integers(0, 2, size=1 << n).astype(np.uint8)
