@@ -114,7 +114,7 @@ def chi(a, x) -> np.ndarray:
     return 1 - 2 * (par.astype(np.int64) & 1)
 
 
-def wht_unscaled(values, out=None) -> np.ndarray:
+def wht_unscaled(values, out=None, scratch=None) -> np.ndarray:
     """Unnormalized Walsh-Hadamard transform along the first axis, of length 2**n.
 
     ``values`` is one table or a 2-D array of tables, one per column.
@@ -125,7 +125,8 @@ def wht_unscaled(values, out=None) -> np.ndarray:
     default. Given ``out``, a float64 array of the input's shape laid out
     as :func:`butterfly_axis0` accepts, the input is copied into it and
     transformed there; with ``out is values`` the transform overwrites
-    the table, without a copy of the input.
+    the table, without a copy of the input. ``scratch`` goes to
+    :func:`butterfly_axis0` as its work table.
     """
     if out is None:
         out = np.array(values, dtype=np.float64, order="F")
@@ -133,7 +134,10 @@ def wht_unscaled(values, out=None) -> np.ndarray:
         raise ValueError("out must be a float64 array of the input's shape")
     elif out is not values:
         np.copyto(out, values)
-    butterfly_axis0(out)
+    if scratch is None:
+        butterfly_axis0(out)
+    else:
+        butterfly_axis0(out, scratch)
     return out
 
 
@@ -151,7 +155,7 @@ def _hadamard_block(b: int) -> np.ndarray:
 _BLOCKS = tuple(_hadamard_block(b) for b in range(BLOCK_BITS + 1))
 
 
-def butterfly_axis0(a: np.ndarray) -> np.ndarray:
+def butterfly_axis0(a: np.ndarray, scratch=None) -> np.ndarray:
     """Unnormalized Walsh-Hadamard transform along axis 0, written back to ``a``.
 
     ``a`` must have a power-of-two first axis and be a contiguous 1-D
@@ -162,9 +166,12 @@ def butterfly_axis0(a: np.ndarray) -> np.ndarray:
     bits are split into ceil(n / BLOCK_BITS) chunks of nearly equal
     width, and each chunk's dense Hadamard block is applied as BLAS
     matmuls on a reshaped view (Fino & Algazi, IEEE Trans. Computers
-    1976). The chunks ping-pong between ``a`` and one scratch table of
-    its size, allocated per call: each matmul reads one and writes the
-    other, and an odd chunk count ends with one copy back into ``a``.
+    1976). The chunks ping-pong between ``a`` and one work table of its
+    size: the first ``a.size`` entries of ``scratch``, a contiguous 1-D
+    array of ``a``'s dtype that shares no memory with it, which a caller
+    repeating transforms lends so that no call allocates; a new table per
+    call by default. Each matmul reads one and writes the other, and an
+    odd chunk count ends with one copy back into ``a``.
     The first chunk multiplies rows by the block from the right, in
     panels of at most 2**(2 * BLOCK_BITS) rows, each within one column:
     a stack of short matmuls, which BLAS runs faster than one tall one,
@@ -178,9 +185,17 @@ def butterfly_axis0(a: np.ndarray) -> np.ndarray:
     if a.ndim > 2 or not a.flags.f_contiguous:
         raise ValueError("need a contiguous 1-D array or a 2-D F-contiguous one")
     rows, columns = a.T, a.size // m  # rows[c] is column c, contiguous
+    if scratch is None:
+        dst = np.empty(rows.shape, dtype=rows.dtype)
+    elif (scratch.ndim != 1 or not scratch.flags.c_contiguous or scratch.dtype != a.dtype
+          or scratch.size < a.size or np.may_share_memory(scratch, a)):
+        raise ValueError("scratch must be a contiguous 1-D table of a's dtype, apart from a, "
+                         "with at least a.size entries")
+    else:
+        dst = scratch[:a.size].reshape(rows.shape)
     n = m.bit_length() - 1
     chunks = -(-n // BLOCK_BITS)
-    src, dst = rows, np.empty(rows.shape, dtype=rows.dtype)
+    src = rows
     for i in range(chunks):
         lo, hi = n * i // chunks, n * (i + 1) // chunks
         block = _BLOCKS[hi - lo]

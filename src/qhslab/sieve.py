@@ -25,8 +25,8 @@ from . import seeds
 from .boolfn import DnfFormula, check_cap, check_random_dnf, random_dnf
 from .boosting import StageBudgetExceeded, boost
 from .simulator import QueryCounter
-from .weaklearn import (NoHeavyCoefficient, SharedSample, bit_threshold, digit_depth,
-                        exact_weak_parity, sampled_weak_parity, weighted_weak_parity)
+from .weaklearn import (NoHeavyCoefficient, SearchRecords, SharedSample, bit_threshold,
+                        digit_depth, exact_weak_parity, sampled_weak_parity, weighted_weak_parity)
 
 MODES = ("quantum_sim", "classical_exact", "classical_sampled")
 
@@ -220,7 +220,11 @@ def setup_run(formula: DnfFormula, cfg: QhsConfig) -> tuple:
     :func:`boosting.boost` lends it, that looks the learners up by name at
     call time and raises :class:`WeakLearnerFailure` for a stage without a
     verified parity. In ``classical_exact`` mode it transforms g in place,
-    so the buffer it is given holds g's unscaled spectrum on return.
+    so the buffer it is given holds g's unscaled spectrum on return, and it
+    drops ``sample.counts``: on that path only :func:`boosting.boost`
+    reads them, to form its signed counts before the first stage, so a
+    2**n float table is not held for the whole run. In ``quantum_sim`` mode
+    the learner lends every stage one :class:`weaklearn.SearchRecords`.
     """
     if formula.n != cfg.n:
         raise ValueError(f"formula has n={formula.n} but the config says n={cfg.n}")
@@ -232,12 +236,13 @@ def setup_run(formula: DnfFormula, cfg: QhsConfig) -> tuple:
                                seeds.derive(cfg.seed, seeds.SAMPLE_DRAW))
     rng = seeds.derive(cfg.seed, seeds.WEAK_LEARNER)
     stages = itertools.count(1)
-    records = {}  # weighted_weak_parity's row records, sound for this run's f and sample
+    records = SearchRecords()  # weighted_weak_parity's, sound for this run's f and sample
 
     def learn(g_values):
         t = next(stages)
         try:
             if cfg.mode == "classical_exact":
+                sample.counts = None  # read only by boost, once, before the first stage
                 return exact_weak_parity(g_values, out=g_values)
             if cfg.mode == "classical_sampled":
                 return sampled_weak_parity(sample, g_values, cfg.verify_threshold)

@@ -45,7 +45,10 @@ dead block inside that span, which then holds zeros that may read
 ``-0.0``. The index transform sends each column through the same
 matmuls as a one-column state, so a column's amplitudes do not depend
 on the columns beside it, bit for bit. Operations mutate the state in
-place and return it. Every gate is real (H, X, CZ, the membership
+place and return it. A state built on a :class:`Buffers` object keeps
+its amplitudes in the object's tables, and its gates take their work
+tables from it too, so preparations repeated on one object allocate no
+table of the state's size. Every gate is real (H, X, CZ, the membership
 permutation, the marked phase), so the amplitudes are float64.
 
 Nothing here renormalizes silently. Each gate checks on exit that the
@@ -67,7 +70,7 @@ along the usual sin**2((2k+1) asin sqrt(p0)) schedule.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -97,11 +100,59 @@ class QueryCounter:
     classical_queries: int = 0
 
 
+class Buffers:
+    """Tables that the preparations of one owner reuse, one per role.
+
+    ``take(role, size)`` returns the first ``size`` float64 entries of the
+    role's table, allocated at the first request larger than it and
+    otherwise handed out again with whatever it held; ``carve`` lays
+    tables of other shapes and dtypes in one. A run that lends one object
+    to all its stages (as :func:`weaklearn.weighted_weak_parity` does
+    through its records) then allocates no 2**n table per preparation, so
+    none is returned to the system and faulted in again. The roles:
+    ``state`` holds the amplitudes of the last state built on the object,
+    and between preparations what a stage reads before its next one (the
+    signed-digit split, a correlation table); ``scratch`` a gate's or a
+    transform's work table for one call, the measurement table of
+    :func:`index_distribution` until the next gate, or |g| while a stage
+    splits it; ``rows`` a stage's digit rows. One computation uses an
+    object at a time, and what it holds stays valid only until its role
+    is taken again.
+    """
+
+    def __init__(self):
+        self._tables = {}
+        self._carved = {}  # role -> (the layout last carved from its table, those arrays)
+
+    def take(self, role: str, size: int) -> np.ndarray:
+        table = self._tables.get(role)
+        if table is None or table.size < size:
+            self._carved.pop(role, None)  # so the old table is freed
+            table = self._tables[role] = np.empty(size)
+        return table[:size]
+
+    def carve(self, role: str, layout: tuple) -> list:
+        """Arrays of the ``(shape, dtype)`` pairs of ``layout``, laid one
+        after another in the role's table, each on an 8-byte boundary; the
+        same arrays again while the table stays."""
+        carved, out = self._carved.get(role, (None, None))
+        if carved != layout:
+            sizes = [-(-math.prod(shape) * np.dtype(dtype).itemsize // 8)
+                     for shape, dtype in layout]
+            table, at, out = self.take(role, sum(sizes)), 0, []
+            for (shape, dtype), size in zip(layout, sizes):
+                out.append(np.ndarray(shape, dtype, table, 8 * at))
+                at += size
+            self._carved[role] = layout, out
+        return out
+
+
 @dataclass
 class StateVector:
     n: int
     amps: np.ndarray
     live: tuple = ALL_BLOCKS  # sorted work states (answer << 1) | phase that may be nonzero
+    buffers: Buffers | None = field(default=None, repr=False, compare=False)  # the gates' scratch
 
     @property
     def columns(self) -> int:
@@ -125,17 +176,28 @@ def batch_columns(n: int) -> int:
     return max(1, BATCH_AMPS >> (n + 2))
 
 
-def init_state(n: int, columns: int = 1) -> StateVector:
+def init_state(n: int, columns: int = 1, buffers: Buffers | None = None) -> StateVector:
     """All-zero basis state on n index qubits plus the two work qubits,
-    in each of ``columns`` circuits."""
+    in each of ``columns`` circuits: a new table, or the ``state`` table
+    of ``buffers``, whose gates then take their scratch from it too."""
     if n < 1:
         raise ValueError("need at least one index qubit")
     check_cap(n)
     if not 1 <= columns <= batch_columns(n):
         raise ValueError(f"a state on {n} index qubits holds 1 to {batch_columns(n)} columns")
-    amps = np.zeros(columns << (n + 2), dtype=np.float64)
+    if buffers is None:
+        amps = np.zeros(columns << (n + 2), dtype=np.float64)
+    else:
+        amps = buffers.take("state", columns << (n + 2))
+        amps.fill(0.0)
     amps[:columns << n:1 << n] = 1.0
-    return StateVector(n, amps, (0,))
+    return StateVector(n, amps, (0,), buffers)
+
+
+def _scratch(state: StateVector, size: int) -> np.ndarray:
+    """A float64 work table of ``size`` entries for one gate call: the
+    state's ``scratch`` buffer, or a new table when it has none."""
+    return np.empty(size) if state.buffers is None else state.buffers.take("scratch", size)
 
 
 def _one_column(state: StateVector) -> None:
@@ -168,11 +230,13 @@ def _checked(state: StateVector, whole: bool = False) -> StateVector:
 def _index_table(values, state: StateVector, dtype) -> np.ndarray:
     """A table with one entry per index value (an oracle's bits, a marked
     mask), shared by every column or one column per column of the state,
-    laid out like a block: ``k * 2**n`` entries, column after column."""
+    laid out like a block: ``k * 2**n`` entries, column after column. A
+    table of ``dtype`` already in that layout (a ``(2**n,)`` one, or the
+    transpose of a C-contiguous ``(k, 2**n)`` one) is read as it is."""
     table = np.asarray(values)
     n, k = state.n, state.columns
     if table.shape == (1 << n,):
-        table = table.astype(dtype)
+        table = table.astype(dtype, copy=False)
         return table if k == 1 else np.tile(table, k)
     if table.shape != (1 << n, k):
         raise ValueError(f"index table must have shape ({1 << n},) or ({1 << n}, {k})")
@@ -204,13 +268,18 @@ def hadamard_index(state: StateVector) -> StateVector:
     first such block to the last, usually a lone block, one contiguous
     index column per column and block; a dead block inside the span is
     zero and stays zero, possibly ``-0.0``. An all-zero state transforms
-    nothing and fails the norm check."""
+    nothing and fails the norm check. The kernel's work table is the
+    state's ``scratch`` buffer when it has buffers."""
     blocks = _blocks(state)
     live = [w for w in state.live if (blocks[w] != 0.0).any()]
     state.live = tuple(live)
     if live:
         span = blocks[live[0]:live[-1] + 1]
-        butterfly_axis0(span.reshape(-1, 1 << state.n).T)
+        columns = span.reshape(-1, 1 << state.n).T
+        if state.buffers is None:
+            butterfly_axis0(columns)
+        else:
+            butterfly_axis0(columns, _scratch(state, span.size))
         span *= 2.0 ** (-state.n / 2.0)
     return _checked(state)
 
@@ -258,20 +327,30 @@ def apply_membership(state: StateVector, f, counter: QueryCounter) -> StateVecto
     Swaps the two answer blocks of each live pair at every index with
     f(i) = 1, and leaves both blocks of the pair live. The swap is a
     branch-free select on the amplitudes' int64 bits: ``d = (low ^ high)
-    * f`` is the XOR of the two where f(i) = 1 and 0 elsewhere, and
-    XORing d into both blocks exchanges exactly those entries, bit for
-    bit. Self-inverse, so the same call serves as the adjoint query
-    (which is counted identically).
+    * f`` is the XOR of the two where f(i) = 1 and 0 elsewhere, formed in
+    the gate's scratch table, and XORing d into both blocks exchanges
+    exactly those entries, bit for bit. When one block of the pair is
+    dead it is all zero, so d is the live block times f: it is written
+    straight into the dead block and XORed into the live one. Self-inverse,
+    so the same call serves as the adjoint query (which is counted
+    identically).
     """
     bits = _blocks(state).view(np.int64)
     select = _index_table(f, state, bool)
     phases = sorted({w & 1 for w in state.live})
     for phase in phases:
         low, high = bits[phase], bits[2 | phase]
-        diff = low ^ high
-        diff *= select
-        low ^= diff
-        high ^= diff
+        if (2 | phase) not in state.live:
+            np.multiply(low, select, out=high)
+            low ^= high
+        elif phase not in state.live:
+            np.multiply(high, select, out=low)
+            high ^= low
+        else:
+            diff = np.bitwise_xor(low, high, out=_scratch(state, low.size).view(np.int64))
+            diff *= select
+            low ^= diff
+            high ^= diff
     state.live = tuple(phases + [2 | phase for phase in phases])
     counter.quantum_queries += state.columns
     return _checked(state)
@@ -311,18 +390,21 @@ def correlation_op_dagger(state: StateVector, f, counter: QueryCounter) -> State
     return state
 
 
-def prepare_spectrum_state(f, counter: QueryCounter) -> StateVector:
+def prepare_spectrum_state(f, counter: QueryCounter, buffers: Buffers | None = None) -> StateVector:
     """Correlation operator applied to the all-zero state; two queries per
     column.
 
     ``f`` is the oracle's bit table, ``(2**n,)`` for one circuit or
-    ``(2**n, k)`` for k circuits, one column each. Measuring the index
-    register of a column samples a parity with probability equal to its
-    squared sign-form correlation coefficient. Every column's norm is
-    checked on exit.
+    ``(2**n, k)`` for k circuits, one column each; a bool table laid out
+    as the gates read it (see :func:`_index_table`) is never copied.
+    Measuring the index register of a column samples a parity with
+    probability equal to its squared sign-form correlation coefficient.
+    Every column's norm is checked on exit. The state is built on
+    ``buffers`` when given (see :func:`init_state`).
     """
     bits = np.asarray(f)
-    state = init_state(int(bits.shape[0]).bit_length() - 1, bits.shape[1] if bits.ndim == 2 else 1)
+    state = init_state(int(bits.shape[0]).bit_length() - 1, bits.shape[1] if bits.ndim == 2 else 1,
+                       buffers)
     correlation_op(state, bits, counter)
     return _checked(state, whole=True)
 
@@ -342,9 +424,19 @@ def grover_step(state: StateVector, f, marked, counter: QueryCounter) -> StateVe
 
 def index_distribution(state: StateVector) -> np.ndarray:
     """Measurement distribution of the index register, each sums to 1: a
-    ``(2**n,)`` array for a one-column state, else one row per column."""
-    dist = np.zeros(state.amps.size >> 2)
-    for block in _live(state):
+    ``(2**n,)`` array for a one-column state, else one row per column.
+
+    The live blocks' squares are summed in the order of ``state.live``,
+    the first written straight into the result, which is the state's
+    ``scratch`` buffer when it has buffers (valid until the next gate) and
+    a new array otherwise."""
+    dist = _scratch(state, state.amps.size >> 2)
+    blocks = _live(state)
+    if blocks:
+        np.square(blocks[0], out=dist)
+    else:
+        dist.fill(0.0)
+    for block in blocks[1:]:
         dist += np.square(block)
     return dist if state.columns == 1 else dist.reshape(-1, 1 << state.n)
 

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .boolfn import chi, top_index, wht_unscaled
-from .simulator import (QueryCounter, batch_columns, grover_step, index_distribution,
+from .simulator import (Buffers, QueryCounter, batch_columns, grover_step, index_distribution,
                         prepare_spectrum_state)
 
 
@@ -49,10 +49,10 @@ def verdict(est, accept: float = 0.0, among=None) -> WeakHypothesis:
     else:  # a lone candidate (each quantum search's) skips top_index's array passes
         among = sorted(among)
         a = among[0] if len(among) == 1 else among[top_index(est[among])]
-    value = est[a]
+    value = float(est[a])
     if abs(value) < accept:
         raise NoHeavyCoefficient(f"best correlation {abs(value):g} below threshold {accept:g}")
-    return WeakHypothesis(int(a), 1 if value >= 0 else -1, float(abs(value)))
+    return WeakHypothesis(int(a), 1 if value >= 0 else -1, abs(value))
 
 
 def bit_threshold(big_gamma: float) -> float:
@@ -104,7 +104,7 @@ class SharedSample:
         return cls(n, np.ones(1 << n), 1 << n)
 
 
-def sample_correlations(sample: SharedSample, values) -> np.ndarray:
+def sample_correlations(sample: SharedSample, values, buffers: Buffers | None = None) -> np.ndarray:
     """Sample correlation with every parity at once, per column of a
     ``(2**n, k)`` table of values.
 
@@ -114,12 +114,18 @@ def sample_correlations(sample: SharedSample, values) -> np.ndarray:
     vector is accumulated exactly before the transform runs. The values
     may have any numeric dtype (a 1-byte +-1 table, say); they become
     float64 only in that product, with the bits a float64 table gives.
+    The result is a new array, or with ``buffers`` their ``state`` table
+    (the transform's work table their ``scratch``), valid until that table
+    is taken again.
     """
     if sample.size == 0:
         raise ValueError("sample is empty")
     values = np.asarray(values)
-    mass = np.multiply(sample.counts.reshape((-1,) + (1,) * (values.ndim - 1)), values, order="F")
-    wht_unscaled(mass, out=mass)
+    table = np.empty(values.size) if buffers is None else buffers.take("state", values.size)
+    mass = np.multiply(sample.counts.reshape((-1,) + (1,) * (values.ndim - 1)), values,
+                       out=table.reshape(values.shape[::-1]).T)  # F order
+    scratch = None if buffers is None else buffers.take("scratch", mass.size)
+    wht_unscaled(mass, out=mass, scratch=scratch)
     mass /= sample.size
     return mass
 
@@ -130,41 +136,114 @@ def _doubling_depths(k_max: int) -> tuple:
     return (0,) + tuple(1 << j for j in range(k_max.bit_length()))
 
 
-def choice_cdf(probs) -> np.ndarray:
-    """The CDF ``Generator.choice(probs.size, p=probs / probs.sum())`` builds per call;
-    ``cdf.searchsorted(rng.random(), side="right")`` then draws the index it draws.
-    A 2-D ``probs`` gives each row's CDF, the same bits as the row alone."""
-    cdf = np.cumsum(probs / probs.sum(axis=-1, keepdims=True), axis=-1)
-    cdf /= cdf[..., -1:]
-    return cdf
+def interval_ends(probs, counts, index, starts) -> tuple:
+    """Where a draw lands on heavy indices of ``probs``, a ``(k, 2**n)``
+    table of weights, overwritten: row i holds the next ``counts[i]``
+    indices of ``index``, increasing. Returns ``(lows, highs)``, the ends
+    of the interval ``cdf[a - 1] <= r < cdf[a]`` of each heavy index a in
+    its row's CDF (``cdf[-1]`` read as 0 for a = 0), the low end only where
+    the mask ``starts`` marks an index that begins a run of consecutive
+    indices in one row: inside a run each low end is the previous index's
+    high end, bit for bit.
+
+    ``cdf`` is the CDF ``Generator.choice(2**n, p=p / p.sum())`` builds
+    for a row p: formed here in the table itself, and its ends divided by
+    the row's last entry as ``choice`` divides the whole CDF, so they
+    have its bits. The CDF is nondecreasing and ends at exactly 1.0, so
+    ``cdf.searchsorted(r, side="right")`` returns a exactly when r lies
+    in that interval: :func:`draw_heavy` draws on the ends alone, and a
+    zero-weight index has an empty interval.
+    """
+    size = probs.shape[-1]
+    probs /= probs.sum(axis=-1, keepdims=True)
+    np.cumsum(probs, axis=-1, out=probs)
+    cdf, last = probs.reshape(-1), probs[:, -1]
+    at = np.repeat(np.arange(0, cdf.size, size), counts)  # each row's first entry, then ...
+    at += index  # ... each heavy index's entry
+    highs = cdf.take(at)
+    at = at[starts]
+    at -= 1
+    lows = cdf.take(at)
+    lows[index[starts] == 0] = 0.0
+    scale = np.repeat(last, counts)
+    highs /= scale
+    lows /= scale[starts]
+    return lows, highs
 
 
-def fill_records(records, g_sign, sample, gamma_target) -> tuple:
+def draw_heavy(ends, starts, rng, counter: QueryCounter):
+    """One measurement of a prepared circuit, from a record's ``ends[k]``
+    ``(lows, highs, bill)`` and its run ``starts`` (see
+    :func:`quantum_weak_parity`): charges the circuit's bill and returns
+    the position i of the heavy index whose interval holds the draw ``r =
+    rng.random()``, or None when r lands on no heavy index. The intervals
+    are disjoint and in index order, so only the first one ending beyond
+    r can hold it; inside a run its low end is the previous high end,
+    which is at most r."""
+    lows, highs, bill = ends
+    counter.quantum_queries += bill
+    r = rng.random()
+    i = int(highs.searchsorted(r, "right"))
+    if i == len(highs):
+        return None
+    if len(lows) == len(highs):  # every heavy index begins a run
+        return i if lows[i] <= r else None
+    return i if not starts[i] or lows[np.count_nonzero(starts[:i])] <= r else None
+
+
+def fill_records(records, g_sign, sample, gamma_target, buffers: Buffers | None = None) -> tuple:
     """Fill the empty search records ``records[c]`` (see
     :func:`quantum_weak_parity`) from column c of ``g_sign``, a ``(2**n, k)``
     +-1 table of any numeric dtype, read as it is and validated here once:
-    ``est`` and ``heavy`` from one correlation pass over all columns, which
-    forms the float values in its own buffer, and for every column with a
-    heavy entry the depth-0 CDF and that circuit's oracle tally, from one
-    preparation of all of them. A column's record is bit for bit the one
-    it gets alone, whatever the table's dtype. Returns that preparation and
-    its query counter, or ``(None, None)`` when no column is heavy.
+    ``heavy``, ``est`` and ``starts`` from one correlation pass over all
+    columns, which forms the float values in its own buffer, and for every
+    column with a heavy entry the depth-0 interval ends and that
+    circuit's oracle tally, from one preparation of all of them, whose
+    CDFs are formed in its measurement table and read at the heavy
+    indices, all rows at once. The correlation table, the state and the
+    measurement table live in ``buffers`` (new ones by default), so a
+    caller that lends the same object to every fill allocates no 2**n
+    table per fill. A record holds no array over the cube: with its ends
+    at depth 0, 19 bytes per heavy index up to n = 16 and 8 more per run
+    of consecutive ones, against 17 bytes per point for an estimate, a
+    mask and a CDF over the cube. A column's
+    record is bit for bit the one it gets alone, whatever the table's
+    dtype. Returns that preparation and its query counter, or ``(None,
+    None)`` when no column is heavy.
     """
     g_sign = np.asarray(g_sign)
     if not np.all(np.abs(g_sign) == 1):
         raise ValueError("g_sign must be a +-1 table")
-    est = sample_correlations(sample, g_sign).T
-    heavy = np.abs(est) >= gamma_target
-    for record, row_est, row_heavy in zip(records, est, heavy):
-        record.update(est=row_est, heavy=row_heavy, dists={})
-    rows = np.flatnonzero(heavy.any(axis=1))
-    if not rows.size:
+    if buffers is None:
+        buffers = Buffers()
+    est = sample_correlations(sample, g_sign, buffers).T  # (k, 2**n), C-contiguous
+    k, size = est.shape
+    mask = (np.abs(est, out=buffers.take("scratch", est.size).reshape(est.shape))
+            >= gamma_target).reshape(-1)
+    flat = mask.nonzero()[0]
+    values = est.reshape(-1)[flat]
+    heavy = (flat & (size - 1)).astype(np.uint16 if size <= 1 << 16 else np.uint32)
+    # a run of consecutive heavy indices in a column begins where the index before is light
+    starts = heavy == 0
+    starts |= ~mask[flat - 1]
+    edges = range(0, (k + 1) * size, size)  # where each column's entries begin
+    bounds = flat.searchsorted(edges).tolist()
+    run_bounds = flat[starts].searchsorted(edges).tolist()
+    del flat
+    for record, lo, hi in zip(records, bounds, bounds[1:]):
+        record.update(heavy=heavy[lo:hi], est=values[lo:hi], starts=starts[lo:hi], ends={})
+    rows = [c for c in range(k) if bounds[c + 1] > bounds[c]]
+    if not rows:
         return None, None
     scratch = QueryCounter()  # the circuits' oracle calls, one share per column
-    state = prepare_spectrum_state((g_sign[:, rows] < 0).view(np.uint8), scratch)
-    cdfs = choice_cdf(index_distribution(state)).reshape(rows.size, -1)
-    for row, cdf in zip(rows, cdfs):
-        records[row]["dists"][0] = (cdf, scratch.quantum_queries // rows.size)
+    bits = g_sign.T[rows] < 0  # C-contiguous, so its transpose is the gates' layout
+    state = prepare_spectrum_state(bits.T, scratch, buffers=buffers)
+    dists = index_distribution(state).reshape(len(rows), -1)
+    lows, highs = interval_ends(dists, [bounds[c + 1] - bounds[c] for c in rows], heavy, starts)
+    bill = scratch.quantum_queries // len(rows)
+    for c in rows:
+        records[c]["ends"][0] = (lows[run_bounds[c]:run_bounds[c + 1]],
+                                 highs[bounds[c]:bounds[c + 1]], bill)
     return state, scratch
 
 
@@ -186,16 +265,21 @@ def quantum_weak_parity(n, gamma_target, delta, g_sign, sample, counter, rng,
     float64 copy.
 
     All but the draws is a function of g, the sample and gamma_target,
-    kept between calls on one row in ``record`` (a dict, empty at first):
-    ``est``, the ``heavy`` mask and, per depth reached, the measurement
-    CDF and the oracle tally. A call that finds the record empty fills it
+    kept between calls on one row in ``record`` (a dict, empty at first),
+    in O(|heavy|) entries: the ``heavy`` indices in increasing order (2
+    bytes each up to n = 16), ``est`` at them, the mask ``starts`` of
+    those that begin a run of consecutive indices and, per depth reached,
+    ``ends[k]``: the heavy intervals' ends in the measurement CDF (see
+    :func:`interval_ends`) and the oracle tally. A draw reads no more
+    (:func:`draw_heavy`). A call that finds the record empty fills it
     through :func:`fill_records` with one column, which validates g_sign,
     and extends that preparation to the deeper depths it needs; a record
     already filled is trusted to be g's. It keeps no state; a call that
     goes deeper than its record prepares again from depth 0,
-    deterministically. So every attempt is an independent draw from the
-    exact distribution of a fresh preparation, billed that circuit's own
-    oracle calls.
+    deterministically, marking the heavy indices again. So every attempt
+    is an independent draw from the exact distribution of a fresh
+    preparation, billed that circuit's own oracle calls. A call owns the
+    buffers of its preparation, which every depth it reaches reuses.
     """
     if not 0.0 < gamma_target < 0.5:
         raise ValueError("gamma_target must lie in (0, 1/2)")
@@ -209,8 +293,8 @@ def quantum_weak_parity(n, gamma_target, delta, g_sign, sample, counter, rng,
     state = None  # this call's preparation of g, extended to each depth the record lacks
     if not record:
         state, scratch = fill_records([record], g_sign[:, None], sample, gamma_target)
-    est, heavy, dists = record["est"], record["heavy"], record["dists"]
-    if 0 not in dists:  # fill_records prepares exactly the rows with a heavy entry
+    heavy, starts, ends = record["heavy"], record["starts"], record["ends"]
+    if 0 not in ends:  # fill_records prepares exactly the rows with a heavy entry
         raise NoHeavyCoefficient(f"no sampled correlation reaches {gamma_target:g}")
     k_max = max(1, math.ceil(1.0 / gamma_target))
     depths = _doubling_depths(k_max)
@@ -219,23 +303,38 @@ def quantum_weak_parity(n, gamma_target, delta, g_sign, sample, counter, rng,
     deepest, bits = 0, None
     for _ in range(reps):
         for k in depths:
-            if k not in dists:
+            if k not in ends:
                 if bits is None:
-                    bits = (g_sign < 0).view(np.uint8)
+                    bits = g_sign < 0
+                    marked = np.zeros(bits.size, dtype=bool)
+                    marked[heavy] = True
                 if state is None:
                     scratch = QueryCounter()  # the circuit's oracle calls, read off per depth
-                    state = prepare_spectrum_state(bits, scratch)
+                    state = prepare_spectrum_state(bits, scratch, buffers=Buffers())
                 while deepest < k:
-                    grover_step(state, bits, heavy, scratch)
+                    grover_step(state, bits, marked, scratch)
                     deepest += 1
-                dists[k] = (choice_cdf(index_distribution(state)), scratch.quantum_queries)
-            cdf, cost = dists[k]
-            counter.quantum_queries += cost
-            a = int(cdf.searchsorted(rng.random(), side="right"))
-            if heavy[a]:
-                return verdict(est, among=(a,))
+                dist = index_distribution(state)[None]
+                ends[k] = (*interval_ends(dist, [heavy.size], heavy, starts),
+                           scratch.quantum_queries)
+            i = draw_heavy(ends[k], starts, rng, counter)
+            if i is not None:
+                hyp = verdict(record["est"], among=(i,))
+                hyp.a = int(heavy[i])
+                return hyp
     raise NoHeavyCoefficient(
         f"attempt budget exhausted without a verified parity (target {gamma_target:g})")
+
+
+class SearchRecords(dict):
+    """A run's search records, a digit row's packed bit plane -> its record
+    (see :func:`weighted_weak_parity`), and the :class:`simulator.Buffers`
+    that the run's correlation passes and preparations reuse, as the
+    booster's g is one buffer for the whole run."""
+
+    def __init__(self):
+        super().__init__()
+        self.buffers = Buffers()
 
 
 @dataclass
@@ -266,9 +365,10 @@ class SignedDigits:
 
 
 _LANE_LOW_BITS = np.uint64(0x0101010101010101)  # the low bit of each byte of a 64-bit lane
+_SPLIT_INTS = tuple(np.dtype(f"<i{size}") for size in (2, 4, 8))  # 2**(d + 1) to d = 14, 30, 62
 
 
-def signed_digit_decompose(m_values, d: int) -> SignedDigits:
+def signed_digit_decompose(m_values, d: int, buffers: Buffers | None = None) -> SignedDigits:
     """Decompose weights in (0, 1] at bit depth d into the bit planes of u.
 
     Picks the odd integer w = min(v | 1, 2**d - 1) nearest v with
@@ -280,19 +380,30 @@ def signed_digit_decompose(m_values, d: int) -> SignedDigits:
     points packed in one 64-bit lane, so one shift and mask moves eight
     points' bits at once. The post-condition is O(2**n): 0 <= u < 2**d
     and |v - w| <= 1, which is exactly ``reconstruct() == v`` with every
-    k in range, and builds no (d, 2**n) integer table.
+    k in range, and builds no (d, 2**n) integer table. The integers are
+    held in the narrowest signed type that holds 2**(d + 1), 2 bytes per
+    point up to d = 14. Given ``buffers``, every table, the result's too,
+    is carved from their ``state`` table, valid until it is taken again;
+    a caller splitting every stage then allocates none.
     """
     if d < 1:
         raise ValueError("d must be at least 1")
     m = np.asarray(m_values, dtype=np.float64)
     if not (m.min(initial=1.0) > 0.0 and m.max(initial=1.0) <= 1.0):  # a NaN fails both
         raise ValueError("weights must lie in (0, 1]")
-    v = np.empty(m.shape, dtype=np.int64)
+    ints = _SPLIT_INTS[(d >= 15) + (d >= 31)]
+    bytes_used = (d + 7) // 8  # of each point's integer u
+    layout = (((3,) + m.shape, ints), ((bytes_used + d, -(-m.size // 8)), np.uint64))
+    if buffers is None:
+        (v, w, k), words = (np.empty(shape, dtype) for shape, dtype in layout)
+    else:
+        (v, w, k), words = buffers.carve("state", layout)
+    lanes, planes = words[:bytes_used], words[bytes_used:]  # 64-bit lanes of 8 points' bytes
     np.multiply(m, float(1 << d), out=v, casting="unsafe")  # exact; truncation floors positives
     top = (1 << d) - 1
-    w = v | 1
+    np.bitwise_or(v, 1, out=w)
     np.minimum(w, top, out=w)
-    k = v - w
+    np.subtract(v, w, out=k)
     u = w  # u = (w + top) / 2, formed in w's buffer
     u += top
     u >>= 1
@@ -300,10 +411,9 @@ def signed_digit_decompose(m_values, d: int) -> SignedDigits:
             and k.min(initial=0) >= -1 and k.max(initial=0) <= 1):
         raise AssertionError("signed-digit decomposition failed")
     bit = np.arange(d - 1, -1, -1)  # plane j is bit d-1-j of u, bit & 7 of u's byte bit >> 3
-    low_bytes = u.astype("<i8", copy=False).view(np.uint8).reshape(-1, 8)[:, :(d + 7) // 8]
-    lanes = np.zeros((low_bytes.shape[1], -(-u.size // 8)), dtype=np.uint64)  # row b: byte b
+    low_bytes = u.view(np.uint8).reshape(-1, ints.itemsize)[:, :bytes_used]
     lanes.view(np.uint8)[:, :u.size] = low_bytes.T
-    planes = lanes[bit >> 3]
+    np.take(lanes, bit >> 3, axis=0, out=planes, mode="clip")  # "raise" would buffer a copy
     planes >>= (bit & 7).astype(np.uint64)[:, None]
     planes &= _LANE_LOW_BITS
     return SignedDigits(d, planes.view(np.uint8)[:, :u.size], k, v)
@@ -333,9 +443,10 @@ def weighted_weak_parity(g_values, big_gamma, delta, sample, counter, rng,
     The bit function of digit j is alpha[j] * f. Its oracle bits (where
     it is -1) are planes[j] XOR [f > 0], and the stage holds its distinct
     rows as one signed byte per point; no float table of the rows is
-    built. Of the split it keeps only ``planes``, and those only until
-    the distinct rows are copied out, so its int64 ``k`` and ``v`` and
-    the float |g| it splits are gone before any record is filled.
+    built. The stage's tables are buffers it reuses: |g| is formed in
+    their ``scratch`` table and split in their ``state`` table (see
+    :func:`signed_digit_decompose`), and the distinct rows are copied into
+    their ``rows`` table, after which the fills take the other two over.
     ``records`` maps a digit row's packed bit plane
     (``np.packbits``, 2**n / 8 bytes) to its search record (see
     :func:`quantum_weak_parity`); it is sound while f, the sample and
@@ -344,13 +455,21 @@ def weighted_weak_parity(g_values, big_gamma, delta, sample, counter, rng,
     rest, so it holds the rows of at most two consecutive stages. The
     rows without a record are filled before any search, as the columns
     of one :func:`fill_records` call (several when they exceed
-    :func:`simulator.batch_columns`).
+    :func:`simulator.batch_columns`). Their correlation passes and
+    preparations, and the weighted correlation, reuse the buffers of
+    ``records`` when it is a :class:`SearchRecords`, as a run's are, and
+    buffers of this call's own for a plain dict. So a run's stages
+    allocate no table of the cube's size once the first has run.
     """
     if not 0.0 < big_gamma < 1.0:
         raise ValueError("big_gamma must lie in (0, 1)")
     g_values = np.asarray(g_values, dtype=np.float64)
     n = sample.n
-    planes = signed_digit_decompose(np.abs(g_values), digit_depth(big_gamma)).planes
+    if records is None:
+        records = SearchRecords()
+    buffers = records.buffers if isinstance(records, SearchRecords) else Buffers()
+    weights = np.abs(g_values, out=buffers.take("scratch", g_values.size))
+    planes = signed_digit_decompose(weights, digit_depth(big_gamma), buffers).planes
     gamma_bit = bit_threshold(big_gamma)
 
     first = {}  # f is +-1, so two digit rows alpha[j] * f are equal exactly when planes[j] are
@@ -359,14 +478,13 @@ def weighted_weak_parity(g_values, big_gamma, delta, sample, counter, rng,
     keys = list(first)
     # row i is the i-th distinct alpha[j] * f as one signed byte per point: its oracle bits
     # (where it is -1) are planes[j] XOR [f > 0], and its values 1 - 2 * those bits
-    table = planes[list(first.values())].view(np.int8)
-    del planes
+    table, = buffers.carve("rows", (((len(keys), g_values.size), np.int8),))
+    np.take(planes, list(first.values()), axis=0, out=table.view(np.uint8), mode="clip")
+    del planes, weights
     table ^= g_values > 0
     table *= -2
     table += 1
     delta_bit = delta / len(keys)
-    if records is None:
-        records = {}
     kept = {key: records.get(key, {}) for key in keys}
     records.clear()
     records.update(kept)
@@ -374,7 +492,7 @@ def weighted_weak_parity(g_values, big_gamma, delta, sample, counter, rng,
     width = batch_columns(n)
     for start in range(0, len(empty), width):
         batch = empty[start:start + width]
-        fill_records([records[keys[i]] for i in batch], table[batch].T, sample, gamma_bit)
+        fill_records([records[keys[i]] for i in batch], table[batch].T, sample, gamma_bit, buffers)
 
     weighted_est = None  # formed once, when the first candidates need it
     for _ in range(RETRIES):
@@ -387,8 +505,8 @@ def weighted_weak_parity(g_values, big_gamma, delta, sample, counter, rng,
                 continue
             candidates.add(hyp.a)
         if candidates:
-            if weighted_est is None:
-                weighted_est = sample_correlations(sample, g_values)
+            if weighted_est is None:  # no fill takes the buffers' table after this
+                weighted_est = sample_correlations(sample, g_values, buffers)
             try:
                 return verdict(weighted_est, gamma_bit, candidates)
             except NoHeavyCoefficient:

@@ -61,27 +61,33 @@ def traced_peak_tables(call, n) -> float:
 
 
 def test_quantum_stage_holds_no_float_row_table():
-    """One quantum n = 12 stage's traced peak, in tables of 2**12 doubles:
-    at most 46 with its nine digit rows' records to fill, and at most 8
-    with them filled by the stage before.
+    """One quantum n = 12 stage's traced peak, in tables of 2**12 doubles,
+    on the run's records and buffers: at most 46 with its nine digit rows'
+    records to fill, and at most 2 with them filled by the stage before.
 
-    Measured: 45.5 and 6.6 tables. The digit rows are one byte per point
+    Measured: 43.8 and 1.2 tables. The digit rows are one byte per point
     and digit, and their +-1 values exist as floats only inside the
-    correlation pass's own buffer; the filling stage's peak is the batched
-    preparation of four rows (16 tables of state). The split's int64 k
-    and v, and its planes once the distinct rows are copied out, are gone
-    before that preparation, and the weighted estimate is formed after it.
-    Holding k and v through the fills peaked at 48.6, the planes at 46.6,
-    the estimate at 46.5, and all three at 49.6; a stage that builds and
-    holds the float64 table of its rows, and splits the weights through
-    (d, 2**n) int64 tables, peaked at 61.8 and 19.5."""
+    correlation pass's own buffer. The filling stage allocates the run's
+    buffers (16 tables of state for a batch of four rows, 4 of scratch)
+    and its records. Here the weights are uniform, so eight rows have
+    about 3,850 heavy indices each, in runs of about 19, and a record
+    keeps 19 bytes per heavy index (index, estimate, run mark, high end)
+    and 8 per run (low end), against 17 bytes per point for an estimate,
+    a mask and a CDF over the cube. A low end per heavy index would add 8
+    bytes to each of some 27,000 heavy indices, 6.6 tables, past the
+    bound. The filled stage allocates no table of the cube's size: |g|,
+    the split and the weighted estimate live in the buffers, and the
+    distinct rows in their rows table. On fresh buffers it peaks at 5.2
+    tables, and with fresh int64 split tables at 6.6; a stage that builds
+    and holds the float64 table of its rows, and splits the weights
+    through (d, 2**n) int64 tables, peaked at 61.8 and 19.5."""
     n = 12
     cfg = QhsConfig(n=n, s=2, epsilon=0.1, seed=0)
     f_sign = random_dnf(n, 2, 3, 0).sign_table()
     sample = SharedSample.draw(n, cfg.sample_size, QueryCounter(), np.random.default_rng(0))
     weights = np.random.default_rng(1).uniform(0.05, 1.0, 1 << n)  # every digit row distinct
     g_values = weights * f_sign
-    records = {}
+    records = weaklearn.SearchRecords()  # the run's records, with its buffers
     found = []
 
     def stage():
@@ -92,8 +98,51 @@ def test_quantum_stage_holds_no_float_row_table():
     assert digit_depth(cfg.big_gamma) == 9
     assert traced_peak_tables(stage, n) <= 46.0
     assert len(records) == 9
-    assert traced_peak_tables(stage, n) <= 8.0
+    assert traced_peak_tables(stage, n) <= 2.0
     assert found[0] == found[1]
+
+
+FAULT_PROBE = """
+import json, resource
+from qhslab import QhsConfig, boost, random_dnf
+from qhslab.boosting import StageBudgetExceeded
+from qhslab.sieve import setup_run
+cfg = QhsConfig(n=16, s=2, epsilon=0.1, seed=0)
+f_sign, sample, _, learn = setup_run(random_dnf(16, 2, 3, 0), cfg)
+faults = []
+def stage(g_values):
+    hyp = learn(g_values)
+    faults.append(resource.getrusage(resource.RUSAGE_SELF).ru_minflt)
+    return hyp
+try:
+    boost(f_sign, sample, cfg.epsilon, cfg.gamma, 60, stage)
+except StageBudgetExceeded:
+    pass
+print(json.dumps(faults))
+"""
+
+
+@pytest.mark.skipif(not sys.platform.startswith("linux"), reason="faults as Linux counts them")
+def test_warm_quantum_stages_fault_in_no_tables():
+    """Stages 21 to 60 of a quantum n = 16 run make at most 20 minor page
+    faults each, in a fresh interpreter.
+
+    Measured: 0.9 per stage. A stage reuses the run's buffers for its
+    split, rows, correlation tables and states, so once they exist it
+    allocates no table of the cube's size, which glibc would hand back to
+    the system and fault in again (4 KB per fault, 128 per 512 KB
+    table). With fresh tables per preparation the same stages made 180
+    faults each."""
+    pytest.importorskip("resource")
+    src = os.path.dirname(os.path.dirname(sieve.__file__))
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    env = dict(os.environ, PYTHONPATH=path)
+    proc = subprocess.run([sys.executable, "-c", FAULT_PROBE], env=env, capture_output=True,
+                          text=True, timeout=300)
+    assert proc.returncode == 0, proc.stderr
+    faults = json.loads(proc.stdout)
+    assert len(faults) == 60
+    assert (faults[-1] - faults[19]) / 40 <= 20
 
 
 def test_setup_run_holds_the_sign_table_in_one_signed_byte():
@@ -275,10 +324,10 @@ def test_row_records_change_no_decision(monkeypatch, formula, cfg, deeper):
         assert set(records) == set(rows)
         return hyp
 
-    def watched_prepare(bits, counter):
+    def watched_prepare(bits, counter, **buffers):
         for column in bits.reshape(bits.shape[0], -1).T:  # a batched preparation, once per column
             events.append((len(stages) - 1, column.tobytes(), "prepare"))
-        return prepare(bits, counter)
+        return prepare(bits, counter, **buffers)
 
     def watched_step(state, bits, heavy, counter):
         events.append((len(stages) - 1, bits.tobytes(), "step"))

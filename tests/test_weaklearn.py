@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -9,13 +10,22 @@ from qhslab import (QhsConfig, QueryCounter, SharedSample, exact_weak_parity, pl
                     quantum_weak_parity, random_dnf, to_pm1, wht)
 from qhslab import seeds, simulator, weaklearn
 from qhslab.boolfn import chi, wht_unscaled
-from qhslab.weaklearn import (RETRIES, NoHeavyCoefficient, WeakHypothesis, choice_cdf,
-                              fill_records, sample_correlations, sampled_weak_parity, signed_digit_decompose,
-                              verdict, weighted_weak_parity)
+from qhslab.weaklearn import (RETRIES, NoHeavyCoefficient, WeakHypothesis, draw_heavy, fill_records,
+                              interval_ends, sample_correlations, sampled_weak_parity,
+                              signed_digit_decompose, verdict, weighted_weak_parity)
 
 
 def parity_bits(n, b):
     return ((np.bitwise_count(np.arange(1 << n) & b)) & 1).astype(np.uint8)
+
+
+def choice_cdf(probs):
+    """Reference: the CDF ``Generator.choice(probs.size, p=probs / probs.sum())``
+    builds per call; ``cdf.searchsorted(rng.random(), side="right")`` then draws
+    the index it draws. A 2-D ``probs`` gives each row's CDF."""
+    cdf = np.cumsum(probs / probs.sum(axis=-1, keepdims=True), axis=-1)
+    cdf /= cdf[..., -1:]
+    return cdf
 
 
 def greedy_signed_digits(m_values, d):
@@ -146,8 +156,8 @@ def test_quantum_weak_parity_bills_the_circuits_own_oracle_calls(monkeypatch):
 @given(st.integers(2, 4096), st.floats(0.0, 0.9), st.integers(1, 8), st.integers(0, 2**32 - 1),
        st.integers(1, 9))
 def test_cached_cdf_draws_what_generator_choice_draws(size, zero_share, power, seed, rows):
-    # the searches draw from choice_cdf; if numpy's choice ever draws differently, this fails
-    # here instead of moving every fingerprint
+    # the searches draw on the ends of choice_cdf's intervals; if numpy's choice ever draws
+    # differently, this fails here instead of moving every fingerprint
     make = np.random.default_rng(seed)
     table = make.random((rows, size)) ** power * (make.random((rows, size)) >= zero_share)
     table[np.arange(rows), make.integers(size, size=rows)] += 0.5  # some mass in every row
@@ -159,6 +169,80 @@ def test_cached_cdf_draws_what_generator_choice_draws(size, zero_share, power, s
                 == int(numpys.choice(probs.size, p=probs / probs.sum())))
     # a batch of records takes its CDFs from the rows of one table, bit for bit the row's own
     assert choice_cdf(table).tobytes() == b"".join(choice_cdf(row).tobytes() for row in table)
+
+
+class FixedDraws:
+    """A generator stand-in whose ``random()`` returns the given draws in turn."""
+
+    def __init__(self, draws):
+        self.draws = iter(draws)
+
+    def random(self):
+        return next(self.draws)
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.integers(3, 48), st.floats(0.0, 0.9), st.floats(0.0, 1.0), st.integers(1, 4),
+       st.integers(0, 2**32 - 1), st.integers(1, 40))
+@example(3, 0.0, 1.0, 1, 0, 2)  # every index heavy: all adjacent, the first and the last
+@example(8, 0.0, 0.0, 2, 1, 6)  # light rows around the forced heavy indices: runs of one
+def test_compact_draw_hits_what_the_full_cdf_draws(size, zero_share, heavy_share, rows, seed,
+                                                   bill):
+    # a record keeps only the heavy indices' interval ends; each draw on them must land on
+    # the heavy index searchsorted finds in the full CDF, or miss where it finds a light one
+    make = np.random.default_rng(seed)
+    table = make.random((rows, size)) * (make.random((rows, size)) >= zero_share)
+    heavy = make.random((rows, size)) < heavy_share
+    pair, zero = make.integers(size - 1), make.integers(size)
+    heavy[0, [0, size - 1, pair, pair + 1, zero]] = True  # first, last, adjacent, zero weight
+    table[0, zero] = 0.0
+    table[0, (zero + 1) % size] += 0.5  # some weight in every row
+    table[1:, 0] += 0.5
+    counts = heavy.sum(axis=1)
+    index = np.nonzero(heavy)[1]
+    starts = (index == 0) | ~heavy.reshape(-1)[np.flatnonzero(heavy) - 1]
+    lows, highs = interval_ends(table.copy(), counts, index, starts)
+    bounds = np.cumsum([0, *counts])
+    run_bounds = np.cumsum([0, *(part.sum() for part in np.split(starts, bounds[1:-1]))])
+    for row in range(rows):
+        cdf = choice_cdf(table[row])
+        lo, hi = bounds[row], bounds[row + 1]
+        ends = (lows[run_bounds[row]:run_bounds[row + 1]], highs[lo:hi], bill)
+        # every interval end, the double just below it, and a few uniform draws
+        draws = np.concatenate([cdf, np.nextafter(cdf, 0.0), [0.0], make.random(8)])
+        draws = draws[draws < 1.0]
+        counter = QueryCounter()
+        rng = FixedDraws(draws)
+        for charged, r in enumerate(draws, 1):
+            a = int(cdf.searchsorted(r, side="right"))
+            hit = draw_heavy(ends, starts[lo:hi], rng, counter)
+            assert (None if hit is None else int(index[lo + hit])) == (a if heavy[row, a] else None)
+            assert counter.quantum_queries == charged * bill
+
+
+def test_a_filled_record_holds_a_few_words_per_heavy_index():
+    """A filled n = 14 record holds at most 32 bytes per heavy index plus
+    2 KB: per heavy index its index (2 bytes), estimate (8), run mark (1)
+    and the high end of its interval at depth 0 (8), and per run of
+    consecutive heavy indices one low end (8). Measured: 3,539 bytes for 64
+    heavy indices in 64 runs, the most runs 64 indices can make. A record
+    that keeps the estimate, a heavy mask and the CDF over the whole cube
+    held 279,787 bytes on the same target."""
+    n = 14
+    spread = 0b101010101010  # an AND of six variables none of them adjacent to another
+    bits = ((np.arange(1 << n) & spread) == spread).astype(np.uint8)
+    sample = SharedSample.full_cube(n, bits)  # 64 coefficients of magnitude 1/32, and 31/32
+    fill_records([{}], to_pm1(bits)[:, None], sample, 1 / 32)  # first-call imports, untraced
+    record = {}
+    tracemalloc.start()
+    try:
+        fill_records([record], to_pm1(bits)[:, None], sample, 1 / 32)
+        held = tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+    lows, highs, bill = record["ends"][0]
+    assert record["heavy"].size == highs.size == lows.size == 64 and bill == 2
+    assert held <= 32 * 64 + 2048
 
 
 def batch_of_targets(n):
@@ -187,17 +271,25 @@ def test_records_filled_in_one_batch_equal_one_column_records(n):
         except NoHeavyCoefficient:
             pass
         alone.append(record)
-    assert {0 in record["dists"] for record in alone} == {True, False}  # both kinds occur
+    assert {0 in record["ends"] for record in alone} == {True, False}  # both kinds occur
+    for c, record in enumerate(alone):  # a record keeps the heavy entries of the full estimate
+        est = sample_correlations(sample, table[:, c])
+        assert record["heavy"].tolist() == np.flatnonzero(np.abs(est) >= gamma_target).tolist()
+        assert record["est"].tobytes() == est[record["heavy"]].tobytes()
+        runs = np.diff(record["heavy"].astype(int), prepend=-2) != 1  # where a run begins
+        assert record["starts"].tolist() == runs.tolist()
     for k in range(1, 10):
         batch = [{} for _ in range(k)]
         fill_records(batch, table[:, :k], sample, gamma_target)
         for got, want in zip(batch, alone):
-            assert got["est"].tobytes() == want["est"].tobytes()
             assert got["heavy"].tobytes() == want["heavy"].tobytes()
-            assert set(got["dists"]) <= {0} and (0 in got["dists"]) == (0 in want["dists"])
-            if 0 in got["dists"]:
-                (cdf, bill), (want_cdf, want_bill) = got["dists"][0], want["dists"][0]
-                assert cdf.tobytes() == want_cdf.tobytes() and bill == want_bill == 2
+            assert got["est"].tobytes() == want["est"].tobytes()
+            assert got["starts"].tobytes() == want["starts"].tobytes()
+            assert set(got["ends"]) <= {0} and (0 in got["ends"]) == (0 in want["ends"])
+            if 0 in got["ends"]:
+                (lo, hi, bill), (want_lo, want_hi, want_bill) = got["ends"][0], want["ends"][0]
+                assert lo.tobytes() == want_lo.tobytes() and hi.tobytes() == want_hi.tobytes()
+                assert bill == want_bill == 2
     with pytest.raises(ValueError):
         fill_records([{}], table[:, :1] * 0.5, sample, gamma_target)
 
@@ -341,9 +433,9 @@ def test_weighted_searches_each_distinct_digit_row_once_in_order(monkeypatch):
     split = weaklearn.signed_digit_decompose
     split_weights = []  # the weights the stage reads off its target g = m * f
 
-    def recording_split(weights, d):
-        split_weights.append(weights)
-        return split(weights, d)
+    def recording_split(weights, d, *buffers):
+        split_weights.append(weights.copy())  # the stage's buffers hold |g| until its fills
+        return split(weights, d, *buffers)
 
     monkeypatch.setattr(weaklearn, "quantum_weak_parity", recording)
     monkeypatch.setattr(weaklearn, "signed_digit_decompose", recording_split)
