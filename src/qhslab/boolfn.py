@@ -134,10 +134,7 @@ def wht_unscaled(values, out=None, scratch=None) -> np.ndarray:
         raise ValueError("out must be a float64 array of the input's shape")
     elif out is not values:
         np.copyto(out, values)
-    if scratch is None:
-        butterfly_axis0(out)
-    else:
-        butterfly_axis0(out, scratch)
+    butterfly_axis0(out, scratch)
     return out
 
 
@@ -186,13 +183,12 @@ def butterfly_axis0(a: np.ndarray, scratch=None) -> np.ndarray:
         raise ValueError("need a contiguous 1-D array or a 2-D F-contiguous one")
     rows, columns = a.T, a.size // m  # rows[c] is column c, contiguous
     if scratch is None:
-        dst = np.empty(rows.shape, dtype=rows.dtype)
+        scratch = np.empty(a.size, dtype=a.dtype)
     elif (scratch.ndim != 1 or not scratch.flags.c_contiguous or scratch.dtype != a.dtype
           or scratch.size < a.size or np.may_share_memory(scratch, a)):
         raise ValueError("scratch must be a contiguous 1-D table of a's dtype, apart from a, "
                          "with at least a.size entries")
-    else:
-        dst = scratch[:a.size].reshape(rows.shape)
+    dst = scratch[:a.size].reshape(rows.shape)
     n = m.bit_length() - 1
     chunks = -(-n // BLOCK_BITS)
     src = rows

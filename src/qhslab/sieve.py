@@ -220,11 +220,9 @@ def setup_run(formula: DnfFormula, cfg: QhsConfig) -> tuple:
     :func:`boosting.boost` lends it, that looks the learners up by name at
     call time and raises :class:`WeakLearnerFailure` for a stage without a
     verified parity. In ``classical_exact`` mode it transforms g in place,
-    so the buffer it is given holds g's unscaled spectrum on return, and it
-    drops ``sample.counts``: on that path only :func:`boosting.boost`
-    reads them, to form its signed counts before the first stage, so a
-    2**n float table is not held for the whole run. In ``quantum_sim`` mode
-    the learner lends every stage one :class:`weaklearn.SearchRecords`.
+    so the buffer it is given holds g's unscaled spectrum on return. In
+    ``quantum_sim`` mode the learner lends every stage one
+    :class:`weaklearn.SearchRecords`, with the run's buffers.
     """
     if formula.n != cfg.n:
         raise ValueError(f"formula has n={formula.n} but the config says n={cfg.n}")
@@ -242,7 +240,6 @@ def setup_run(formula: DnfFormula, cfg: QhsConfig) -> tuple:
         t = next(stages)
         try:
             if cfg.mode == "classical_exact":
-                sample.counts = None  # read only by boost, once, before the first stage
                 return exact_weak_parity(g_values, out=g_values)
             if cfg.mode == "classical_sampled":
                 return sampled_weak_parity(sample, g_values, cfg.verify_threshold)

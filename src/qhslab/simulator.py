@@ -268,18 +268,14 @@ def hadamard_index(state: StateVector) -> StateVector:
     first such block to the last, usually a lone block, one contiguous
     index column per column and block; a dead block inside the span is
     zero and stays zero, possibly ``-0.0``. An all-zero state transforms
-    nothing and fails the norm check. The kernel's work table is the
-    state's ``scratch`` buffer when it has buffers."""
+    nothing and fails the norm check. The kernel's work table comes from
+    :func:`_scratch`."""
     blocks = _blocks(state)
     live = [w for w in state.live if (blocks[w] != 0.0).any()]
     state.live = tuple(live)
     if live:
         span = blocks[live[0]:live[-1] + 1]
-        columns = span.reshape(-1, 1 << state.n).T
-        if state.buffers is None:
-            butterfly_axis0(columns)
-        else:
-            butterfly_axis0(columns, _scratch(state, span.size))
+        butterfly_axis0(span.reshape(-1, 1 << state.n).T, _scratch(state, span.size))
         span *= 2.0 ** (-state.n / 2.0)
     return _checked(state)
 

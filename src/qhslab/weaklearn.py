@@ -114,18 +114,18 @@ def sample_correlations(sample: SharedSample, values, buffers: Buffers | None = 
     vector is accumulated exactly before the transform runs. The values
     may have any numeric dtype (a 1-byte +-1 table, say); they become
     float64 only in that product, with the bits a float64 table gives.
-    The result is a new array, or with ``buffers`` their ``state`` table
-    (the transform's work table their ``scratch``), valid until that table
-    is taken again.
+    The result lives in the ``state`` table of ``buffers`` (new ones by
+    default) and the transform's work table in their ``scratch``; it is
+    valid until that table is taken again.
     """
     if sample.size == 0:
         raise ValueError("sample is empty")
+    buffers = Buffers() if buffers is None else buffers
     values = np.asarray(values)
-    table = np.empty(values.size) if buffers is None else buffers.take("state", values.size)
+    table = buffers.take("state", values.size).reshape(values.shape[::-1]).T  # F order
     mass = np.multiply(sample.counts.reshape((-1,) + (1,) * (values.ndim - 1)), values,
-                       out=table.reshape(values.shape[::-1]).T)  # F order
-    scratch = None if buffers is None else buffers.take("scratch", mass.size)
-    wht_unscaled(mass, out=mass, scratch=scratch)
+                       out=table, order="F")  # iterating in C order would cost 4x at 16 columns
+    wht_unscaled(mass, out=mass, scratch=buffers.take("scratch", mass.size))
     mass /= sample.size
     return mass
 
@@ -136,77 +136,61 @@ def _doubling_depths(k_max: int) -> tuple:
     return (0,) + tuple(1 << j for j in range(k_max.bit_length()))
 
 
-def interval_ends(probs, counts, index, starts) -> tuple:
-    """Where a draw lands on heavy indices of ``probs``, a ``(k, 2**n)``
-    table of weights, overwritten: row i holds the next ``counts[i]``
-    indices of ``index``, increasing. Returns ``(lows, highs)``, the ends
-    of the interval ``cdf[a - 1] <= r < cdf[a]`` of each heavy index a in
-    its row's CDF (``cdf[-1]`` read as 0 for a = 0), the low end only where
-    the mask ``starts`` marks an index that begins a run of consecutive
-    indices in one row: inside a run each low end is the previous index's
-    high end, bit for bit.
+def cdf_at(probs, counts, index) -> np.ndarray:
+    """The measurement CDF of each row of ``probs``, a ``(k, 2**n)`` table
+    of weights, overwritten, at a few of its indices: row i's at the next
+    ``counts[i]`` entries of ``index``, increasing.
 
-    ``cdf`` is the CDF ``Generator.choice(2**n, p=p / p.sum())`` builds
-    for a row p: formed here in the table itself, and its ends divided by
-    the row's last entry as ``choice`` divides the whole CDF, so they
-    have its bits. The CDF is nondecreasing and ends at exactly 1.0, so
-    ``cdf.searchsorted(r, side="right")`` returns a exactly when r lies
-    in that interval: :func:`draw_heavy` draws on the ends alone, and a
-    zero-weight index has an empty interval.
+    The CDF is the one ``Generator.choice(2**n, p=p / p.sum())`` builds for
+    a row p: formed here in the table itself, and its entries at ``index``
+    divided by the row's last entry as ``choice`` divides the whole CDF,
+    so they have its bits, in one array, row after row.
     """
     size = probs.shape[-1]
     probs /= probs.sum(axis=-1, keepdims=True)
     np.cumsum(probs, axis=-1, out=probs)
-    cdf, last = probs.reshape(-1), probs[:, -1]
-    at = np.repeat(np.arange(0, cdf.size, size), counts)  # each row's first entry, then ...
-    at += index  # ... each heavy index's entry
-    highs = cdf.take(at)
-    at = at[starts]
-    at -= 1
-    lows = cdf.take(at)
-    lows[index[starts] == 0] = 0.0
-    scale = np.repeat(last, counts)
-    highs /= scale
-    lows /= scale[starts]
-    return lows, highs
+    at = np.repeat(np.arange(0, probs.size, size), counts)  # each row's first entry, then ...
+    at += index  # ... each index's entry
+    cdf = probs.reshape(-1).take(at)
+    del at
+    cdf /= np.repeat(probs[:, -1], counts)
+    return cdf
 
 
-def draw_heavy(ends, starts, rng, counter: QueryCounter):
+def draw_heavy(ends, heavy, rng, counter: QueryCounter):
     """One measurement of a prepared circuit, from a record's ``ends[k]``
-    ``(lows, highs, bill)`` and its run ``starts`` (see
-    :func:`quantum_weak_parity`): charges the circuit's bill and returns
-    the position i of the heavy index whose interval holds the draw ``r =
-    rng.random()``, or None when r lands on no heavy index. The intervals
-    are disjoint and in index order, so only the first one ending beyond
-    r can hold it; inside a run its low end is the previous high end,
-    which is at most r."""
-    lows, highs, bill = ends
+    ``(cdf, bill)`` and its ``heavy`` mask (see :func:`quantum_weak_parity`):
+    charges the circuit's bill and returns the slot j that the draw ``r =
+    rng.random()`` lands on when it is heavy, or None.
+
+    The full CDF is nondecreasing and ends at exactly 1.0, and ``choice``
+    draws the first index whose CDF value exceeds r. The slots are every
+    heavy index and the index just below each run of consecutive heavy
+    ones, so the first slot whose value exceeds r is that index when it
+    is heavy, and a light slot or none when it is not: a heavy index a is
+    drawn exactly when ``cdf[a - 1] <= r < cdf[a]``, and a zero-weight
+    one never."""
+    cdf, bill = ends
     counter.quantum_queries += bill
-    r = rng.random()
-    i = int(highs.searchsorted(r, "right"))
-    if i == len(highs):
-        return None
-    if len(lows) == len(highs):  # every heavy index begins a run
-        return i if lows[i] <= r else None
-    return i if not starts[i] or lows[np.count_nonzero(starts[:i])] <= r else None
+    j = int(cdf.searchsorted(rng.random(), "right"))
+    return j if j < len(heavy) and heavy[j] else None
 
 
 def fill_records(records, g_sign, sample, gamma_target, buffers: Buffers | None = None) -> tuple:
     """Fill the empty search records ``records[c]`` (see
     :func:`quantum_weak_parity`) from column c of ``g_sign``, a ``(2**n, k)``
     +-1 table of any numeric dtype, read as it is and validated here once:
-    ``heavy``, ``est`` and ``starts`` from one correlation pass over all
-    columns, which forms the float values in its own buffer, and for every
-    column with a heavy entry the depth-0 interval ends and that
-    circuit's oracle tally, from one preparation of all of them, whose
-    CDFs are formed in its measurement table and read at the heavy
-    indices, all rows at once. The correlation table, the state and the
+    the slots' ``index``, ``heavy`` and ``est`` from one correlation pass
+    over all columns, which forms the float values in its own buffer, and
+    for every column with a heavy entry the depth-0 CDF at its slots and
+    that circuit's oracle tally, from one preparation of all of them,
+    whose CDFs are formed in its measurement table and read at the slots,
+    all rows at once. The correlation table, the state and the
     measurement table live in ``buffers`` (new ones by default), so a
     caller that lends the same object to every fill allocates no 2**n
-    table per fill. A record holds no array over the cube: with its ends
-    at depth 0, 19 bytes per heavy index up to n = 16 and 8 more per run
-    of consecutive ones, against 17 bytes per point for an estimate, a
-    mask and a CDF over the cube. A column's
+    table per fill. A record holds no array over the cube: with its CDF
+    at depth 0, 19 bytes per slot up to n = 16, against 17 bytes per
+    point for an estimate, a mask and a CDF over the cube. A column's
     record is bit for bit the one it gets alone, whatever the table's
     dtype. Returns that preparation and its query counter, or ``(None,
     None)`` when no column is heavy.
@@ -214,24 +198,21 @@ def fill_records(records, g_sign, sample, gamma_target, buffers: Buffers | None 
     g_sign = np.asarray(g_sign)
     if not np.all(np.abs(g_sign) == 1):
         raise ValueError("g_sign must be a +-1 table")
-    if buffers is None:
-        buffers = Buffers()
+    buffers = Buffers() if buffers is None else buffers
     est = sample_correlations(sample, g_sign, buffers).T  # (k, 2**n), C-contiguous
     k, size = est.shape
-    mask = (np.abs(est, out=buffers.take("scratch", est.size).reshape(est.shape))
-            >= gamma_target).reshape(-1)
-    flat = mask.nonzero()[0]
+    mask = np.abs(est, out=buffers.take("scratch", est.size).reshape(est.shape)) >= gamma_target
+    slots = mask.copy()  # the heavy indices, and the light one below each run of them
+    slots[:, :-1] |= mask[:, 1:]
+    flat = slots.reshape(-1).nonzero()[0]
+    del slots
+    heavy = mask.reshape(-1)[flat]
     values = est.reshape(-1)[flat]
-    heavy = (flat & (size - 1)).astype(np.uint16 if size <= 1 << 16 else np.uint32)
-    # a run of consecutive heavy indices in a column begins where the index before is light
-    starts = heavy == 0
-    starts |= ~mask[flat - 1]
-    edges = range(0, (k + 1) * size, size)  # where each column's entries begin
-    bounds = flat.searchsorted(edges).tolist()
-    run_bounds = flat[starts].searchsorted(edges).tolist()
+    index = (flat & (size - 1)).astype(np.uint16 if size <= 1 << 16 else np.uint32)
+    bounds = flat.searchsorted(np.arange(0, (k + 1) * size, size)).tolist()  # per column
     del flat
     for record, lo, hi in zip(records, bounds, bounds[1:]):
-        record.update(heavy=heavy[lo:hi], est=values[lo:hi], starts=starts[lo:hi], ends={})
+        record.update(index=index[lo:hi], heavy=heavy[lo:hi], est=values[lo:hi], ends={})
     rows = [c for c in range(k) if bounds[c + 1] > bounds[c]]
     if not rows:
         return None, None
@@ -239,11 +220,10 @@ def fill_records(records, g_sign, sample, gamma_target, buffers: Buffers | None 
     bits = g_sign.T[rows] < 0  # C-contiguous, so its transpose is the gates' layout
     state = prepare_spectrum_state(bits.T, scratch, buffers=buffers)
     dists = index_distribution(state).reshape(len(rows), -1)
-    lows, highs = interval_ends(dists, [bounds[c + 1] - bounds[c] for c in rows], heavy, starts)
+    cdf = cdf_at(dists, [bounds[c + 1] - bounds[c] for c in rows], index)
     bill = scratch.quantum_queries // len(rows)
     for c in rows:
-        records[c]["ends"][0] = (lows[run_bounds[c]:run_bounds[c + 1]],
-                                 highs[bounds[c]:bounds[c + 1]], bill)
+        records[c]["ends"][0] = (cdf[bounds[c]:bounds[c + 1]], bill)
     return state, scratch
 
 
@@ -266,11 +246,13 @@ def quantum_weak_parity(n, gamma_target, delta, g_sign, sample, counter, rng,
 
     All but the draws is a function of g, the sample and gamma_target,
     kept between calls on one row in ``record`` (a dict, empty at first),
-    in O(|heavy|) entries: the ``heavy`` indices in increasing order (2
-    bytes each up to n = 16), ``est`` at them, the mask ``starts`` of
-    those that begin a run of consecutive indices and, per depth reached,
-    ``ends[k]``: the heavy intervals' ends in the measurement CDF (see
-    :func:`interval_ends`) and the oracle tally. A draw reads no more
+    in O(|heavy|) entries over its slots, the heavy indices and the
+    light index just below each run of consecutive heavy ones: their
+    ``index`` in increasing order (2 bytes each up to n = 16), the mask
+    ``heavy`` that picks out the heavy ones, ``est`` at them and, per
+    depth reached, ``ends[k]``: the measurement CDF at the slots (see
+    :func:`cdf_at`), which holds both ends of every heavy index's
+    interval, and the oracle tally. A draw reads no more
     (:func:`draw_heavy`). A call that finds the record empty fills it
     through :func:`fill_records` with one column, which validates g_sign,
     and extends that preparation to the deeper depths it needs; a record
@@ -278,8 +260,9 @@ def quantum_weak_parity(n, gamma_target, delta, g_sign, sample, counter, rng,
     goes deeper than its record prepares again from depth 0,
     deterministically, marking the heavy indices again. So every attempt
     is an independent draw from the exact distribution of a fresh
-    preparation, billed that circuit's own oracle calls. A call owns the
-    buffers of its preparation, which every depth it reaches reuses.
+    preparation, billed that circuit's own oracle calls. The preparation
+    a call makes, to fill its record or to go deeper than it, lives on
+    buffers of the call's own, which every depth it reaches reuses.
     """
     if not 0.0 < gamma_target < 0.5:
         raise ValueError("gamma_target must lie in (0, 1/2)")
@@ -293,7 +276,7 @@ def quantum_weak_parity(n, gamma_target, delta, g_sign, sample, counter, rng,
     state = None  # this call's preparation of g, extended to each depth the record lacks
     if not record:
         state, scratch = fill_records([record], g_sign[:, None], sample, gamma_target)
-    heavy, starts, ends = record["heavy"], record["starts"], record["ends"]
+    index, heavy, ends = record["index"], record["heavy"], record["ends"]
     if 0 not in ends:  # fill_records prepares exactly the rows with a heavy entry
         raise NoHeavyCoefficient(f"no sampled correlation reaches {gamma_target:g}")
     k_max = max(1, math.ceil(1.0 / gamma_target))
@@ -307,7 +290,7 @@ def quantum_weak_parity(n, gamma_target, delta, g_sign, sample, counter, rng,
                 if bits is None:
                     bits = g_sign < 0
                     marked = np.zeros(bits.size, dtype=bool)
-                    marked[heavy] = True
+                    marked[index[heavy]] = True
                 if state is None:
                     scratch = QueryCounter()  # the circuit's oracle calls, read off per depth
                     state = prepare_spectrum_state(bits, scratch, buffers=Buffers())
@@ -315,12 +298,11 @@ def quantum_weak_parity(n, gamma_target, delta, g_sign, sample, counter, rng,
                     grover_step(state, bits, marked, scratch)
                     deepest += 1
                 dist = index_distribution(state)[None]
-                ends[k] = (*interval_ends(dist, [heavy.size], heavy, starts),
-                           scratch.quantum_queries)
-            i = draw_heavy(ends[k], starts, rng, counter)
-            if i is not None:
-                hyp = verdict(record["est"], among=(i,))
-                hyp.a = int(heavy[i])
+                ends[k] = (cdf_at(dist, [index.size], index), scratch.quantum_queries)
+            j = draw_heavy(ends[k], heavy, rng, counter)
+            if j is not None:
+                hyp = verdict(record["est"], among=(j,))
+                hyp.a = int(index[j])
                 return hyp
     raise NoHeavyCoefficient(
         f"attempt budget exhausted without a verified parity (target {gamma_target:g})")
@@ -329,8 +311,8 @@ def quantum_weak_parity(n, gamma_target, delta, g_sign, sample, counter, rng,
 class SearchRecords(dict):
     """A run's search records, a digit row's packed bit plane -> its record
     (see :func:`weighted_weak_parity`), and the :class:`simulator.Buffers`
-    that the run's correlation passes and preparations reuse, as the
-    booster's g is one buffer for the whole run."""
+    that the run's stages reuse, as the booster's g is one buffer for the
+    whole run."""
 
     def __init__(self):
         super().__init__()
@@ -382,9 +364,10 @@ def signed_digit_decompose(m_values, d: int, buffers: Buffers | None = None) -> 
     and |v - w| <= 1, which is exactly ``reconstruct() == v`` with every
     k in range, and builds no (d, 2**n) integer table. The integers are
     held in the narrowest signed type that holds 2**(d + 1), 2 bytes per
-    point up to d = 14. Given ``buffers``, every table, the result's too,
-    is carved from their ``state`` table, valid until it is taken again;
-    a caller splitting every stage then allocates none.
+    point up to d = 14. Every table, the result's too, is carved from the
+    ``state`` table of ``buffers`` (new ones by default), valid until it
+    is taken again; a caller that lends the same object every stage then
+    allocates none.
     """
     if d < 1:
         raise ValueError("d must be at least 1")
@@ -393,11 +376,9 @@ def signed_digit_decompose(m_values, d: int, buffers: Buffers | None = None) -> 
         raise ValueError("weights must lie in (0, 1]")
     ints = _SPLIT_INTS[(d >= 15) + (d >= 31)]
     bytes_used = (d + 7) // 8  # of each point's integer u
-    layout = (((3,) + m.shape, ints), ((bytes_used + d, -(-m.size // 8)), np.uint64))
-    if buffers is None:
-        (v, w, k), words = (np.empty(shape, dtype) for shape, dtype in layout)
-    else:
-        (v, w, k), words = buffers.carve("state", layout)
+    buffers = Buffers() if buffers is None else buffers
+    (v, w, k), words = buffers.carve("state", (((3,) + m.shape, ints),
+                                               ((bytes_used + d, -(-m.size // 8)), np.uint64)))
     lanes, planes = words[:bytes_used], words[bytes_used:]  # 64-bit lanes of 8 points' bytes
     np.multiply(m, float(1 << d), out=v, casting="unsafe")  # exact; truncation floors positives
     top = (1 << d) - 1
@@ -443,23 +424,26 @@ def weighted_weak_parity(g_values, big_gamma, delta, sample, counter, rng,
     The bit function of digit j is alpha[j] * f. Its oracle bits (where
     it is -1) are planes[j] XOR [f > 0], and the stage holds its distinct
     rows as one signed byte per point; no float table of the rows is
-    built. The stage's tables are buffers it reuses: |g| is formed in
-    their ``scratch`` table and split in their ``state`` table (see
-    :func:`signed_digit_decompose`), and the distinct rows are copied into
-    their ``rows`` table, after which the fills take the other two over.
-    ``records`` maps a digit row's packed bit plane
-    (``np.packbits``, 2**n / 8 bytes) to its search record (see
-    :func:`quantum_weak_parity`); it is sound while f, the sample and
-    big_gamma stay fixed, as within the run that owns it. A call keeps
-    its own rows' records, reusing the previous call's, and drops the
-    rest, so it holds the rows of at most two consecutive stages. The
-    rows without a record are filled before any search, as the columns
-    of one :func:`fill_records` call (several when they exceed
-    :func:`simulator.batch_columns`). Their correlation passes and
-    preparations, and the weighted correlation, reuse the buffers of
-    ``records`` when it is a :class:`SearchRecords`, as a run's are, and
-    buffers of this call's own for a plain dict. So a run's stages
-    allocate no table of the cube's size once the first has run.
+    built.
+
+    ``records``, a :class:`SearchRecords` (a new one by default), maps a
+    digit row's packed bit plane (``np.packbits``, 2**n / 8 bytes) to its
+    search record (see :func:`quantum_weak_parity`); it is sound while f,
+    the sample and big_gamma stay fixed, as within the run that owns it.
+    A call keeps its own rows' records, reusing the previous call's, and
+    drops the rest, so it holds the rows of at most two consecutive
+    stages. The rows without a record are filled before any search, as
+    the columns of one :func:`fill_records` call (several when they
+    exceed :func:`simulator.batch_columns`). The stage's tables live in
+    the records' buffers: |g| is formed in their ``scratch`` table and
+    split in their ``state`` table (see :func:`signed_digit_decompose`),
+    the distinct rows are copied into their ``rows`` table; after that
+    the fills' correlation passes and preparations, and last the weighted
+    correlation, reuse the ``state`` and ``scratch`` tables. So a run's
+    stages allocate no float table of the cube's size once the first has
+    run, except where a search goes deeper than its record: that
+    preparation lives on buffers of the search's own, as the weighted
+    correlation may hold the ``state`` table by then.
     """
     if not 0.0 < big_gamma < 1.0:
         raise ValueError("big_gamma must lie in (0, 1)")
@@ -467,7 +451,7 @@ def weighted_weak_parity(g_values, big_gamma, delta, sample, counter, rng,
     n = sample.n
     if records is None:
         records = SearchRecords()
-    buffers = records.buffers if isinstance(records, SearchRecords) else Buffers()
+    buffers = records.buffers
     weights = np.abs(g_values, out=buffers.take("scratch", g_values.size))
     planes = signed_digit_decompose(weights, digit_depth(big_gamma), buffers).planes
     gamma_bit = bit_threshold(big_gamma)
@@ -505,7 +489,7 @@ def weighted_weak_parity(g_values, big_gamma, delta, sample, counter, rng,
                 continue
             candidates.add(hyp.a)
         if candidates:
-            if weighted_est is None:  # no fill takes the buffers' table after this
+            if weighted_est is None:  # the fills are done with the state table
                 weighted_est = sample_correlations(sample, g_values, buffers)
             try:
                 return verdict(weighted_est, gamma_bit, candidates)

@@ -59,8 +59,9 @@ def copy_back_axis0(a):
     return a
 
 
-def radix2_axis0(a):
-    """Reference kernel: the in-place radix-2 butterfly, one pass per index bit."""
+def radix2_axis0(a, scratch=None):
+    """Reference kernel: the in-place radix-2 butterfly, one pass per index
+    bit; it takes the kernel's work table and needs none."""
     m = a.shape[0]
     rest = a.shape[1:]
     h = 1

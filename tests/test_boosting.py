@@ -246,16 +246,14 @@ def test_agreement_bits_match_the_signed_table(args):
 def float_margin_boost(f_sign, sample, epsilon, gamma, budget, weak_learner):
     """The booster with a float margin accumulated stage by stage, lending
     the weighted target weights * f: the reference the integer tally must
-    reproduce decision for decision. It reads the sample's counts once,
-    before the first stage, as boost does (an exact run drops them then)."""
+    reproduce decision for decision."""
     f_sign = np.asarray(f_sign, dtype=np.float64)
-    counts = sample.counts
     theta = gamma / (2.0 + gamma)
     margins = np.zeros(f_sign.size)
     hypotheses, estimates = [], []
     while True:
         weights = weight_from_margin(margins, gamma)
-        estimates.append(float(counts @ weights / sample.size))
+        estimates.append(float(sample.counts @ weights / sample.size))
         if estimates[-1] <= 2.0 * epsilon / 3.0:
             return CombinedHypothesis(hypotheses), estimates
         if len(hypotheses) >= budget:

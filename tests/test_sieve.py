@@ -65,17 +65,19 @@ def test_quantum_stage_holds_no_float_row_table():
     on the run's records and buffers: at most 46 with its nine digit rows'
     records to fill, and at most 2 with them filled by the stage before.
 
-    Measured: 43.8 and 1.2 tables. The digit rows are one byte per point
+    Measured: 44.0 and 1.2 tables. The digit rows are one byte per point
     and digit, and their +-1 values exist as floats only inside the
     correlation pass's own buffer. The filling stage allocates the run's
     buffers (16 tables of state for a batch of four rows, 4 of scratch)
     and its records. Here the weights are uniform, so eight rows have
     about 3,850 heavy indices each, in runs of about 19, and a record
-    keeps 19 bytes per heavy index (index, estimate, run mark, high end)
-    and 8 per run (low end), against 17 bytes per point for an estimate,
-    a mask and a CDF over the cube. A low end per heavy index would add 8
-    bytes to each of some 27,000 heavy indices, 6.6 tables, past the
-    bound. The filled stage allocates no table of the cube's size: |g|,
+    keeps 19 bytes per slot (index, heavy mark, estimate, CDF value), a
+    slot for each heavy index and one below each run, against 17 bytes
+    per point for an estimate, a mask and a CDF over the cube. A low end
+    kept per heavy index would add 8 bytes to each of some 27,000 heavy
+    indices, 6.6 tables, past the bound, and so did the batch's index
+    table held beside its CDF values and their divisors (48.0). The
+    filled stage allocates no table of the cube's size: |g|,
     the split and the weighted estimate live in the buffers, and the
     distinct rows in their rows table. On fresh buffers it peaks at 5.2
     tables, and with fresh int64 split tables at 6.6; a stage that builds
@@ -127,12 +129,12 @@ def test_warm_quantum_stages_fault_in_no_tables():
     """Stages 21 to 60 of a quantum n = 16 run make at most 20 minor page
     faults each, in a fresh interpreter.
 
-    Measured: 0.9 per stage. A stage reuses the run's buffers for its
-    split, rows, correlation tables and states, so once they exist it
-    allocates no table of the cube's size, which glibc would hand back to
-    the system and fault in again (4 KB per fault, 128 per 512 KB
-    table). With fresh tables per preparation the same stages made 180
-    faults each."""
+    Measured: 0.2 per stage. A stage reuses the run's buffers for its
+    split, rows, correlation tables and its fills' states, so once they
+    exist it allocates no table of the cube's size, which glibc would
+    hand back to the system and fault in again (4 KB per fault, 128 per
+    512 KB table). With fresh tables per preparation the same stages made
+    180 faults each."""
     pytest.importorskip("resource")
     src = os.path.dirname(os.path.dirname(sieve.__file__))
     path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
@@ -356,7 +358,7 @@ def test_row_records_change_no_decision(monkeypatch, formula, cfg, deeper):
     assert any(len(depths) > 1 for depths in stretches.values()) == deeper
 
     monkeypatch.setattr(sieve, "weighted_weak_parity",
-                        lambda *args, records: weighted(*args, records={}))
+                        lambda *args, records: weighted(*args, records=weaklearn.SearchRecords()))
     assert learn_dnf(formula, cfg)[1].to_json() == shipped
     search = weaklearn.quantum_weak_parity  # and no reuse at all, not even across retries
     monkeypatch.setattr(weaklearn, "quantum_weak_parity", lambda *args, record: search(*args))

@@ -131,9 +131,9 @@ def test_hadamard_transforms_the_live_work_blocks_in_one_kernel_call(monkeypatch
     calls = []
     kernel = simulator.butterfly_axis0
 
-    def counting_kernel(a):
+    def counting_kernel(a, scratch=None):
         calls.append(a.shape)
-        return kernel(a)
+        return kernel(a, scratch)
 
     monkeypatch.setattr(simulator, "butterfly_axis0", counting_kernel)
     rng = np.random.default_rng(22)

@@ -10,8 +10,8 @@ from qhslab import (QhsConfig, QueryCounter, SharedSample, exact_weak_parity, pl
                     quantum_weak_parity, random_dnf, to_pm1, wht)
 from qhslab import seeds, simulator, weaklearn
 from qhslab.boolfn import chi, wht_unscaled
-from qhslab.weaklearn import (RETRIES, NoHeavyCoefficient, WeakHypothesis, draw_heavy, fill_records,
-                              interval_ends, sample_correlations, sampled_weak_parity,
+from qhslab.weaklearn import (RETRIES, NoHeavyCoefficient, WeakHypothesis, cdf_at, draw_heavy,
+                              fill_records, sample_correlations, sampled_weak_parity,
                               signed_digit_decompose, verdict, weighted_weak_parity)
 
 
@@ -188,8 +188,9 @@ class FixedDraws:
 @example(8, 0.0, 0.0, 2, 1, 6)  # light rows around the forced heavy indices: runs of one
 def test_compact_draw_hits_what_the_full_cdf_draws(size, zero_share, heavy_share, rows, seed,
                                                    bill):
-    # a record keeps only the heavy indices' interval ends; each draw on them must land on
-    # the heavy index searchsorted finds in the full CDF, or miss where it finds a light one
+    # a record keeps the CDF only at its slots, the heavy indices and the index below each run
+    # of them; each draw on it must land on the heavy index searchsorted finds in the full
+    # CDF, or miss where that finds a light one
     make = np.random.default_rng(seed)
     table = make.random((rows, size)) * (make.random((rows, size)) >= zero_share)
     heavy = make.random((rows, size)) < heavy_share
@@ -198,16 +199,17 @@ def test_compact_draw_hits_what_the_full_cdf_draws(size, zero_share, heavy_share
     table[0, zero] = 0.0
     table[0, (zero + 1) % size] += 0.5  # some weight in every row
     table[1:, 0] += 0.5
-    counts = heavy.sum(axis=1)
-    index = np.nonzero(heavy)[1]
-    starts = (index == 0) | ~heavy.reshape(-1)[np.flatnonzero(heavy) - 1]
-    lows, highs = interval_ends(table.copy(), counts, index, starts)
+    slots = heavy.copy()
+    slots[:, :-1] |= heavy[:, 1:]
+    counts = slots.sum(axis=1)
+    index = np.nonzero(slots)[1]
+    at_slots = cdf_at(table.copy(), counts, index)
     bounds = np.cumsum([0, *counts])
-    run_bounds = np.cumsum([0, *(part.sum() for part in np.split(starts, bounds[1:-1]))])
     for row in range(rows):
         cdf = choice_cdf(table[row])
         lo, hi = bounds[row], bounds[row + 1]
-        ends = (lows[run_bounds[row]:run_bounds[row + 1]], highs[lo:hi], bill)
+        assert at_slots[lo:hi].tobytes() == cdf[index[lo:hi]].tobytes()
+        ends = (at_slots[lo:hi], bill)
         # every interval end, the double just below it, and a few uniform draws
         draws = np.concatenate([cdf, np.nextafter(cdf, 0.0), [0.0], make.random(8)])
         draws = draws[draws < 1.0]
@@ -215,19 +217,20 @@ def test_compact_draw_hits_what_the_full_cdf_draws(size, zero_share, heavy_share
         rng = FixedDraws(draws)
         for charged, r in enumerate(draws, 1):
             a = int(cdf.searchsorted(r, side="right"))
-            hit = draw_heavy(ends, starts[lo:hi], rng, counter)
+            hit = draw_heavy(ends, heavy[row, index[lo:hi]], rng, counter)
             assert (None if hit is None else int(index[lo + hit])) == (a if heavy[row, a] else None)
             assert counter.quantum_queries == charged * bill
 
 
 def test_a_filled_record_holds_a_few_words_per_heavy_index():
-    """A filled n = 14 record holds at most 32 bytes per heavy index plus
-    2 KB: per heavy index its index (2 bytes), estimate (8), run mark (1)
-    and the high end of its interval at depth 0 (8), and per run of
-    consecutive heavy indices one low end (8). Measured: 3,539 bytes for 64
-    heavy indices in 64 runs, the most runs 64 indices can make. A record
-    that keeps the estimate, a heavy mask and the CDF over the whole cube
-    held 279,787 bytes on the same target."""
+    """A filled n = 14 record holds at most 40 bytes per heavy index plus
+    2 KB: per slot (each heavy index, and the light index below each run
+    of consecutive heavy ones) its index (2 bytes), heavy mark (1),
+    estimate (8) and CDF value at depth 0 (8). Measured: 4,176 bytes for
+    64 heavy indices in 64 runs, one of them at index 0, so 127 slots,
+    the most 64 heavy indices can need. A record that keeps the estimate,
+    a heavy mask and the CDF over the whole cube held 279,787 bytes on
+    the same target."""
     n = 14
     spread = 0b101010101010  # an AND of six variables none of them adjacent to another
     bits = ((np.arange(1 << n) & spread) == spread).astype(np.uint8)
@@ -240,9 +243,9 @@ def test_a_filled_record_holds_a_few_words_per_heavy_index():
         held = tracemalloc.get_traced_memory()[0]
     finally:
         tracemalloc.stop()
-    lows, highs, bill = record["ends"][0]
-    assert record["heavy"].size == highs.size == lows.size == 64 and bill == 2
-    assert held <= 32 * 64 + 2048
+    cdf, bill = record["ends"][0]
+    assert record["heavy"].sum() == 64 and record["index"].size == cdf.size == 127 and bill == 2
+    assert held <= 40 * 64 + 2048
 
 
 def batch_of_targets(n):
@@ -272,24 +275,24 @@ def test_records_filled_in_one_batch_equal_one_column_records(n):
             pass
         alone.append(record)
     assert {0 in record["ends"] for record in alone} == {True, False}  # both kinds occur
-    for c, record in enumerate(alone):  # a record keeps the heavy entries of the full estimate
-        est = sample_correlations(sample, table[:, c])
-        assert record["heavy"].tolist() == np.flatnonzero(np.abs(est) >= gamma_target).tolist()
-        assert record["est"].tobytes() == est[record["heavy"]].tobytes()
-        runs = np.diff(record["heavy"].astype(int), prepend=-2) != 1  # where a run begins
-        assert record["starts"].tolist() == runs.tolist()
+    for c, record in enumerate(alone):  # a record's slots: the heavy entries of the full
+        est = sample_correlations(sample, table[:, c])  # estimate, and one below each run
+        index, heavy = record["index"].astype(int), record["heavy"]
+        assert index[heavy].tolist() == np.flatnonzero(np.abs(est) >= gamma_target).tolist()
+        assert set(index[~heavy] + 1) <= set(index[heavy])  # a light slot lies below a run ...
+        assert set(index[heavy] - 1) - {-1} <= set(index)  # ... and one below every run
+        assert record["est"].tobytes() == est[index].tobytes()
     for k in range(1, 10):
         batch = [{} for _ in range(k)]
         fill_records(batch, table[:, :k], sample, gamma_target)
         for got, want in zip(batch, alone):
+            assert got["index"].tobytes() == want["index"].tobytes()
             assert got["heavy"].tobytes() == want["heavy"].tobytes()
             assert got["est"].tobytes() == want["est"].tobytes()
-            assert got["starts"].tobytes() == want["starts"].tobytes()
             assert set(got["ends"]) <= {0} and (0 in got["ends"]) == (0 in want["ends"])
             if 0 in got["ends"]:
-                (lo, hi, bill), (want_lo, want_hi, want_bill) = got["ends"][0], want["ends"][0]
-                assert lo.tobytes() == want_lo.tobytes() and hi.tobytes() == want_hi.tobytes()
-                assert bill == want_bill == 2
+                (cdf, bill), (want_cdf, want_bill) = got["ends"][0], want["ends"][0]
+                assert cdf.tobytes() == want_cdf.tobytes() and bill == want_bill == 2
     with pytest.raises(ValueError):
         fill_records([{}], table[:, :1] * 0.5, sample, gamma_target)
 
