@@ -103,48 +103,34 @@ class QueryCounter:
 class Buffers:
     """Tables that the preparations of one owner reuse, one per role.
 
-    ``take(role, size)`` returns the first ``size`` float64 entries of the
-    role's table, allocated at the first request larger than it and
-    otherwise handed out again with whatever it held; ``carve`` lays
-    tables of other shapes and dtypes in one. A run that lends one object
-    to all its stages (as :func:`weaklearn.weighted_weak_parity` does
-    through its records) then allocates no 2**n table per preparation, so
-    none is returned to the system and faulted in again. The roles:
-    ``state`` holds the amplitudes of the last state built on the object,
-    and between preparations what a stage reads before its next one (the
-    signed-digit split, a correlation table); ``scratch`` a gate's or a
-    transform's work table for one call, the measurement table of
-    :func:`index_distribution` until the next gate, or |g| while a stage
-    splits it; ``rows`` a stage's digit rows. One computation uses an
-    object at a time, and what it holds stays valid only until its role
-    is taken again.
+    ``take(role, shape, dtype)`` returns an array of that shape and dtype
+    (float64 by default) at the start of the role's table, which is
+    allocated at the first request larger than it and otherwise handed out
+    again with whatever it held; arrays taken from one role share its
+    memory, whatever their shapes. A run that lends one object to all its
+    stages (as :func:`weaklearn.weighted_weak_parity` does through its
+    records) then allocates no 2**n table per preparation, so none is
+    returned to the system and faulted in again. The roles: ``state``
+    holds the amplitudes of the last state built on the object, and
+    between preparations what a stage reads before its next one (the
+    signed-digit split's integers, a correlation table); ``scratch`` a
+    gate's or a transform's work table for one call, the measurement table
+    of :func:`index_distribution` until the next gate, or |g| and then
+    the bit planes while a stage splits it; ``rows`` a stage's distinct
+    digit rows. One computation uses an object at a time, and what it
+    holds stays valid only until its role is taken again.
     """
 
     def __init__(self):
         self._tables = {}
-        self._carved = {}  # role -> (the layout last carved from its table, those arrays)
 
-    def take(self, role: str, size: int) -> np.ndarray:
-        table = self._tables.get(role)
-        if table is None or table.size < size:
-            self._carved.pop(role, None)  # so the old table is freed
-            table = self._tables[role] = np.empty(size)
-        return table[:size]
-
-    def carve(self, role: str, layout: tuple) -> list:
-        """Arrays of the ``(shape, dtype)`` pairs of ``layout``, laid one
-        after another in the role's table, each on an 8-byte boundary; the
-        same arrays again while the table stays."""
-        carved, out = self._carved.get(role, (None, None))
-        if carved != layout:
-            sizes = [-(-math.prod(shape) * np.dtype(dtype).itemsize // 8)
-                     for shape, dtype in layout]
-            table, at, out = self.take(role, sum(sizes)), 0, []
-            for (shape, dtype), size in zip(layout, sizes):
-                out.append(np.ndarray(shape, dtype, table, 8 * at))
-                at += size
-            self._carved[role] = layout, out
-        return out
+    def take(self, role: str, shape, dtype=np.float64) -> np.ndarray:
+        try:
+            return np.ndarray(shape, dtype, self._tables[role])
+        except (KeyError, TypeError):  # no table yet, or one too small for the request
+            size = math.prod(np.atleast_1d(shape)) * np.dtype(dtype).itemsize
+            table = self._tables[role] = np.empty(size, np.uint8)
+            return np.ndarray(shape, dtype, table)
 
 
 @dataclass
@@ -336,17 +322,15 @@ def apply_membership(state: StateVector, f, counter: QueryCounter) -> StateVecto
     phases = sorted({w & 1 for w in state.live})
     for phase in phases:
         low, high = bits[phase], bits[2 | phase]
-        if (2 | phase) not in state.live:
-            np.multiply(low, select, out=high)
-            low ^= high
-        elif phase not in state.live:
-            np.multiply(high, select, out=low)
-            high ^= low
-        else:
+        if phase in state.live and (2 | phase) in state.live:
             diff = np.bitwise_xor(low, high, out=_scratch(state, low.size).view(np.int64))
             diff *= select
             low ^= diff
             high ^= diff
+        else:  # one block of the pair is dead, so all zero
+            live, dead = (low, high) if phase in state.live else (high, low)
+            np.multiply(live, select, out=dead)
+            live ^= dead
     state.live = tuple(phases + [2 | phase for phase in phases])
     counter.quantum_queries += state.columns
     return _checked(state)

@@ -122,7 +122,7 @@ def sample_correlations(sample: SharedSample, values, buffers: Buffers | None = 
         raise ValueError("sample is empty")
     buffers = Buffers() if buffers is None else buffers
     values = np.asarray(values)
-    table = buffers.take("state", values.size).reshape(values.shape[::-1]).T  # F order
+    table = buffers.take("state", values.shape[::-1]).T  # F order
     mass = np.multiply(sample.counts.reshape((-1,) + (1,) * (values.ndim - 1)), values,
                        out=table, order="F")  # iterating in C order would cost 4x at 16 columns
     wht_unscaled(mass, out=mass, scratch=buffers.take("scratch", mass.size))
@@ -201,7 +201,7 @@ def fill_records(records, g_sign, sample, gamma_target, buffers: Buffers | None 
     buffers = Buffers() if buffers is None else buffers
     est = sample_correlations(sample, g_sign, buffers).T  # (k, 2**n), C-contiguous
     k, size = est.shape
-    mask = np.abs(est, out=buffers.take("scratch", est.size).reshape(est.shape)) >= gamma_target
+    mask = np.abs(est, out=buffers.take("scratch", est.shape)) >= gamma_target
     slots = mask.copy()  # the heavy indices, and the light one below each run of them
     slots[:, :-1] |= mask[:, 1:]
     flat = slots.reshape(-1).nonzero()[0]
@@ -346,40 +346,37 @@ class SignedDigits:
         return weights @ self.alpha.astype(np.int64) + self.k
 
 
-_LANE_LOW_BITS = np.uint64(0x0101010101010101)  # the low bit of each byte of a 64-bit lane
 _SPLIT_INTS = tuple(np.dtype(f"<i{size}") for size in (2, 4, 8))  # 2**(d + 1) to d = 14, 30, 62
 
 
 def signed_digit_decompose(m_values, d: int, buffers: Buffers | None = None) -> SignedDigits:
-    """Decompose weights in (0, 1] at bit depth d into the bit planes of u.
+    """Decompose weights in (0, 1] at bit depth d, 1 <= d <= 62, into the
+    bit planes of u.
 
     Picks the odd integer w = min(v | 1, 2**d - 1) nearest v with
     1 <= w <= 2**d - 1 and assigns the leftover v - w to k. Writing
     alpha_j = 2 b_j - 1 turns w = sum_j alpha_j 2**(d-1-j) into
     u = (w + 2**d - 1) / 2 = sum_j b_j 2**(d-1-j), so alpha_j is +1
     exactly where bit d-1-j of u is set: the digit rows are u's d bit
-    planes. They are read off u's low bytes with the bytes of eight
-    points packed in one 64-bit lane, so one shift and mask moves eight
-    points' bits at once. The post-condition is O(2**n): 0 <= u < 2**d
-    and |v - w| <= 1, which is exactly ``reconstruct() == v`` with every
-    k in range, and builds no (d, 2**n) integer table. The integers are
-    held in the narrowest signed type that holds 2**(d + 1), 2 bytes per
-    point up to d = 14. Every table, the result's too, is carved from the
-    ``state`` table of ``buffers`` (new ones by default), valid until it
-    is taken again; a caller that lends the same object every stage then
-    allocates none.
+    planes, formed by one call that shifts u right by d-1-j into each
+    plane j and one mask of all planes to their low bit. The
+    post-condition is O(2**n): 0 <= u < 2**d and |v - w| <= 1, which is
+    exactly ``reconstruct() == v`` with every k in range, and builds no
+    (d, 2**n) integer table. The integers are held in the narrowest
+    signed type that holds 2**(d + 1), 2 bytes per point up to d = 14.
+    They are taken from the ``state`` table of ``buffers`` (new ones by
+    default) and the planes from its ``scratch`` table, once the weights,
+    which may live there, are read; the result is valid until those
+    tables are taken again, and a caller that lends the same object every
+    stage allocates none.
     """
-    if d < 1:
-        raise ValueError("d must be at least 1")
+    if not 1 <= d <= 62:
+        raise ValueError("d must lie in [1, 62]")
     m = np.asarray(m_values, dtype=np.float64)
     if not (m.min(initial=1.0) > 0.0 and m.max(initial=1.0) <= 1.0):  # a NaN fails both
         raise ValueError("weights must lie in (0, 1]")
-    ints = _SPLIT_INTS[(d >= 15) + (d >= 31)]
-    bytes_used = (d + 7) // 8  # of each point's integer u
     buffers = Buffers() if buffers is None else buffers
-    (v, w, k), words = buffers.carve("state", (((3,) + m.shape, ints),
-                                               ((bytes_used + d, -(-m.size // 8)), np.uint64)))
-    lanes, planes = words[:bytes_used], words[bytes_used:]  # 64-bit lanes of 8 points' bytes
+    v, w, k = buffers.take("state", (3, m.size), _SPLIT_INTS[(d >= 15) + (d >= 31)])
     np.multiply(m, float(1 << d), out=v, casting="unsafe")  # exact; truncation floors positives
     top = (1 << d) - 1
     np.bitwise_or(v, 1, out=w)
@@ -391,13 +388,11 @@ def signed_digit_decompose(m_values, d: int, buffers: Buffers | None = None) -> 
     if not (u.min(initial=0) >= 0 and u.max(initial=0) <= top
             and k.min(initial=0) >= -1 and k.max(initial=0) <= 1):
         raise AssertionError("signed-digit decomposition failed")
-    bit = np.arange(d - 1, -1, -1)  # plane j is bit d-1-j of u, bit & 7 of u's byte bit >> 3
-    low_bytes = u.view(np.uint8).reshape(-1, ints.itemsize)[:, :bytes_used]
-    lanes.view(np.uint8)[:, :u.size] = low_bytes.T
-    np.take(lanes, bit >> 3, axis=0, out=planes, mode="clip")  # "raise" would buffer a copy
-    planes >>= (bit & 7).astype(np.uint64)[:, None]
-    planes &= _LANE_LOW_BITS
-    return SignedDigits(d, planes.view(np.uint8)[:, :u.size], k, v)
+    planes = buffers.take("scratch", (d, m.size), np.uint8)  # after the weights' last read
+    shifts = np.arange(d - 1, -1, -1, dtype=u.dtype)[:, None]  # plane j is bit d-1-j of u
+    np.right_shift(u, shifts, out=planes, casting="unsafe")
+    planes &= 1
+    return SignedDigits(d, planes, k, v)
 
 
 def weighted_weak_parity(g_values, big_gamma, delta, sample, counter, rng,
@@ -436,8 +431,9 @@ def weighted_weak_parity(g_values, big_gamma, delta, sample, counter, rng,
     the columns of one :func:`fill_records` call (several when they
     exceed :func:`simulator.batch_columns`). The stage's tables live in
     the records' buffers: |g| is formed in their ``scratch`` table and
-    split in their ``state`` table (see :func:`signed_digit_decompose`),
-    the distinct rows are copied into their ``rows`` table; after that
+    split into integers in their ``state`` table and bit planes in their
+    ``scratch`` table (see :func:`signed_digit_decompose`), and the
+    distinct rows are copied into their ``rows`` table; after that
     the fills' correlation passes and preparations, and last the weighted
     correlation, reuse the ``state`` and ``scratch`` tables. So a run's
     stages allocate no float table of the cube's size once the first has
@@ -462,7 +458,7 @@ def weighted_weak_parity(g_values, big_gamma, delta, sample, counter, rng,
     keys = list(first)
     # row i is the i-th distinct alpha[j] * f as one signed byte per point: its oracle bits
     # (where it is -1) are planes[j] XOR [f > 0], and its values 1 - 2 * those bits
-    table, = buffers.carve("rows", (((len(keys), g_values.size), np.int8),))
+    table = buffers.take("rows", (len(keys), g_values.size), np.int8)
     np.take(planes, list(first.values()), axis=0, out=table.view(np.uint8), mode="clip")
     del planes, weights
     table ^= g_values > 0

@@ -182,7 +182,8 @@ def test_x_phase_and_cz():
 
 
 @pytest.mark.parametrize("nan", [False, True])
-@pytest.mark.parametrize("live", [(0,), (1,), (0, 2), (1, 3), (0, 1), ALL_BLOCKS])
+@pytest.mark.parametrize("live", [(0,), (1,), (0, 2), (1, 3), (0, 1), ALL_BLOCKS,
+                                  (2,), (3,), (1, 2)])
 def test_block_gates_move_the_bits_the_reference_gates_move(live, nan):
     n = 5
     bits = np.random.default_rng(24).integers(0, 2, size=1 << n).astype(np.uint8)
@@ -203,6 +204,27 @@ def test_block_gates_move_the_bits_the_reference_gates_move(live, nan):
             gate(state)
         assert state.amps.tobytes() == want.tobytes()
         assert state.live == tuple(live_after)
+
+
+def test_buffers_take_arrays_of_any_shape_from_one_table_per_role():
+    buffers = simulator.Buffers()
+    state = buffers.take("state", 64)
+    ints = buffers.take("state", (3, 8), np.int16)
+    planes = buffers.take("state", (2, 16), np.uint8)
+    assert (ints.shape, ints.dtype, planes.shape, planes.dtype) == ((3, 8), np.int16,
+                                                                    (2, 16), np.uint8)
+    assert state.ctypes.data == ints.ctypes.data == planes.ctypes.data  # the table's start
+    assert np.shares_memory(state, ints) and np.shares_memory(state, planes)
+    scratch = buffers.take("scratch", 64)
+    rows = buffers.take("rows", (2, 64), np.int8)
+    for a, b in ((state, scratch), (state, rows), (scratch, rows)):
+        assert not np.shares_memory(a, b)
+    state[:] = np.arange(64)
+    grown = buffers.take("state", (2, 64))  # larger than the table: a new one replaces it
+    grown.fill(-1.0)
+    assert not np.shares_memory(grown, state)
+    assert np.array_equal(state, np.arange(64))
+    assert np.shares_memory(grown, buffers.take("state", 8, np.uint8))
 
 
 def test_blocks_outside_the_live_set_stay_zero_through_the_circuit(monkeypatch):

@@ -376,7 +376,7 @@ def depth_and_weights(draw):
 @given(depth_and_weights())
 @example((1, [1.0, 0.5, 0.25]))
 @example((62, [1.0, 0.5, 2.0**-62, 3 * 2.0**-62, 1 - 2.0**-53, 5e-324]))
-@example((9, [1.0] * 8 + [0.5] * 9))  # one whole 64-bit lane, then a part one
+@example((9, [1.0] * 8 + [0.5] * 9))  # u past one byte, over more than eight points
 def test_signed_digits_closed_form_matches_greedy_reference(case):
     """The planes are the greedy reference's digits as bits, bit for bit,
     and alpha is derived from them as 2 * planes - 1."""
@@ -396,8 +396,9 @@ def test_signed_digits_validation():
         signed_digit_decompose(np.array([0.0]), 2)
     with pytest.raises(ValueError):
         signed_digit_decompose(np.array([1.5]), 2)
-    with pytest.raises(ValueError):
-        signed_digit_decompose(np.array([0.5]), 0)
+    for d in (0, 63, 64):  # 2**63 overflows the split's int64 integers
+        with pytest.raises(ValueError, match="d must lie in"):
+            signed_digit_decompose(np.array([0.5]), d)
     with pytest.raises(ValueError, match="weights must lie in"):
         signed_digit_decompose(np.array([0.5, np.nan]), 3)
 
