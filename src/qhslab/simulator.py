@@ -51,13 +51,20 @@ tables from it too, so preparations repeated on one object allocate no
 table of the state's size. Every gate is real (H, X, CZ, the membership
 permutation, the marked phase), so the amplitudes are float64.
 
-Nothing here renormalizes silently. Each gate checks on exit that the
-live blocks' total squared norm is k, one dot product per live block,
-and :func:`prepare_spectrum_state` and :func:`grover_step` check on exit
-that every column of the whole state has norm 1, so a gate that writes
-outside the live set, or moves norm from one column to another, is
-caught too. A drift past 1e-9 raises :class:`StateNormError`, because
-drift at that size means a broken gate, not roundoff.
+Nothing here renormalizes silently. Each public operation checks the
+norm once, on exit. A gate called on its own checks that the live
+blocks' total squared norm is k, one dot product per live block, and so
+do :func:`correlation_op` and its adjoint.
+:func:`prepare_spectrum_state` and :func:`grover_step` check that every
+column of the whole state has norm 1, so a gate that writes outside the
+live set, or moves norm from one column to another, is caught too.
+Inside an operation the gates, and an inner operation, put their checks
+off: an operation raises the state's private depth counter around its
+body and lowers it again even when the body raises, and a gate or an
+operation checks only when it finds the counter at 0. So a gate that
+breaks the norm inside an operation is caught at the operation's exit.
+A drift past 1e-9 raises :class:`StateNormError`, because drift at that
+size means a broken gate, not roundoff.
 
 The prepared state ``correlation_op`` applied to the all-zero state has
 a useful closed form: the index-register distribution equals the
@@ -117,8 +124,9 @@ class Buffers:
     gate's or a transform's work table for one call, the measurement table
     of :func:`index_distribution` until the next gate, or |g| and then
     the bit planes while a stage splits it; ``rows`` a stage's distinct
-    digit rows. One computation uses an object at a time, and what it
-    holds stays valid only until its role is taken again.
+    digit rows, in a table taken for all the digit depth's rows. One
+    computation uses an object at a time, and what it holds stays valid
+    only until its role is taken again.
     """
 
     def __init__(self):
@@ -139,6 +147,7 @@ class StateVector:
     amps: np.ndarray
     live: tuple = ALL_BLOCKS  # sorted work states (answer << 1) | phase that may be nonzero
     buffers: Buffers | None = field(default=None, repr=False, compare=False)  # the gates' scratch
+    _depth: int = field(default=0, init=False, repr=False, compare=False)  # operations running
 
     @property
     def columns(self) -> int:
@@ -213,6 +222,25 @@ def _checked(state: StateVector, whole: bool = False) -> StateVector:
     return state
 
 
+def _exit_check(state: StateVector, whole: bool = False) -> StateVector:
+    """A gate's or an operation's check on exit: :func:`_checked`, or
+    nothing while an enclosing operation runs, which checks once when it
+    ends."""
+    return state if state._depth else _checked(state, whole)
+
+
+def _operation(state: StateVector, steps, whole: bool = False) -> StateVector:
+    """Apply ``steps`` (callables on the state) in order with their checks
+    put off, then make the operation's one check on exit."""
+    state._depth += 1
+    try:
+        for step in steps:
+            step(state)
+    finally:
+        state._depth -= 1
+    return _exit_check(state, whole)
+
+
 def _index_table(values, state: StateVector, dtype) -> np.ndarray:
     """A table with one entry per index value (an oracle's bits, a marked
     mask), shared by every column or one column per column of the state,
@@ -263,7 +291,7 @@ def hadamard_index(state: StateVector) -> StateVector:
         span = blocks[live[0]:live[-1] + 1]
         butterfly_axis0(span.reshape(-1, 1 << state.n).T, _scratch(state, span.size))
         span *= 2.0 ** (-state.n / 2.0)
-    return _checked(state)
+    return _exit_check(state)
 
 
 def x_phase(state: StateVector) -> StateVector:
@@ -285,21 +313,21 @@ def x_phase(state: StateVector) -> StateVector:
         elif w < partner:
             blocks[[w, partner]] = blocks[[partner, w]]
     state.live = tuple(sorted(w ^ 1 for w in live))
-    return _checked(state)
+    return _exit_check(state)
 
 
 def cz_answer_phase(state: StateVector) -> StateVector:
     """Controlled phase flip: negate amplitudes with answer = phase = 1."""
     if 3 in state.live:
         _blocks(state)[3] *= -1.0
-    return _checked(state)
+    return _exit_check(state)
 
 
 def reflect_zero_index(state: StateVector) -> StateVector:
     """Negate amplitudes whose index register is all zero."""
     for block in _live(state):
         block[::1 << state.n] *= -1.0
-    return _checked(state)
+    return _exit_check(state)
 
 
 def apply_membership(state: StateVector, f, counter: QueryCounter) -> StateVector:
@@ -333,7 +361,7 @@ def apply_membership(state: StateVector, f, counter: QueryCounter) -> StateVecto
             live ^= dead
     state.live = tuple(phases + [2 | phase for phase in phases])
     counter.quantum_queries += state.columns
-    return _checked(state)
+    return _exit_check(state)
 
 
 def apply_marked_phase(state: StateVector, marked) -> StateVector:
@@ -341,7 +369,7 @@ def apply_marked_phase(state: StateVector, marked) -> StateVector:
     mask = _index_table(marked, state, bool)
     for block in _live(state):
         np.negative(block, out=block, where=mask)
-    return _checked(state)
+    return _exit_check(state)
 
 
 def _correlation_gates(f, counter: QueryCounter) -> tuple:
@@ -350,24 +378,22 @@ def _correlation_gates(f, counter: QueryCounter) -> tuple:
     adjoint query, and the closing index Hadamards. Each is a real
     involution, so the same gates in reverse order are the adjoint. The
     gates are looked up per call, so a gate swapped into this module
-    takes effect in both directions."""
+    takes effect in both directions and in :func:`prepare_spectrum_state`."""
     def query(state):
         return apply_membership(state, f, counter)
     return (hadamard_index, x_phase, query, cz_answer_phase, query, hadamard_index)
 
 
 def correlation_op(state: StateVector, f, counter: QueryCounter) -> StateVector:
-    """The two-query correlation operator."""
-    for gate in _correlation_gates(f, counter):
-        gate(state)
-    return state
+    """The two-query correlation operator; called on its own, it checks
+    the live blocks once on exit."""
+    return _operation(state, _correlation_gates(f, counter))
 
 
 def correlation_op_dagger(state: StateVector, f, counter: QueryCounter) -> StateVector:
-    """Adjoint of :func:`correlation_op`: its gates in reverse; also two queries."""
-    for gate in reversed(_correlation_gates(f, counter)):
-        gate(state)
-    return state
+    """Adjoint of :func:`correlation_op`: its gates in reverse; also two
+    queries and one check."""
+    return _operation(state, reversed(_correlation_gates(f, counter)))
 
 
 def prepare_spectrum_state(f, counter: QueryCounter, buffers: Buffers | None = None) -> StateVector:
@@ -379,27 +405,28 @@ def prepare_spectrum_state(f, counter: QueryCounter, buffers: Buffers | None = N
     as the gates read it (see :func:`_index_table`) is never copied.
     Measuring the index register of a column samples a parity with
     probability equal to its squared sign-form correlation coefficient.
-    Every column's norm is checked on exit. The state is built on
-    ``buffers`` when given (see :func:`init_state`).
+    Every column's norm is checked once, on exit, and by no gate inside.
+    The state is built on ``buffers`` when given (see :func:`init_state`).
     """
     bits = np.asarray(f)
     state = init_state(int(bits.shape[0]).bit_length() - 1, bits.shape[1] if bits.ndim == 2 else 1,
                        buffers)
-    correlation_op(state, bits, counter)
-    return _checked(state, whole=True)
+    return _operation(state, _correlation_gates(bits, counter), whole=True)
 
 
 def grover_step(state: StateVector, f, marked, counter: QueryCounter) -> StateVector:
     """One amplification iterate: marked-phase flip, adjoint correlation
     operator, zero reflection, correlation operator, overall sign flip.
-    Four queries per column. Every column's norm is checked on exit."""
-    apply_marked_phase(state, marked)
-    correlation_op_dagger(state, f, counter)
-    reflect_zero_index(state)
-    correlation_op(state, f, counter)
-    for block in _live(state):
-        block *= -1.0
-    return _checked(state, whole=True)
+    Four queries per column. Every column's norm is checked once, on
+    exit, and by no gate or correlation operator inside."""
+    def iterate(state):
+        apply_marked_phase(state, marked)
+        correlation_op_dagger(state, f, counter)
+        reflect_zero_index(state)
+        correlation_op(state, f, counter)
+        for block in _live(state):
+            block *= -1.0
+    return _operation(state, (iterate,), whole=True)
 
 
 def index_distribution(state: StateVector) -> np.ndarray:

@@ -433,8 +433,9 @@ def weighted_weak_parity(g_values, big_gamma, delta, sample, counter, rng,
     the records' buffers: |g| is formed in their ``scratch`` table and
     split into integers in their ``state`` table and bit planes in their
     ``scratch`` table (see :func:`signed_digit_decompose`), and the
-    distinct rows are copied into their ``rows`` table; after that
-    the fills' correlation passes and preparations, and last the weighted
+    distinct rows are copied into their ``rows`` table, which the first
+    stage takes for all ``digit_depth(big_gamma)`` rows; after that the
+    fills' correlation passes and preparations, and last the weighted
     correlation, reuse the ``state`` and ``scratch`` tables. So a run's
     stages allocate no float table of the cube's size once the first has
     run, except where a search goes deeper than its record: that
@@ -457,8 +458,9 @@ def weighted_weak_parity(g_values, big_gamma, delta, sample, counter, rng,
         first.setdefault(key.tobytes(), j)
     keys = list(first)
     # row i is the i-th distinct alpha[j] * f as one signed byte per point: its oracle bits
-    # (where it is -1) are planes[j] XOR [f > 0], and its values 1 - 2 * those bits
-    table = buffers.take("rows", (len(keys), g_values.size), np.int8)
+    # (where it is -1) are planes[j] XOR [f > 0], and its values 1 - 2 * those bits; the table
+    # is taken for all d digit rows, so the run's first stage makes the only one
+    table = buffers.take("rows", planes.shape, np.int8)[:len(keys)]
     np.take(planes, list(first.values()), axis=0, out=table.view(np.uint8), mode="clip")
     del planes, weights
     table ^= g_values > 0

@@ -315,7 +315,7 @@ def test_a_gate_writing_outside_the_live_set_fails_the_composite_exit_check(monk
         return state
 
     monkeypatch.setattr(simulator, "cz_answer_phase", leaking_cz)
-    correlation_op(init_state(n), bits, QueryCounter())  # each gate checks its live blocks only
+    correlation_op(init_state(n), bits, QueryCounter())  # which checks its live blocks only
     with pytest.raises(StateNormError):
         prepare_spectrum_state(bits, QueryCounter())
     monkeypatch.setattr(simulator, "cz_answer_phase", cz)
@@ -506,6 +506,99 @@ def test_norm_guard_trips():
         x_phase(state)
 
 
+def scale_a_live_block(state):
+    for block in simulator._live(state):
+        if block.any():
+            block *= 1.1
+            return
+
+
+def write_a_nan(state):
+    simulator._live(state)[0][1] = np.nan
+
+
+# each public operation on a state of the given columns, oracle table and marked mask
+OPERATIONS = {
+    "correlation_op": lambda state, bits, marked: correlation_op(state, bits, QueryCounter()),
+    "correlation_op_dagger":
+        lambda state, bits, marked: correlation_op_dagger(state, bits, QueryCounter()),
+    "prepare_spectrum_state":
+        lambda state, bits, marked: prepare_spectrum_state(bits, QueryCounter()),
+    "grover_step": lambda state, bits, marked: grover_step(state, bits, marked, QueryCounter()),
+}
+
+
+@pytest.mark.parametrize("operation", sorted(OPERATIONS))
+@pytest.mark.parametrize("corrupt", [scale_a_live_block, write_a_nan])
+@pytest.mark.parametrize("gate", ["hadamard_index", "x_phase", "apply_membership",
+                                  "cz_answer_phase"])
+def test_a_broken_inner_gate_fails_the_operations_one_check(monkeypatch, gate, corrupt, operation):
+    n, k = 5, 2
+    rng = np.random.default_rng(32)
+    bits = rng.integers(0, 2, size=(1 << n, k)).astype(np.uint8)
+    marked = rng.random((1 << n, k)) < 0.25
+    args = (bits[:, 0], QueryCounter()) if gate == "apply_membership" else ()
+    real = getattr(simulator, gate)
+
+    def broken(state, *gate_args):  # the real gate, on a state it breaks first
+        corrupt(state)
+        return real(state, *gate_args)
+
+    with pytest.raises(StateNormError):  # called on its own, the stand-in checks on exit
+        broken(random_state(n, 33), *args)
+    state = prepare_spectrum_state(bits, QueryCounter())
+    monkeypatch.setattr(simulator, gate, broken)
+    with pytest.raises(StateNormError):
+        OPERATIONS[operation](state, bits, marked)
+
+
+@pytest.mark.parametrize("operation", ["correlation_op", "correlation_op_dagger", "grover_step"])
+def test_a_raise_inside_an_operation_leaves_a_lone_gate_its_check(operation):
+    n = 5
+    rng = np.random.default_rng(35)
+    bits = rng.integers(0, 2, size=(1 << n, 2)).astype(np.uint8)
+    state = prepare_spectrum_state(bits, QueryCounter())
+    with pytest.raises(ValueError):  # a gate inside refuses index tables of three columns
+        OPERATIONS[operation](state, np.tile(bits[:, :1], 3), np.zeros((1 << n, 3), dtype=bool))
+    scale_a_live_block(state)
+    with pytest.raises(StateNormError):
+        cz_answer_phase(state)
+
+
+def test_each_public_operation_checks_the_norm_once(monkeypatch):
+    checks = []
+    checked = simulator._checked
+
+    def counting(state, whole=False):
+        checks.append(whole)
+        return checked(state, whole)
+
+    monkeypatch.setattr(simulator, "_checked", counting)
+    rng = np.random.default_rng(34)
+    for n, k in ((6, 1), (5, 3)):
+        bits = rng.integers(0, 2, size=(1 << n, k)).astype(np.uint8)
+        marked = rng.random((1 << n, k)) < 0.25
+        counter = QueryCounter()
+        state = prepare_spectrum_state(bits, counter)
+        steps = (
+            (lambda: grover_step(state, bits, marked, counter), True),
+            (lambda: correlation_op(state, bits, counter), False),
+            (lambda: correlation_op_dagger(state, bits, counter), False),
+            (lambda: hadamard_index(state), False),
+            (lambda: x_phase(state), False),
+            (lambda: apply_membership(state, bits, counter), False),
+            (lambda: cz_answer_phase(state), False),
+            (lambda: reflect_zero_index(state), False),
+            (lambda: apply_marked_phase(state, marked), False),
+        )
+        assert checks == [True]
+        for step, whole in steps:
+            checks.clear()
+            step()
+            assert checks == [whole]
+        checks.clear()
+
+
 def test_measure_index_point_mass_and_frequencies():
     n, b = 5, 7
     bits = ((np.bitwise_count(np.arange(1 << n) & b)) & 1).astype(np.uint8)
@@ -603,7 +696,7 @@ def test_a_gate_moving_norm_between_columns_fails_the_composite_exit_check(monke
         return simulator._checked(state)  # the live blocks still total k
 
     monkeypatch.setattr(simulator, "cz_answer_phase", tilting_cz)
-    correlation_op(init_state(n, k), bits, QueryCounter())  # every gate passes its own check
+    correlation_op(init_state(n, k), bits, QueryCounter())  # which passes the live-block check
     with pytest.raises(StateNormError):
         prepare_spectrum_state(bits, QueryCounter())
 

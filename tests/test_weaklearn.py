@@ -418,6 +418,23 @@ def test_weighted_reduces_to_plain_search_when_weights_are_one():
     assert hyp.sign == 1 and hyp.est_advantage == 1.0
 
 
+def test_weighted_takes_one_rows_table_for_every_digit_row_on_its_first_stage():
+    n, b, big_gamma = 8, 77, 0.3  # digit depth 4
+    bits = parity_bits(n, b)
+    f_sign = to_pm1(bits).astype(float)
+    sample = SharedSample.full_cube(n, bits)
+    records = weaklearn.SearchRecords()
+    tables = []
+    # one distinct digit row (unit weights), then four: 1111, 1100, 1110 and 1101
+    for m_values in (np.ones(1 << n), np.tile([1.0, 0.5, 0.75, 0.625], 1 << (n - 2))):
+        hyp = weighted_weak_parity(m_values * f_sign, big_gamma, 0.05, sample, QueryCounter(),
+                                   seeds.derive(0, 1), records=records)
+        assert hyp.a == b
+        tables.append(records.buffers._tables["rows"])
+    assert tables[0] is tables[1]
+    assert tables[0].size == weaklearn.digit_depth(big_gamma) << n
+
+
 def test_weighted_searches_each_distinct_digit_row_once_in_order(monkeypatch):
     n = 6
     f_sign = to_pm1(parity_bits(n, 9)).astype(float)
