@@ -139,14 +139,18 @@ def suite_boost_bounds(seed: int = 0):
 
 
 def suite_signed_digits(seed: int = 0):
-    """Exhaustive exact reconstruction for every depth d in 1..8, with
-    every digit in range; the depths are fixed, so ``seed`` is unused."""
+    """For every depth d in 1..8, over the weights (i + 1/2) / 2**d, i <
+    2**d, and 1: every bit plane entry is 0 or 1, and the signed digits
+    the planes stand for, w = sum_j (2 plane_j - 1) 2**(d-1-j), lie within
+    1 of v = floor(2**d m), which is computed here, not read off the
+    split. The depths are fixed, so ``seed`` is unused."""
     for d in range(1, 9):
-        values = (np.arange(0, (1 << d) + 1, dtype=np.float64) + 0.5) / (1 << d)
-        digits = signed_digit_decompose(np.minimum(values, 1.0), d)
-        ok = (np.array_equal(digits.reconstruct(), digits.v) and np.all(np.abs(digits.alpha) == 1)
-              and np.all(np.abs(digits.k) <= 1))
-        yield ok, f"d={d}: reconstruction mismatch or digit out of range"
+        m = np.minimum((np.arange((1 << d) + 1) + 0.5) / (1 << d), 1.0)
+        planes = signed_digit_decompose(m, d)
+        v = np.floor(m * (1 << d)).astype(np.int64)
+        w = (1 << np.arange(d - 1, -1, -1)) @ (2 * planes.astype(np.int64) - 1)
+        yield (np.isin(planes, (0, 1)).all() and np.all(np.abs(v - w) <= 1),
+               f"d={d}: a plane entry outside {{0, 1}} or digits off v by more than 1")
 
 
 # suite name -> seed -> the suite's (ok, message) checks

@@ -51,20 +51,17 @@ tables from it too, so preparations repeated on one object allocate no
 table of the state's size. Every gate is real (H, X, CZ, the membership
 permutation, the marked phase), so the amplitudes are float64.
 
-Nothing here renormalizes silently. Each public operation checks the
-norm once, on exit. A gate called on its own checks that the live
-blocks' total squared norm is k, one dot product per live block, and so
-do :func:`correlation_op` and its adjoint.
-:func:`prepare_spectrum_state` and :func:`grover_step` check that every
-column of the whole state has norm 1, so a gate that writes outside the
-live set, or moves norm from one column to another, is caught too.
-Inside an operation the gates, and an inner operation, put their checks
-off: an operation raises the state's private depth counter around its
-body and lowers it again even when the body raises, and a gate or an
-operation checks only when it finds the counter at 0. So a gate that
-breaks the norm inside an operation is caught at the operation's exit.
-A drift past 1e-9 raises :class:`StateNormError`, because drift at that
-size means a broken gate, not roundoff.
+Nothing here renormalizes silently. Each public operation, a gate
+called on its own included, checks the norm once, on exit, by one rule:
+every column's norm over all four blocks is 1. So a gate that writes
+outside the live set, or moves norm from one column to another, is
+caught too. Inside an operation the gates, and an inner operation, put
+their checks off: an operation raises the state's private depth counter
+around its body and lowers it again even when the body raises, and a
+gate or an operation checks only when it finds the counter at 0. So a
+gate that breaks the norm inside an operation is caught at the
+operation's exit. A drift past 1e-9 raises :class:`StateNormError`,
+because drift at that size means a broken gate, not roundoff.
 
 The prepared state ``correlation_op`` applied to the all-zero state has
 a useful closed form: the index-register distribution equals the
@@ -122,9 +119,9 @@ class Buffers:
     between preparations what a stage reads before its next one (the
     signed-digit split's integers, a correlation table); ``scratch`` a
     gate's or a transform's work table for one call, the measurement table
-    of :func:`index_distribution` until the next gate, or |g| and then
-    the bit planes while a stage splits it; ``rows`` a stage's distinct
-    digit rows, in a table taken for all the digit depth's rows. One
+    of :func:`index_distribution` until the next gate, or |g| while a
+    stage splits it; ``rows`` the split's bit planes, all the digit
+    depth's, and over them a stage's distinct digit rows. One
     computation uses an object at a time, and what it holds stays valid
     only until its role is taken again.
     """
@@ -200,36 +197,30 @@ def _one_column(state: StateVector) -> None:
         raise ValueError(f"the one-column layout does not hold {state.columns} columns")
 
 
-def _checked(state: StateVector, whole: bool = False) -> StateVector:
-    """Raise unless the live blocks' total squared norm is the column
-    count, or with ``whole`` every column's norm is 1, within 1e-9."""
+def _checked(state: StateVector) -> StateVector:
+    """Raise unless every column's norm over all four blocks is 1, within
+    1e-9: one dot for a one-column state, one ``vecdot`` per block and
+    column otherwise, summed over the blocks."""
     amps = state.amps
     k = amps.size >> (state.n + 2)
-    if whole and k > 1:
-        blocks = amps.reshape(4, k, -1)
-        drift = np.max(np.abs(np.sqrt(np.einsum("wci,wci->c", blocks, blocks)) - 1.0))
+    if k == 1:
+        drift = abs(math.sqrt(amps.dot(amps)) - 1.0)
     else:
-        if whole:
-            total = amps.dot(amps)
-        else:
-            size, total = amps.size >> 2, 0.0
-            for w in state.live:
-                block = amps[w * size:(w + 1) * size]
-                total += block.dot(block)
-        drift = abs(math.sqrt(total / k) - 1.0)
+        blocks = amps.reshape(4, k, -1)
+        drift = np.max(np.abs(np.sqrt(np.vecdot(blocks, blocks).sum(axis=0)) - 1.0))
     if not drift <= _NORM_TOL:  # a NaN amplitude fails too
         raise StateNormError("state norm drifted beyond 1e-9")
     return state
 
 
-def _exit_check(state: StateVector, whole: bool = False) -> StateVector:
+def _exit_check(state: StateVector) -> StateVector:
     """A gate's or an operation's check on exit: :func:`_checked`, or
     nothing while an enclosing operation runs, which checks once when it
     ends."""
-    return state if state._depth else _checked(state, whole)
+    return state if state._depth else _checked(state)
 
 
-def _operation(state: StateVector, steps, whole: bool = False) -> StateVector:
+def _operation(state: StateVector, steps) -> StateVector:
     """Apply ``steps`` (callables on the state) in order with their checks
     put off, then make the operation's one check on exit."""
     state._depth += 1
@@ -238,7 +229,7 @@ def _operation(state: StateVector, steps, whole: bool = False) -> StateVector:
             step(state)
     finally:
         state._depth -= 1
-    return _exit_check(state, whole)
+    return _exit_check(state)
 
 
 def _index_table(values, state: StateVector, dtype) -> np.ndarray:
@@ -285,7 +276,7 @@ def hadamard_index(state: StateVector) -> StateVector:
     nothing and fails the norm check. The kernel's work table comes from
     :func:`_scratch`."""
     blocks = _blocks(state)
-    live = [w for w in state.live if (blocks[w] != 0.0).any()]
+    live = [w for w in state.live if (blocks[w] != 0.0).any()]  # beats a float any() at n = 14
     state.live = tuple(live)
     if live:
         span = blocks[live[0]:live[-1] + 1]
@@ -304,7 +295,7 @@ def x_phase(state: StateVector) -> StateVector:
     blocks = _blocks(state)
     live = state.live
     if len(live) > 1:
-        live = tuple(w for w in live if w ^ 1 in state.live or blocks[w].any())
+        live = tuple(w for w in live if w ^ 1 in state.live or (blocks[w] != 0.0).any())
     for w in live:
         partner = w ^ 1
         if partner not in live:
@@ -386,7 +377,7 @@ def _correlation_gates(f, counter: QueryCounter) -> tuple:
 
 def correlation_op(state: StateVector, f, counter: QueryCounter) -> StateVector:
     """The two-query correlation operator; called on its own, it checks
-    the live blocks once on exit."""
+    the norm once, on exit."""
     return _operation(state, _correlation_gates(f, counter))
 
 
@@ -411,7 +402,7 @@ def prepare_spectrum_state(f, counter: QueryCounter, buffers: Buffers | None = N
     bits = np.asarray(f)
     state = init_state(int(bits.shape[0]).bit_length() - 1, bits.shape[1] if bits.ndim == 2 else 1,
                        buffers)
-    return _operation(state, _correlation_gates(bits, counter), whole=True)
+    return _operation(state, _correlation_gates(bits, counter))
 
 
 def grover_step(state: StateVector, f, marked, counter: QueryCounter) -> StateVector:
@@ -426,7 +417,7 @@ def grover_step(state: StateVector, f, marked, counter: QueryCounter) -> StateVe
         correlation_op(state, f, counter)
         for block in _live(state):
             block *= -1.0
-    return _operation(state, (iterate,), whole=True)
+    return _operation(state, (iterate,))
 
 
 def index_distribution(state: StateVector) -> np.ndarray:

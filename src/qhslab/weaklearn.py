@@ -319,56 +319,27 @@ class SearchRecords(dict):
         self.buffers = Buffers()
 
 
-@dataclass
-class SignedDigits:
-    """Exact signed-digit form of truncated weights, held as bit planes.
-
-    Per point, ``v = floor(2**d * M)`` is written as
-    ``sum_j alpha[j] * 2**(d-1-j) + k`` with alpha entries in {-1, +1}
-    and k in {-1, 0, +1}. The identity is exact in integers. The digits
-    are stored as ``planes``, one byte per point and digit: row j is 1
-    exactly where bit d-1-j of u = (v - k + 2**d - 1) / 2 is set, and
-    ``alpha`` is derived from it as ``2 * planes - 1``.
-    """
-
-    d: int
-    planes: np.ndarray  # (d, N) uint8 bits of u, the highest first
-    k: np.ndarray       # (N,)
-    v: np.ndarray       # (N,) truncated integers
-
-    @property
-    def alpha(self) -> np.ndarray:
-        """(d, N) int8 signs, ``2 * planes - 1``."""
-        return self.planes.view(np.int8) * 2 - 1
-
-    def reconstruct(self) -> np.ndarray:
-        weights = (1 << np.arange(self.d - 1, -1, -1, dtype=np.int64))
-        return weights @ self.alpha.astype(np.int64) + self.k
-
-
 _SPLIT_INTS = tuple(np.dtype(f"<i{size}") for size in (2, 4, 8))  # 2**(d + 1) to d = 14, 30, 62
 
 
-def signed_digit_decompose(m_values, d: int, buffers: Buffers | None = None) -> SignedDigits:
-    """Decompose weights in (0, 1] at bit depth d, 1 <= d <= 62, into the
-    bit planes of u.
+def signed_digit_decompose(m_values, d: int, buffers: Buffers | None = None) -> np.ndarray:
+    """Decompose weights in (0, 1] at bit depth d, 1 <= d <= 62, into
+    signed digits; returns them as the (d, 2**n) uint8 bit planes of u.
 
-    Picks the odd integer w = min(v | 1, 2**d - 1) nearest v with
-    1 <= w <= 2**d - 1 and assigns the leftover v - w to k. Writing
-    alpha_j = 2 b_j - 1 turns w = sum_j alpha_j 2**(d-1-j) into
-    u = (w + 2**d - 1) / 2 = sum_j b_j 2**(d-1-j), so alpha_j is +1
-    exactly where bit d-1-j of u is set: the digit rows are u's d bit
-    planes, formed by one call that shifts u right by d-1-j into each
-    plane j and one mask of all planes to their low bit. The
-    post-condition is O(2**n): 0 <= u < 2**d and |v - w| <= 1, which is
-    exactly ``reconstruct() == v`` with every k in range, and builds no
-    (d, 2**n) integer table. The integers are held in the narrowest
-    signed type that holds 2**(d + 1), 2 bytes per point up to d = 14.
-    They are taken from the ``state`` table of ``buffers`` (new ones by
-    default) and the planes from its ``scratch`` table, once the weights,
-    which may live there, are read; the result is valid until those
-    tables are taken again, and a caller that lends the same object every
-    stage allocates none.
+    Per point, v = floor(2**d * m) is written as sum_j alpha_j 2**(d-1-j)
+    + k with every alpha_j in {-1, +1} and k in {-1, 0, +1}: w = min(v |
+    1, 2**d - 1) is the odd integer nearest v with 1 <= w <= 2**d - 1,
+    and k = v - w. Writing alpha_j = 2 b_j - 1 turns w = sum_j alpha_j
+    2**(d-1-j) into u = (w + 2**d - 1) / 2 = sum_j b_j 2**(d-1-j), so
+    alpha_j is +1 exactly where bit d-1-j of u is set: plane j, formed by
+    one call that shifts u right by d-1-j into each plane and one mask of
+    all planes to their low bit. The post-condition is O(2**n): 0 <= u <
+    2**d and |k| <= 1, and no (d, 2**n) integer table is built. The
+    integers are held in the narrowest signed type that holds 2**(d + 1),
+    2 bytes per point up to d = 14, in the ``state`` table of ``buffers``
+    (new ones by default); the planes are the ``rows`` table, valid until
+    it is taken again, so a caller that lends the same object every
+    stage allocates neither after the first.
     """
     if not 1 <= d <= 62:
         raise ValueError("d must lie in [1, 62]")
@@ -388,15 +359,15 @@ def signed_digit_decompose(m_values, d: int, buffers: Buffers | None = None) -> 
     if not (u.min(initial=0) >= 0 and u.max(initial=0) <= top
             and k.min(initial=0) >= -1 and k.max(initial=0) <= 1):
         raise AssertionError("signed-digit decomposition failed")
-    planes = buffers.take("scratch", (d, m.size), np.uint8)  # after the weights' last read
+    planes = buffers.take("rows", (d, m.size), np.uint8)
     shifts = np.arange(d - 1, -1, -1, dtype=u.dtype)[:, None]  # plane j is bit d-1-j of u
     np.right_shift(u, shifts, out=planes, casting="unsafe")
     planes &= 1
-    return SignedDigits(d, planes, k, v)
+    return planes
 
 
 def weighted_weak_parity(g_values, big_gamma, delta, sample, counter, rng,
-                         records=None) -> WeakHypothesis:
+                         records) -> WeakHypothesis:
     """Find a parity correlated with the weighted target g = M * f.
 
     g is the booster's lent target: its magnitude is the weight M and its
@@ -421,48 +392,47 @@ def weighted_weak_parity(g_values, big_gamma, delta, sample, counter, rng,
     rows as one signed byte per point; no float table of the rows is
     built.
 
-    ``records``, a :class:`SearchRecords` (a new one by default), maps a
-    digit row's packed bit plane (``np.packbits``, 2**n / 8 bytes) to its
-    search record (see :func:`quantum_weak_parity`); it is sound while f,
-    the sample and big_gamma stay fixed, as within the run that owns it.
-    A call keeps its own rows' records, reusing the previous call's, and
+    ``records``, the run's :class:`SearchRecords`, maps a digit row's
+    packed bit plane (``np.packbits``, 2**n / 8 bytes) to its search
+    record (see :func:`quantum_weak_parity`); it is sound while f, the
+    sample and big_gamma stay fixed, as within the run that owns it. A
+    call keeps its own rows' records, reusing the previous call's, and
     drops the rest, so it holds the rows of at most two consecutive
     stages. The rows without a record are filled before any search, as
     the columns of one :func:`fill_records` call (several when they
     exceed :func:`simulator.batch_columns`). The stage's tables live in
     the records' buffers: |g| is formed in their ``scratch`` table and
     split into integers in their ``state`` table and bit planes in their
-    ``scratch`` table (see :func:`signed_digit_decompose`), and the
-    distinct rows are copied into their ``rows`` table, which the first
-    stage takes for all ``digit_depth(big_gamma)`` rows; after that the
-    fills' correlation passes and preparations, and last the weighted
-    correlation, reuse the ``state`` and ``scratch`` tables. So a run's
-    stages allocate no float table of the cube's size once the first has
-    run, except where a search goes deeper than its record: that
-    preparation lives on buffers of the search's own, as the weighted
-    correlation may hold the ``state`` table by then.
+    ``rows`` table (see :func:`signed_digit_decompose`). Each distinct
+    plane is moved up to its rank in that table, and the rows are formed
+    over it in place; after that the fills' correlation passes and
+    preparations, and last the weighted correlation, reuse the ``state``
+    and ``scratch`` tables. So a run's stages allocate no float table of
+    the cube's size once the first has run, except where a search goes
+    deeper than its record: that preparation lives on buffers of the
+    search's own, as the weighted correlation may hold the ``state``
+    table by then.
     """
     if not 0.0 < big_gamma < 1.0:
         raise ValueError("big_gamma must lie in (0, 1)")
     g_values = np.asarray(g_values, dtype=np.float64)
     n = sample.n
-    if records is None:
-        records = SearchRecords()
     buffers = records.buffers
     weights = np.abs(g_values, out=buffers.take("scratch", g_values.size))
-    planes = signed_digit_decompose(weights, digit_depth(big_gamma), buffers).planes
+    planes = signed_digit_decompose(weights, digit_depth(big_gamma), buffers)
     gamma_bit = bit_threshold(big_gamma)
 
     first = {}  # f is +-1, so two digit rows alpha[j] * f are equal exactly when planes[j] are
     for j, key in enumerate(np.packbits(planes, axis=1)):
         first.setdefault(key.tobytes(), j)
     keys = list(first)
-    # row i is the i-th distinct alpha[j] * f as one signed byte per point: its oracle bits
-    # (where it is -1) are planes[j] XOR [f > 0], and its values 1 - 2 * those bits; the table
-    # is taken for all d digit rows, so the run's first stage makes the only one
-    table = buffers.take("rows", planes.shape, np.int8)[:len(keys)]
-    np.take(planes, list(first.values()), axis=0, out=table.view(np.uint8), mode="clip")
-    del planes, weights
+    for i, j in enumerate(first.values()):  # j >= i, so no plane is overwritten before it is read
+        if j != i:
+            planes[i] = planes[j]
+    # row i is the i-th distinct alpha[j] * f as one signed byte per point, in place of its
+    # plane: its oracle bits (where it is -1) are planes[j] XOR [f > 0], and its values
+    # 1 - 2 * those bits
+    table = planes[:len(keys)].view(np.int8)
     table ^= g_values > 0
     table *= -2
     table += 1

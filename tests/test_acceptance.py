@@ -160,11 +160,12 @@ def test_criterion_7_signed_digit_reconstruction():
     with criterion(7, "signed-digit reconstruction"):
         for d in range(1, 9):
             values = np.minimum((np.arange((1 << d) + 1) + 0.5) / (1 << d), 1.0)
-            digits = signed_digit_decompose(values, d)
-            assert np.array_equal(digits.v, np.arange((1 << d) + 1))
-            assert np.array_equal(digits.reconstruct(), digits.v)
-            assert np.all(np.abs(digits.alpha) == 1)
-            assert np.all(np.abs(digits.k) <= 1)
+            planes = signed_digit_decompose(values, d)
+            assert planes.shape == (d, values.size) and np.isin(planes, (0, 1)).all()
+            v = np.floor(values * (1 << d)).astype(np.int64)
+            assert np.array_equal(v, np.arange((1 << d) + 1))
+            w = (1 << np.arange(d - 1, -1, -1)) @ (2 * planes.astype(np.int64) - 1)
+            assert np.all(np.abs(v - w) <= 1)  # v = w + k with k in {-1, 0, 1}
 
 
 def test_criterion_8_mode_agreement(quantum_grid):

@@ -201,6 +201,18 @@ def test_verify_counts_a_raising_suite_as_a_failed_check(monkeypatch, capsys):
     assert "raised RuntimeError: digit split broken" in out
 
 
+def test_the_signed_digit_suite_does_not_trust_the_splits_integers(monkeypatch):
+    """A split that returns the planes of m / 2: self-consistent digits of
+    the wrong weights. The suite computes v = floor(2**d m) itself, so it
+    fails at every depth past 1."""
+    split = checks.signed_digit_decompose
+    monkeypatch.setattr(checks, "signed_digit_decompose",
+                        lambda m_values, d: split(np.asarray(m_values) / 2, d))
+    (result,) = run_all(names=["signed-digits"])
+    assert result.checked == 8 and len(result.failures) == 7
+    assert result.failures[0].startswith("d=2:")
+
+
 def test_verify_subcommand(tmp_path, capsys):
     assert run_cli("verify", "--suite", "signed-digits", "--suite",
                    "spectrum-measurement") == EXIT_OK

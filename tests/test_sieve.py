@@ -316,9 +316,10 @@ def test_row_records_change_no_decision(monkeypatch, formula, cfg, deeper):
     events = []  # (stage, oracle bits, prepared or stepped)
 
     def watched(g_values, big_gamma, delta, sample, counter, rng, records):
-        digits = signed_digit_decompose(np.abs(g_values), digit_depth(big_gamma))
-        rows = {np.packbits(plane).tobytes(): ((alpha * f_sign) < 0).astype(np.uint8).tobytes()
-                for plane, alpha in zip(digits.planes, digits.alpha)}
+        planes = signed_digit_decompose(np.abs(g_values), digit_depth(big_gamma))
+        rows = {np.packbits(plane).tobytes():  # alpha = 2 * plane - 1
+                (((2 * plane.astype(int) - 1) * f_sign) < 0).astype(np.uint8).tobytes()
+                for plane in planes}
         previous = set(stages[-1]) if stages else set()
         stages.append(rows)
         assert set(records) <= previous

@@ -315,7 +315,8 @@ def test_a_gate_writing_outside_the_live_set_fails_the_composite_exit_check(monk
         return state
 
     monkeypatch.setattr(simulator, "cz_answer_phase", leaking_cz)
-    correlation_op(init_state(n), bits, QueryCounter())  # which checks its live blocks only
+    with pytest.raises(StateNormError):  # on its own, too: every check reads all four blocks
+        correlation_op(init_state(n), bits, QueryCounter())
     with pytest.raises(StateNormError):
         prepare_spectrum_state(bits, QueryCounter())
     monkeypatch.setattr(simulator, "cz_answer_phase", cz)
@@ -517,6 +518,60 @@ def write_a_nan(state):
     simulator._live(state)[0][1] = np.nan
 
 
+def leak_into_a_dead_block(state):
+    dead = [w for w in ALL_BLOCKS if w not in state.live]
+    simulator._blocks(state)[dead[-1], 3] = 0.5
+
+
+def tilt_two_columns(state):  # column 0 gains the squared norm column 1 loses
+    for block in simulator._live(state):
+        columns = block.reshape(state.columns, -1)
+        columns[0] *= math.sqrt(1.5)
+        columns[1] *= math.sqrt(0.5)
+
+
+@pytest.mark.parametrize("corrupt", [leak_into_a_dead_block, tilt_two_columns])
+@pytest.mark.parametrize("gate", ["hadamard_index", "x_phase", "apply_membership",
+                                  "cz_answer_phase", "reflect_zero_index", "apply_marked_phase"])
+def test_a_lone_gate_breaking_the_norm_where_no_live_block_shows_it_fails_its_check(gate, corrupt):
+    """A gate that writes into a block it leaves dead (block 3 of a state
+    whose live set is block 0), or that moves norm from one column to
+    another, keeps the live blocks' total; its check on exit reads every
+    column of all four blocks, so it raises."""
+    n, k = 5, 2
+    rng = np.random.default_rng(36)
+    args = {"apply_membership": (rng.integers(0, 2, size=1 << n), QueryCounter()),
+            "apply_marked_phase": (rng.random(1 << n) < 0.25,)}.get(gate, ())
+    state = hadamard_index(init_state(n, k))
+    assert state.live == (0,)
+    corrupt(state)
+    with pytest.raises(StateNormError):
+        getattr(simulator, gate)(state, *args)
+
+
+@pytest.mark.parametrize("operation", [correlation_op, correlation_op_dagger])
+@pytest.mark.parametrize("gate, corrupt", [("hadamard_index", leak_into_a_dead_block),
+                                           ("cz_answer_phase", tilt_two_columns)])
+def test_a_lone_correlation_op_with_a_gate_breaking_the_norm_unseen_fails(monkeypatch, operation,
+                                                                          gate, corrupt):
+    """A gate inside that writes into a dead block after each index
+    transform, the last gate of both directions, or that moves norm
+    between columns, keeps the live blocks' total; the operation's one
+    check reads every column of all four blocks, so it raises."""
+    n, k = 5, 2
+    bits = np.random.default_rng(37).integers(0, 2, size=(1 << n, k)).astype(np.uint8)
+    real = getattr(simulator, gate)
+
+    def broken(state, *args):
+        real(state, *args)
+        corrupt(state)
+        return state
+
+    monkeypatch.setattr(simulator, gate, broken)
+    with pytest.raises(StateNormError):
+        operation(init_state(n, k), bits, QueryCounter())
+
+
 # each public operation on a state of the given columns, oracle table and marked mask
 OPERATIONS = {
     "correlation_op": lambda state, bits, marked: correlation_op(state, bits, QueryCounter()),
@@ -569,9 +624,9 @@ def test_each_public_operation_checks_the_norm_once(monkeypatch):
     checks = []
     checked = simulator._checked
 
-    def counting(state, whole=False):
-        checks.append(whole)
-        return checked(state, whole)
+    def counting(state):
+        checks.append(state)
+        return checked(state)
 
     monkeypatch.setattr(simulator, "_checked", counting)
     rng = np.random.default_rng(34)
@@ -581,21 +636,21 @@ def test_each_public_operation_checks_the_norm_once(monkeypatch):
         counter = QueryCounter()
         state = prepare_spectrum_state(bits, counter)
         steps = (
-            (lambda: grover_step(state, bits, marked, counter), True),
-            (lambda: correlation_op(state, bits, counter), False),
-            (lambda: correlation_op_dagger(state, bits, counter), False),
-            (lambda: hadamard_index(state), False),
-            (lambda: x_phase(state), False),
-            (lambda: apply_membership(state, bits, counter), False),
-            (lambda: cz_answer_phase(state), False),
-            (lambda: reflect_zero_index(state), False),
-            (lambda: apply_marked_phase(state, marked), False),
+            lambda: grover_step(state, bits, marked, counter),
+            lambda: correlation_op(state, bits, counter),
+            lambda: correlation_op_dagger(state, bits, counter),
+            lambda: hadamard_index(state),
+            lambda: x_phase(state),
+            lambda: apply_membership(state, bits, counter),
+            lambda: cz_answer_phase(state),
+            lambda: reflect_zero_index(state),
+            lambda: apply_marked_phase(state, marked),
         )
-        assert checks == [True]
-        for step, whole in steps:
+        assert checks == [state]
+        for step in steps:
             checks.clear()
             step()
-            assert checks == [whole]
+            assert checks == [state]
         checks.clear()
 
 
@@ -693,10 +748,11 @@ def test_a_gate_moving_norm_between_columns_fails_the_composite_exit_check(monke
             columns = block.reshape(k, -1)
             columns[0] *= math.sqrt(1.5)
             columns[1] *= math.sqrt(0.5)
-        return simulator._checked(state)  # the live blocks still total k
+        return state  # the blocks still total k
 
     monkeypatch.setattr(simulator, "cz_answer_phase", tilting_cz)
-    correlation_op(init_state(n, k), bits, QueryCounter())  # which passes the live-block check
+    with pytest.raises(StateNormError):  # on its own, too: every check reads each column
+        correlation_op(init_state(n, k), bits, QueryCounter())
     with pytest.raises(StateNormError):
         prepare_spectrum_state(bits, QueryCounter())
 

@@ -10,8 +10,8 @@ from qhslab import (QhsConfig, QueryCounter, SharedSample, exact_weak_parity, pl
                     quantum_weak_parity, random_dnf, to_pm1, wht)
 from qhslab import seeds, simulator, weaklearn
 from qhslab.boolfn import chi, wht_unscaled
-from qhslab.weaklearn import (RETRIES, NoHeavyCoefficient, WeakHypothesis, cdf_at, draw_heavy,
-                              fill_records, sample_correlations, sampled_weak_parity,
+from qhslab.weaklearn import (RETRIES, NoHeavyCoefficient, SearchRecords, WeakHypothesis, cdf_at,
+                              draw_heavy, fill_records, sample_correlations, sampled_weak_parity,
                               signed_digit_decompose, verdict, weighted_weak_parity)
 
 
@@ -42,6 +42,14 @@ def greedy_signed_digits(m_values, d):
         r = r - alpha[j].astype(np.int64) * (1 << (d - 1 - j))
     assert not np.any(r)
     return alpha, v - w, v
+
+
+def digits_of(planes):
+    """The signed digits alpha = 2 * planes - 1 that the split's (d, N)
+    bit planes stand for, and the integers w = sum_j alpha_j 2**(d-1-j)
+    they spell."""
+    alpha = 2 * np.asarray(planes, dtype=np.int64) - 1
+    return alpha, (1 << np.arange(len(alpha) - 1, -1, -1)) @ alpha
 
 
 def test_shared_sample_draw_accounting_and_labels():
@@ -341,24 +349,21 @@ def test_quantum_weak_parity_rejects_bad_target():
 
 
 def test_signed_digits_worked_examples():
-    digits = signed_digit_decompose(np.array([1.0]), 2)
-    assert digits.v[0] == 4
-    assert list(digits.alpha[:, 0]) == [1, 1]  # 2 + 1 = 3
-    assert digits.k[0] == 1                    # 3 + 1 = 4
-    digits = signed_digit_decompose(np.array([0.75]), 2)
-    assert digits.v[0] == 3
-    assert list(digits.alpha[:, 0]) == [1, 1]
-    assert digits.k[0] == 0
+    alpha, w = digits_of(signed_digit_decompose(np.array([1.0]), 2))
+    assert list(alpha[:, 0]) == [1, 1]  # 2 + 1 = 3
+    assert 4 - w[0] == 1                # v = 4 = 3 + 1, so k = 1
+    alpha, w = digits_of(signed_digit_decompose(np.array([0.75]), 2))
+    assert list(alpha[:, 0]) == [1, 1]
+    assert 3 - w[0] == 0                # v = 3
 
 
 def test_signed_digits_exhaustive_small_depth():
     d = 3
     values = np.minimum((np.arange((1 << d) + 1) + 0.5) / (1 << d), 1.0)
-    digits = signed_digit_decompose(values, d)
-    assert np.array_equal(digits.v, np.arange((1 << d) + 1))
-    assert np.array_equal(digits.reconstruct(), digits.v)
-    assert np.all(np.abs(digits.alpha) == 1)
-    assert np.all(np.abs(digits.k) <= 1)
+    planes = signed_digit_decompose(values, d)
+    assert planes.shape == (d, values.size) and np.isin(planes, (0, 1)).all()
+    _, w = digits_of(planes)
+    assert np.all(np.abs(np.arange((1 << d) + 1) - w) <= 1)  # v = floor(2**d m) = i
 
 
 @st.composite
@@ -379,16 +384,13 @@ def depth_and_weights(draw):
 @example((9, [1.0] * 8 + [0.5] * 9))  # u past one byte, over more than eight points
 def test_signed_digits_closed_form_matches_greedy_reference(case):
     """The planes are the greedy reference's digits as bits, bit for bit,
-    and alpha is derived from them as 2 * planes - 1."""
+    and the integers they spell plus its remainder k in {-1, 0, 1} give v."""
     d, weights = case
-    digits = signed_digit_decompose(weights, d)
+    planes = signed_digit_decompose(weights, d)
     alpha, k, v = greedy_signed_digits(weights, d)
-    assert digits.planes.dtype == np.uint8 and digits.planes.shape == (d, len(weights))
-    assert np.array_equal(digits.planes, (alpha + 1) // 2)
-    assert digits.alpha.dtype == np.int8
-    assert np.array_equal(digits.alpha, 2 * digits.planes.astype(np.int8) - 1)
-    assert np.array_equal(digits.k, k) and np.array_equal(digits.v, v)
-    assert np.array_equal(digits.reconstruct(), v)
+    assert planes.dtype == np.uint8 and planes.shape == (d, len(weights))
+    assert np.array_equal(planes, (alpha + 1) // 2)
+    assert np.all(np.abs(k) <= 1) and np.array_equal(digits_of(planes)[1] + k, v)
 
 
 def test_signed_digits_validation():
@@ -411,7 +413,7 @@ def test_weighted_reduces_to_plain_search_when_weights_are_one():
     big_gamma = 0.3
     counter = QueryCounter()
     hyp = weighted_weak_parity(f_sign, big_gamma, 0.05, sample,  # g = f under unit weights
-                               counter, seeds.derive(0, 1))
+                               counter, seeds.derive(0, 1), SearchRecords())
     plain = quantum_weak_parity(n, big_gamma / 6.0, 0.05, f_sign, sample,
                                 QueryCounter(), seeds.derive(0, 1))
     assert hyp.a == plain.a == b
@@ -423,7 +425,7 @@ def test_weighted_takes_one_rows_table_for_every_digit_row_on_its_first_stage():
     bits = parity_bits(n, b)
     f_sign = to_pm1(bits).astype(float)
     sample = SharedSample.full_cube(n, bits)
-    records = weaklearn.SearchRecords()
+    records = SearchRecords()
     tables = []
     # one distinct digit row (unit weights), then four: 1111, 1100, 1110 and 1101
     for m_values in (np.ones(1 << n), np.tile([1.0, 0.5, 0.75, 0.625], 1 << (n - 2))):
@@ -439,9 +441,9 @@ def test_weighted_searches_each_distinct_digit_row_once_in_order(monkeypatch):
     n = 6
     f_sign = to_pm1(parity_bits(n, 9)).astype(float)
     m_values = np.repeat([1.0, 0.5, 0.75, 0.5], 16)  # digits 1111, 1100, 1110 at d = 4
-    digits = signed_digit_decompose(m_values, 4)
+    alpha, _ = digits_of(signed_digit_decompose(m_values, 4))
     rows = []  # the distinct rows alpha[j] * f, first occurrence first
-    for row in digits.alpha * f_sign:
+    for row in alpha * f_sign:
         if not any(np.array_equal(row, seen) for seen in rows):
             rows.append(row)
     assert len(rows) == 3
@@ -467,7 +469,7 @@ def test_weighted_searches_each_distinct_digit_row_once_in_order(monkeypatch):
         searched.clear()
         with pytest.raises(NoHeavyCoefficient):  # d = ceil(log2(3 / 0.3)) = 4
             weighted_weak_parity(m_values * f_sign, 0.3, stage_delta, sample, QueryCounter(),
-                                 seeds.derive(0, 1))
+                                 seeds.derive(0, 1), SearchRecords())
         assert len(searched) == RETRIES * len(rows)
         for (delta, g_sign), row in zip(searched, rows * RETRIES):
             assert delta == stage_delta / 3 and np.array_equal(g_sign, row)
@@ -484,7 +486,7 @@ def test_weighted_candidate_meets_exact_pigeonhole_floor():
     big_gamma = 0.2
     sample = SharedSample.full_cube(n, bits)
     hyp = weighted_weak_parity(m_values * f_sign, big_gamma, 0.05, sample,
-                               QueryCounter(), seeds.derive(1, 1))
+                               QueryCounter(), seeds.derive(1, 1), SearchRecords())
     exact = wht(m_values * f_sign)
     assert abs(exact[hyp.a]) >= big_gamma / 3.0
 
@@ -500,14 +502,12 @@ def test_weighted_constant_weight_edge_meets_pigeonhole():
     exact = wht(m_values * f_sign)
     assert abs(exact[b]) == big_gamma
     d = max(1, math.ceil(math.log2(3.0 / big_gamma)))
-    digits = signed_digit_decompose(m_values, d)
-    bit_best = max(
-        float(np.max(np.abs(wht(digits.alpha[j].astype(float) * f_sign))))
-        for j in range(d))
+    alpha, _ = digits_of(signed_digit_decompose(m_values, d))
+    bit_best = max(float(np.max(np.abs(wht(alpha[j] * f_sign)))) for j in range(d))
     assert bit_best >= big_gamma / 3.0 - 1e-12
     sample = SharedSample.full_cube(n, bits)
     hyp = weighted_weak_parity(m_values * f_sign, big_gamma, 0.05, sample,
-                               QueryCounter(), seeds.derive(2, 1))
+                               QueryCounter(), seeds.derive(2, 1), SearchRecords())
     assert abs(exact[hyp.a]) >= big_gamma / 6.0
 
 
@@ -520,7 +520,7 @@ def test_weighted_failure_when_nothing_heavy():
     with pytest.raises(NoHeavyCoefficient):
         # every weighted coefficient is 0.25 * 0.1; demand far more
         weighted_weak_parity(np.full(1 << n, 0.1) * f_sign, 0.9, 0.05, sample,
-                             QueryCounter(), seeds.derive(3, 1))
+                             QueryCounter(), seeds.derive(3, 1), SearchRecords())
 
 
 def test_exact_weak_parity_baseline():
@@ -567,7 +567,7 @@ def test_exact_vs_weighted_agree_on_random_instances():
         m_values = rng.uniform(0.25, 1.0, size=1 << n)
         sample = SharedSample.draw(n, m, QueryCounter(), seeds.derive(trial, 9))
         found = weighted_weak_parity(m_values * f_sign, big_gamma, 0.05, sample,
-                                     QueryCounter(), seeds.derive(trial, 2))
+                                     QueryCounter(), seeds.derive(trial, 2), SearchRecords())
         exact = wht(m_values * f_sign)
         assert abs(found.est_advantage - abs(exact[found.a])) <= slack
         assert abs(exact[found.a]) >= big_gamma / 6.0 - slack
