@@ -76,7 +76,7 @@ def suite_spectrum_measurement(seed: int = 0):
             singles.append(state)
         k = 3
         batch = prepare_spectrum_state(np.stack(tables[:k], axis=1), QueryCounter())
-        dists, columns = index_distribution(batch), batch.amps.reshape(4, k, -1)
+        dists, columns = index_distribution(batch), batch.amps.reshape(2, k, -1)
         for c in range(k):
             err = float(np.max(np.abs(dists[c] - wht(to_pm1(tables[c])) ** 2)))
             yield err <= 1e-10, f"n={n} column {c} of {k}: deviation {err:.3e}"

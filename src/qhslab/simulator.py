@@ -2,66 +2,55 @@
 its amplitude-amplified search iterate, with query accounting.
 
 The register holds n index qubits, one answer qubit and one phase
-qubit, ``2**(n + 2)`` amplitudes per circuit. A state holds k >= 1
-independent circuits, its columns, that run the same gates, each on its
-own oracle column. The work qubits are outermost in memory, then the
-column, then the index register:
-
-    position in amps = (((answer << 1) | phase) * k + column) * 2**n + i
-
-so each of the four work states ``w = (answer << 1) | phase`` is one
-contiguous block of k rows of ``2**n`` amplitudes, the index axis of
-every column contiguous. A one-column state is the single-circuit
-layout. :meth:`StateVector.view`, the ``[index, answer, phase]`` array
-of shape ``(2**n, 2, 2)``, is how the tests and callers outside this
-module index a one-column state; the dump writes the C order of its
-axes. Both refuse a state of several columns. An index table (an
-oracle's bits, a marked mask) has shape ``(2**n,)``, shared by every
-column, or ``(2**n, k)``, one column per circuit. One state holds at
-most ``BATCH_AMPS`` = 2**16 amplitudes (512 KB), or one column when a
-single circuit is larger: :func:`batch_columns` gives the most columns
-on n index qubits. Past that size the gates' passes over the state
-outrun a 2 MB L2 cache and cost more per column than one column at a
-time does: 16 columns at n = 10, 4 at n = 12, one from n = 14 on.
-
-Only X and the diagonal CZ act on the phase qubit, so along the
+qubit. Only X and the diagonal CZ act on the phase qubit, so along the
 correlation operator, its adjoint and the amplification iterate the
-phase qubit stays in a basis state and at most two blocks hold
-amplitude. ``StateVector.live`` is the set of blocks that may be
-nonzero; every block outside it is exactly zero. :func:`init_state`
-starts it at ``(0,)``; a state built from an array, :meth:`view` and
-:func:`load_state` mark all four blocks live, which is conservative
-and exact. Each gate touches only the live blocks and leaves the set
-that can be nonzero after it: :func:`x_phase` moves or swaps blocks and
-relabels, :func:`apply_membership` swaps marked entries of the live
-answer pairs bit for bit, and :func:`x_phase` and :func:`hadamard_index`
-drop a live block that has cancelled to exact zero in every column, so
-along those operators every index Hadamard transforms a single block
-and no gate moves an all-zero block. It transforms
-the span from the first live block to the last in one kernel call; only
-states built from an array, through :meth:`view` or by
-:func:`load_state`, or gate sequences the learners do not run, leave a
-dead block inside that span, which then holds zeros that may read
-``-0.0``. The index transform sends each column through the same
-matmuls as a one-column state, so a column's amplitudes do not depend
-on the columns beside it, bit for bit. Operations mutate the state in
-place and return it. A state built on a :class:`Buffers` object keeps
-its amplitudes in the object's tables, and its gates take their work
-tables from it too, so preparations repeated on one object allocate no
-table of the state's size. Every gate is real (H, X, CZ, the membership
-permutation, the marked phase), so the amplitudes are float64.
+phase qubit stays in a basis state. A state stores that basis state,
+``StateVector.phase``, and the ``2**(n + 1)`` amplitudes at it. It holds
+k >= 1 independent circuits, its columns, that run the same gates, each
+on its own oracle column. The answer qubit is outermost in memory, then
+the column, then the index register:
+
+    position in amps = (answer * k + column) * 2**n + i
+
+so each answer value's block holds k rows of ``2**n`` amplitudes, each
+column's index axis contiguous. :meth:`StateVector.view` builds the
+``[index, answer, phase]`` array of shape ``(2**n, 2, 2)`` of a
+one-column state, +0.0 at the other phase; the dump writes its C order.
+Both refuse a state of several columns. An index table (an oracle's
+bits, a marked mask) has shape ``(2**n,)``, shared by every column, or
+``(2**n, k)``, one column per circuit. A state stores at most
+``BATCH_AMPS`` = 2**15 amplitudes (256 KB), or one column when a single
+circuit is larger (:func:`batch_columns`): 16 columns at n = 10, 4 at
+n = 12, one from n = 14 on. That is the cap measured when a state stored
+both phases, past which the gates' passes outran a 2 MB L2 cache.
+
+X on the phase qubit flips ``phase`` and moves no amplitude.
+``StateVector.lone`` is true only when the answer-1 block is known to be
+exactly zero in every column: :func:`init_state` sets it,
+:func:`hadamard_index` sets it when it finds that block cancelled, and
+:func:`apply_membership` clears it. The gates of a lone state act on its
+answer-0 block alone, so along the learners' operators every index
+Hadamard transforms one block, and no gate negates a zero block, which
+would turn its +0.0 into -0.0. Each column goes through the same
+matmuls as a one-column state, so its amplitudes do not depend on the
+columns beside it, bit for bit. Operations mutate the state in place
+and return it. A state built on a :class:`Buffers` object keeps its
+amplitudes in the object's tables, and its gates take their work tables
+from it too, so preparations repeated on one object allocate no table
+of the state's size. Every gate is real, so the amplitudes are float64.
 
 Nothing here renormalizes silently. Each public operation, a gate
 called on its own included, checks the norm once, on exit, by one rule:
-every column's norm over all four blocks is 1. So a gate that writes
-outside the live set, or moves norm from one column to another, is
-caught too. Inside an operation the gates, and an inner operation, put
-their checks off: an operation raises the state's private depth counter
-around its body and lowers it again even when the body raises, and a
-gate or an operation checks only when it finds the counter at 0. So a
-gate that breaks the norm inside an operation is caught at the
-operation's exit. A drift past 1e-9 raises :class:`StateNormError`,
-because drift at that size means a broken gate, not roundoff.
+every column's norm over everything the state stores is 1. So a gate
+that writes into the answer-1 block of a lone state, or moves norm from
+one column to another, is caught too. Inside an operation the gates,
+and an inner operation, put their checks off: an operation raises the
+state's private depth counter around its body and lowers it again even
+when the body raises, and a gate or an operation checks only when it
+finds the counter at 0. So a gate that breaks the norm inside an
+operation is caught at the operation's exit. A drift past 1e-9 raises
+:class:`StateNormError`, because drift at that size means a broken
+gate, not roundoff.
 
 The prepared state ``correlation_op`` applied to the all-zero state has
 a useful closed form: the index-register distribution equals the
@@ -82,8 +71,7 @@ from .boolfn import butterfly_axis0, check_cap
 
 _NORM_TOL = 1e-9
 _DUMP_MAGIC = b"QHSREAL1"
-ALL_BLOCKS = (0, 1, 2, 3)
-BATCH_AMPS = 1 << 16  # most amplitudes one state of several columns holds
+BATCH_AMPS = 1 << 15  # most amplitudes one state of several columns stores
 
 
 class StateNormError(RuntimeError):
@@ -141,31 +129,33 @@ class Buffers:
 @dataclass
 class StateVector:
     n: int
-    amps: np.ndarray
-    live: tuple = ALL_BLOCKS  # sorted work states (answer << 1) | phase that may be nonzero
+    amps: np.ndarray  # the answer-0 block, then the answer-1 block, at ``phase``
+    phase: int = 0  # the phase qubit's basis state
+    lone: bool = False  # the answer-1 block is exactly zero in every column
     buffers: Buffers | None = field(default=None, repr=False, compare=False)  # the gates' scratch
     _depth: int = field(default=0, init=False, repr=False, compare=False)  # operations running
 
     @property
     def columns(self) -> int:
         """The number of circuits the state holds."""
-        return self.amps.size >> (self.n + 2)
+        return self.amps.size >> (self.n + 1)
 
     def view(self) -> np.ndarray:
-        """(2**n, 2, 2) view of a one-column state: index register, answer
+        """(2**n, 2, 2) array of a one-column state: index register, answer
         qubit, phase qubit.
 
-        Writes through it change the state and may reach any block, so
-        it marks all four live."""
+        A new array: the two answer blocks at the state's phase, and +0.0
+        at the other, so writes to it do not reach the state."""
         _one_column(self)
-        self.live = ALL_BLOCKS
-        return _index_view(self.amps)
+        out = np.zeros((1 << self.n, 2, 2))
+        out[:, :, self.phase] = self.amps.reshape(2, -1).T
+        return out
 
 
 def batch_columns(n: int) -> int:
     """Most columns a state on n index qubits holds: ``BATCH_AMPS``
-    amplitudes, and never fewer than one column."""
-    return max(1, BATCH_AMPS >> (n + 2))
+    stored amplitudes, and never fewer than one column."""
+    return max(1, BATCH_AMPS >> (n + 1))
 
 
 def init_state(n: int, columns: int = 1, buffers: Buffers | None = None) -> StateVector:
@@ -178,12 +168,12 @@ def init_state(n: int, columns: int = 1, buffers: Buffers | None = None) -> Stat
     if not 1 <= columns <= batch_columns(n):
         raise ValueError(f"a state on {n} index qubits holds 1 to {batch_columns(n)} columns")
     if buffers is None:
-        amps = np.zeros(columns << (n + 2), dtype=np.float64)
+        amps = np.zeros(columns << (n + 1), dtype=np.float64)
     else:
-        amps = buffers.take("state", columns << (n + 2))
+        amps = buffers.take("state", columns << (n + 1))
         amps.fill(0.0)
     amps[:columns << n:1 << n] = 1.0
-    return StateVector(n, amps, (0,), buffers)
+    return StateVector(n, amps, lone=True, buffers=buffers)
 
 
 def _scratch(state: StateVector, size: int) -> np.ndarray:
@@ -198,15 +188,15 @@ def _one_column(state: StateVector) -> None:
 
 
 def _checked(state: StateVector) -> StateVector:
-    """Raise unless every column's norm over all four blocks is 1, within
-    1e-9: one dot for a one-column state, one ``vecdot`` per block and
-    column otherwise, summed over the blocks."""
+    """Raise unless every column's norm over both stored blocks is 1,
+    within 1e-9: one dot for a one-column state, one ``vecdot`` over the
+    blocks and columns otherwise, summed over the blocks."""
     amps = state.amps
-    k = amps.size >> (state.n + 2)
+    k = state.columns
     if k == 1:
         drift = abs(math.sqrt(amps.dot(amps)) - 1.0)
     else:
-        blocks = amps.reshape(4, k, -1)
+        blocks = amps.reshape(2, k, -1)
         drift = np.max(np.abs(np.sqrt(np.vecdot(blocks, blocks).sum(axis=0)) - 1.0))
     if not drift <= _NORM_TOL:  # a NaN amplitude fails too
         raise StateNormError("state norm drifted beyond 1e-9")
@@ -248,76 +238,44 @@ def _index_table(values, state: StateVector, dtype) -> np.ndarray:
     return np.ascontiguousarray(table.T, dtype=dtype).reshape(-1)
 
 
-def _index_view(amps: np.ndarray) -> np.ndarray:
-    return amps.reshape(2, 2, -1).transpose(2, 0, 1)
-
-
-def _blocks(state: StateVector) -> np.ndarray:
-    """(4, k * 2**n) view in memory order: row w is work state w's block,
-    its k columns' index registers one after another."""
-    return state.amps.reshape(4, -1)
-
-
-def _live(state: StateVector) -> list:
-    """Views of the live blocks, in the order of ``state.live``."""
-    blocks = _blocks(state)
-    return [blocks[w] for w in state.live]
+def _held(state: StateVector) -> np.ndarray:
+    """(1 or 2, k * 2**n) view of the blocks that may hold amplitude: the
+    answer-0 block alone when the state is lone, else both."""
+    return state.amps.reshape(2, -1)[:1 if state.lone else 2]
 
 
 def hadamard_index(state: StateVector) -> StateVector:
     """Hadamard on every index qubit (the n-fold tensor) of every column.
 
-    Only the live blocks that hold a nonzero amplitude are transformed
-    and stay live: an all-zero block transforms to zero, so dropping it
-    is exact. One kernel call transforms the span of blocks from the
-    first such block to the last, usually a lone block, one contiguous
-    index column per column and block; a dead block inside the span is
-    zero and stays zero, possibly ``-0.0``. An all-zero state transforms
-    nothing and fails the norm check. The kernel's work table comes from
-    :func:`_scratch`."""
-    blocks = _blocks(state)
-    live = [w for w in state.live if (blocks[w] != 0.0).any()]  # beats a float any() at n = 14
-    state.live = tuple(live)
-    if live:
-        span = blocks[live[0]:live[-1] + 1]
-        butterfly_axis0(span.reshape(-1, 1 << state.n).T, _scratch(state, span.size))
-        span *= 2.0 ** (-state.n / 2.0)
+    A state that is not lone becomes lone when its answer-1 block is
+    exactly zero in every column: that block transforms to zero, so
+    leaving it is exact. One kernel call then transforms the held blocks,
+    one contiguous index column per column and block, its work table from
+    :func:`_scratch`. An all-zero state fails the norm check."""
+    if not state.lone:  # the compare beats a float any() at n = 14
+        state.lone = not (state.amps.reshape(2, -1)[1] != 0.0).any()
+    held = _held(state)
+    butterfly_axis0(held.reshape(-1, 1 << state.n).T, _scratch(state, held.size))
+    held *= 2.0 ** (-state.n / 2.0)
     return _exit_check(state)
 
 
 def x_phase(state: StateVector) -> StateVector:
-    """Pauli X on the phase qubit: block w moves to w ^ 1. A live block
-    whose partner is dead is moved and zeroed behind; two live partners
-    are swapped. Beside other live blocks (a lone one holds the whole
-    norm), a block that is exactly zero in every column is dropped from
-    the set instead of moved, which is exact: it is the block that
-    membership-CZ-membership cancels in the adjoint correlation operator."""
-    blocks = _blocks(state)
-    live = state.live
-    if len(live) > 1:
-        live = tuple(w for w in live if w ^ 1 in state.live or (blocks[w] != 0.0).any())
-    for w in live:
-        partner = w ^ 1
-        if partner not in live:
-            blocks[partner] = blocks[w]
-            blocks[w] = 0.0
-        elif w < partner:
-            blocks[[w, partner]] = blocks[[partner, w]]
-    state.live = tuple(sorted(w ^ 1 for w in live))
+    """Pauli X on the phase qubit: flips ``phase``; no amplitude moves."""
+    state.phase ^= 1
     return _exit_check(state)
 
 
 def cz_answer_phase(state: StateVector) -> StateVector:
     """Controlled phase flip: negate amplitudes with answer = phase = 1."""
-    if 3 in state.live:
-        _blocks(state)[3] *= -1.0
+    if state.phase and not state.lone:
+        state.amps.reshape(2, -1)[1] *= -1.0
     return _exit_check(state)
 
 
 def reflect_zero_index(state: StateVector) -> StateVector:
     """Negate amplitudes whose index register is all zero."""
-    for block in _live(state):
-        block[::1 << state.n] *= -1.0
+    _held(state)[:, ::1 << state.n] *= -1.0
     return _exit_check(state)
 
 
@@ -325,41 +283,35 @@ def apply_membership(state: StateVector, f, counter: QueryCounter) -> StateVecto
     """XOR the oracle bit f(i) into the answer qubit; one quantum query per
     column.
 
-    Swaps the two answer blocks of each live pair at every index with
-    f(i) = 1, and leaves both blocks of the pair live. The swap is a
-    branch-free select on the amplitudes' int64 bits: ``d = (low ^ high)
-    * f`` is the XOR of the two where f(i) = 1 and 0 elsewhere, formed in
-    the gate's scratch table, and XORing d into both blocks exchanges
-    exactly those entries, bit for bit. When one block of the pair is
-    dead it is all zero, so d is the live block times f: it is written
-    straight into the dead block and XORed into the live one. Self-inverse,
-    so the same call serves as the adjoint query (which is counted
-    identically).
+    Swaps the two answer blocks at every index with f(i) = 1, and leaves
+    the state not lone. The swap is a branch-free select on the
+    amplitudes' int64 bits: ``d = (low ^ high) * f`` is the XOR of the
+    two where f(i) = 1 and 0 elsewhere, formed in the gate's scratch
+    table, and XORing d into both blocks exchanges exactly those entries,
+    bit for bit. When the state is lone the answer-1 block is all zero,
+    so d is the answer-0 block times f: it is written straight into the
+    answer-1 block and XORed into the answer-0 one. Self-inverse, so the
+    same call serves as the adjoint query (which is counted identically).
     """
-    bits = _blocks(state).view(np.int64)
+    low, high = state.amps.view(np.int64).reshape(2, -1)
     select = _index_table(f, state, bool)
-    phases = sorted({w & 1 for w in state.live})
-    for phase in phases:
-        low, high = bits[phase], bits[2 | phase]
-        if phase in state.live and (2 | phase) in state.live:
-            diff = np.bitwise_xor(low, high, out=_scratch(state, low.size).view(np.int64))
-            diff *= select
-            low ^= diff
-            high ^= diff
-        else:  # one block of the pair is dead, so all zero
-            live, dead = (low, high) if phase in state.live else (high, low)
-            np.multiply(live, select, out=dead)
-            live ^= dead
-    state.live = tuple(phases + [2 | phase for phase in phases])
+    if state.lone:
+        np.multiply(low, select, out=high)
+        low ^= high
+    else:
+        diff = np.bitwise_xor(low, high, out=_scratch(state, low.size).view(np.int64))
+        diff *= select
+        low ^= diff
+        high ^= diff
+    state.lone = False
     counter.quantum_queries += state.columns
     return _exit_check(state)
 
 
 def apply_marked_phase(state: StateVector, marked) -> StateVector:
     """Negate amplitudes whose index value is marked; diagonal, self-inverse."""
-    mask = _index_table(marked, state, bool)
-    for block in _live(state):
-        np.negative(block, out=block, where=mask)
+    held = _held(state)
+    np.negative(held, out=held, where=_index_table(marked, state, bool))
     return _exit_check(state)
 
 
@@ -415,8 +367,8 @@ def grover_step(state: StateVector, f, marked, counter: QueryCounter) -> StateVe
         correlation_op_dagger(state, f, counter)
         reflect_zero_index(state)
         correlation_op(state, f, counter)
-        for block in _live(state):
-            block *= -1.0
+        held = _held(state)
+        held *= -1.0
     return _operation(state, (iterate,))
 
 
@@ -424,18 +376,13 @@ def index_distribution(state: StateVector) -> np.ndarray:
     """Measurement distribution of the index register, each sums to 1: a
     ``(2**n,)`` array for a one-column state, else one row per column.
 
-    The live blocks' squares are summed in the order of ``state.live``,
-    the first written straight into the result, which is the state's
-    ``scratch`` buffer when it has buffers (valid until the next gate) and
-    a new array otherwise."""
-    dist = _scratch(state, state.amps.size >> 2)
-    blocks = _live(state)
-    if blocks:
-        np.square(blocks[0], out=dist)
-    else:
-        dist.fill(0.0)
-    for block in blocks[1:]:
-        dist += np.square(block)
+    The held blocks' squares are summed, answer 0 first, written straight
+    into the result, which is the state's ``scratch`` buffer when it has
+    buffers (valid until the next gate) and a new array otherwise."""
+    held = _held(state)
+    dist = np.square(held[0], out=_scratch(state, held.shape[1]))
+    if len(held) == 2:
+        dist += np.square(held[1])
     return dist if state.columns == 1 else dist.reshape(-1, 1 << state.n)
 
 
@@ -444,20 +391,27 @@ def dump_state(state: StateVector) -> bytes:
     the amplitudes as little-endian doubles in the C order of the view's
     axes, so the double for ``[i, answer, phase]`` sits at byte
     ``16 + 8 * ((i << 2) | (answer << 1) | phase)``."""
-    _one_column(state)
     header = _DUMP_MAGIC + int(state.n).to_bytes(8, "little")
-    return header + np.ascontiguousarray(_index_view(state.amps), dtype="<f8").tobytes()
+    return header + state.view().astype("<f8", copy=False).tobytes()
 
 
 def load_state(buf: bytes) -> StateVector:
     """Inverse of :func:`dump_state`, checked like any other state; a
-    one-column state, so a buffer of several columns fails its length check."""
+    one-column state, so a buffer of several columns fails its length
+    check. The phase qubit must be in a basis state: a dump with a
+    nonzero amplitude at both phases raises ``ValueError`` (a phase whose
+    amplitudes are all +-0.0 counts as empty)."""
     if buf[:8] != _DUMP_MAGIC:
         raise ValueError("bad state dump magic")
     state = init_state(int.from_bytes(buf[8:16], "little"))
     amps = np.frombuffer(buf[16:], dtype="<f8")
-    view = state.view()
-    if amps.size != view.size:
+    if amps.size != 2 * state.amps.size:
         raise ValueError("state dump length does not match its header")
-    view.flat = amps  # in the C order of the view's axes, as dump_state wrote it
+    by_phase = amps.reshape(-1, 2, 2).transpose(2, 1, 0)  # [phase, answer, index]
+    nonzero = [(by_phase[phase] != 0.0).any() for phase in (0, 1)]
+    if all(nonzero):
+        raise ValueError("state dump's phase qubit is not in a basis state")
+    state.phase = int(nonzero[1])
+    state.amps[:] = by_phase[state.phase].reshape(-1)
+    state.lone = False
     return _checked(state)

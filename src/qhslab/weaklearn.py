@@ -335,11 +335,12 @@ def signed_digit_decompose(m_values, d: int, buffers: Buffers | None = None) -> 
     one call that shifts u right by d-1-j into each plane and one mask of
     all planes to their low bit. The post-condition is O(2**n): 0 <= u <
     2**d and |k| <= 1, and no (d, 2**n) integer table is built. The
-    integers are held in the narrowest signed type that holds 2**(d + 1),
-    2 bytes per point up to d = 14, in the ``state`` table of ``buffers``
-    (new ones by default); the planes are the ``rows`` table, valid until
-    it is taken again, so a caller that lends the same object every
-    stage allocates neither after the first.
+    integers are two rows, v (then k) and w (then u), of the narrowest
+    signed type that holds 2**(d + 1), 2 bytes per point each up to
+    d = 14, in the ``state`` table of ``buffers`` (new ones by default);
+    the planes are the ``rows`` table, valid until it is taken again, so
+    a caller that lends the same object every stage allocates neither
+    after the first.
     """
     if not 1 <= d <= 62:
         raise ValueError("d must lie in [1, 62]")
@@ -347,12 +348,12 @@ def signed_digit_decompose(m_values, d: int, buffers: Buffers | None = None) -> 
     if not (m.min(initial=1.0) > 0.0 and m.max(initial=1.0) <= 1.0):  # a NaN fails both
         raise ValueError("weights must lie in (0, 1]")
     buffers = Buffers() if buffers is None else buffers
-    v, w, k = buffers.take("state", (3, m.size), _SPLIT_INTS[(d >= 15) + (d >= 31)])
+    v, w = buffers.take("state", (2, m.size), _SPLIT_INTS[(d >= 15) + (d >= 31)])
     np.multiply(m, float(1 << d), out=v, casting="unsafe")  # exact; truncation floors positives
     top = (1 << d) - 1
     np.bitwise_or(v, 1, out=w)
     np.minimum(w, top, out=w)
-    np.subtract(v, w, out=k)
+    k = np.subtract(v, w, out=v)  # v is not read again
     u = w  # u = (w + top) / 2, formed in w's buffer
     u += top
     u >>= 1

@@ -25,7 +25,6 @@ SRC = pathlib.Path(__file__).resolve().parents[1] / "src"
 ALLOWED = {
     "boolfn.best_parity": "demo 01 and the package root use it",
     "cli.entry": "the console script qhslab",
-    "simulator.StateVector.view": "the README's documented reader for --dump-state files",
     "simulator.load_state": "the README's documented reader for --dump-state files",
     "weaklearn.WeakHypothesis.values": "perfbench/tracer.py wraps it",
 }

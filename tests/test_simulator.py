@@ -5,51 +5,54 @@ import pytest
 
 from qhslab import (QueryCounter, grover_step, index_distribution, planted_parity,
                     prepare_spectrum_state, simulator, to_pm1, wht)
-from qhslab.simulator import (ALL_BLOCKS, BATCH_AMPS, StateNormError, StateVector,
-                              apply_marked_phase, apply_membership, batch_columns,
-                              correlation_op, correlation_op_dagger, cz_answer_phase, dump_state,
-                              hadamard_index, init_state, load_state, reflect_zero_index, x_phase)
+from qhslab.simulator import (BATCH_AMPS, StateNormError, StateVector, apply_marked_phase,
+                              apply_membership, batch_columns, correlation_op,
+                              correlation_op_dagger, cz_answer_phase, dump_state, hadamard_index,
+                              init_state, load_state, reflect_zero_index, x_phase)
+
+PHASES = pytest.mark.parametrize("phase", [0, 1])
 
 
-def random_state(n, seed):
+def random_state(n, seed, phase=0):
+    """A random one-column state of two answer blocks at ``phase``, not lone."""
     rng = np.random.default_rng(seed)
-    amps = rng.standard_normal(1 << (n + 2))
+    amps = rng.standard_normal(2 << n)
     amps /= np.linalg.norm(amps)
-    return StateVector(n, amps)
+    return StateVector(n, amps, phase)
 
 
-def where_membership(amps, n, bits):
-    """Reference membership gate: the np.where swap of the two answer blocks
-    over the whole state."""
-    blocks = amps.reshape(2, 2, 1 << n)
-    blocks[:] = np.where(np.asarray(bits, dtype=np.uint8), blocks[::-1], blocks)
+def answer_one(state):
+    """The state's stored answer-1 block, every column."""
+    return state.amps.reshape(2, -1)[1]
 
 
-def copy_x_phase(amps, n):
-    """Reference phase-qubit X: swap the two phase blocks through a full copy."""
-    blocks = amps.reshape(2, 2, 1 << n)
-    blocks[:] = blocks[:, ::-1].copy()
+def where_membership(dense, bits):
+    """Reference membership gate on the C order of ``view()``: the np.where
+    swap of the answer axis wherever the bit is set."""
+    dense[:] = np.where(np.asarray(bits, dtype=bool)[:, None, None], dense[:, ::-1], dense)
 
 
 # quiet NaNs of both signs with payloads; the bit-exact gates must carry them unchanged
 NAN_PAYLOADS = np.array([0x7FF8000000000123, 0xFFF8000000000456], dtype=np.uint64).view(np.float64)
 
 
-def special_state(n, seed, live, nan):
-    """A state whose live blocks mix normal amplitudes with -0.0, subnormals
-    and, if ``nan``, NaNs with payloads; every other block is +0.0. Without
-    NaN its norm is 1 to roundoff."""
+def special_state(n, seed, phase, lone, nan):
+    """A state at ``phase`` whose held blocks mix normal amplitudes with
+    -0.0, subnormals and, if ``nan``, NaNs with payloads; a lone state's
+    answer-1 block is +0.0. Without NaN its norm is 1 to roundoff."""
     rng = np.random.default_rng(seed)
-    blocks = rng.standard_normal((4, 1 << n))
+    blocks = rng.standard_normal((2, 1 << n))
+    held = (0,) if lone else (0, 1)
     specials = np.concatenate([[-0.0, 5e-324, -2.5e-310, 1e-310], NAN_PAYLOADS[:2 * nan]])
-    spots = {w: rng.choice(1 << n, size=len(specials), replace=False) for w in live}
-    blocks[[w for w in ALL_BLOCKS if w not in live]] = 0.0
-    for w, at in spots.items():
-        blocks[w, at] = 0.0
+    spots = {a: rng.choice(1 << n, size=len(specials), replace=False) for a in held}
+    if lone:
+        blocks[1] = 0.0
+    for a, at in spots.items():
+        blocks[a, at] = 0.0
     blocks /= np.linalg.norm(blocks)
-    for w, at in spots.items():
-        blocks[w, at] = specials
-    return StateVector(n, blocks.ravel(), live)
+    for a, at in spots.items():
+        blocks[a, at] = specials
+    return StateVector(n, blocks.ravel(), phase, lone)
 
 
 def dense_hadamard(n):
@@ -60,33 +63,19 @@ def dense_hadamard(n):
     return h
 
 
-def basis(n):
-    """``basis(n)[i, a, p]``: the position in ``amps`` of index i, answer a, phase p."""
-    return StateVector(n, np.arange(4 << n)).view()
-
-
-def in_memory_order(n, op):
-    """A dense operator written over the (index, answer, phase) basis in
-    that C order (a Kronecker product), moved to memory order."""
-    pos = basis(n).ravel()
-    placed = np.zeros_like(op)
-    placed[np.ix_(pos, pos)] = op
-    return placed
-
-
 def apply_c_matrix_free(state_vec, n, bits):
-    """Dense-matrix reference for the correlation operator on one vector."""
+    """Dense-matrix reference for the correlation operator on one vector in
+    the C order of ``view()``, the (index, answer, phase) basis."""
     h = dense_hadamard(n)
     x = np.array([[0.0, 1.0], [1.0, 0.0]])
     cz = np.diag([1.0, 1.0, 1.0, -1.0])
     eye2 = np.eye(2)
-    pos = basis(n)
     u_mq = np.zeros((4 << n, 4 << n))
-    for i, a, b in np.ndindex(pos.shape):
-        u_mq[pos[i, a ^ int(bits[i]), b], pos[i, a, b]] = 1.0
-    first = in_memory_order(n, np.kron(h, np.kron(eye2, x)))
-    mid = in_memory_order(n, np.kron(np.eye(1 << n), cz))
-    last = in_memory_order(n, np.kron(h, np.eye(4)))
+    for i, a, p in np.ndindex(1 << n, 2, 2):
+        u_mq[(i << 2) | ((a ^ int(bits[i])) << 1) | p, (i << 2) | (a << 1) | p] = 1.0
+    first = np.kron(h, np.kron(eye2, x))
+    mid = np.kron(np.eye(1 << n), cz)
+    last = np.kron(h, np.eye(4))
     return last @ u_mq.T @ mid @ u_mq @ first @ state_vec
 
 
@@ -94,12 +83,13 @@ def test_init_state():
     state = init_state(1)
     assert state.amps.dtype == np.float64
     assert state.amps[0] == 1.0 and np.all(state.amps[1:] == 0)
+    assert state.phase == 0 and state.lone
     bits = np.array([0, 1], dtype=np.uint8)
     stepped = grover_step(prepare_spectrum_state(bits, QueryCounter()), bits,
                           np.array([False, True]), QueryCounter())
     assert stepped.amps.dtype == np.float64
     assert abs(np.linalg.norm(state.amps) - 1.0) < 1e-12
-    assert init_state(3).amps.size == 32
+    assert init_state(3).amps.size == 16 and init_state(3, 2).amps.size == 32
     with pytest.raises(ValueError):
         init_state(0)
     with pytest.raises(ValueError):
@@ -116,9 +106,10 @@ def test_hadamard_uniform_and_involution():
     assert np.allclose(state.amps, want, atol=1e-12)
 
 
-def test_hadamard_matches_dense_matrix():
+@PHASES
+def test_hadamard_matches_dense_matrix(phase):
     for n in (3, 8):  # one transform block, and two
-        state = random_state(n, 1)
+        state = random_state(n, 1, phase)
         amps = state.amps
         before = state.view().copy()
         hadamard_index(state)
@@ -127,7 +118,11 @@ def test_hadamard_matches_dense_matrix():
         assert np.allclose(state.view(), dense, atol=1e-12)
 
 
-def test_hadamard_transforms_the_live_work_blocks_in_one_kernel_call(monkeypatch):
+@pytest.mark.parametrize("k", [1, 3])
+@PHASES
+def test_hadamard_transforms_the_held_blocks_in_one_kernel_call(monkeypatch, k, phase):
+    """One kernel call of shape (2**n, k) on a lone state, or on a state
+    whose answer-1 block is zero, which becomes lone; (2**n, 2k) otherwise."""
     calls = []
     kernel = simulator.butterfly_axis0
 
@@ -138,40 +133,46 @@ def test_hadamard_transforms_the_live_work_blocks_in_one_kernel_call(monkeypatch
     monkeypatch.setattr(simulator, "butterfly_axis0", counting_kernel)
     rng = np.random.default_rng(22)
     for n in (3, 8):
-        for live in ((1,), (0, 3), (0, 1, 2, 3)):  # work states (answer << 1) | phase
-            state = init_state(n)
-            state.amps[:] = 0.0
-            for w in live:
-                state.view()[:, w >> 1, w & 1] = rng.standard_normal(1 << n)
-            state.amps /= np.linalg.norm(state.amps)
-            before = state.view().copy()
+        for lone, zero_answer_one, columns_after in ((True, True, k), (False, True, k),
+                                                     (False, False, 2 * k)):
+            blocks = rng.standard_normal((2, k, 1 << n))
+            if zero_answer_one:
+                blocks[1] = 0.0
+            blocks /= np.linalg.norm(blocks, axis=(0, 2))[:, None]  # each column's norm is 1
+            before = blocks.copy()
+            state = StateVector(n, blocks.ravel(), phase, lone)
             calls.clear()
             hadamard_index(state)
-            assert calls == [(1 << n, live[-1] - live[0] + 1)]  # the span of live blocks
-            dense = np.einsum("ji,iap->jap", dense_hadamard(n), before)
-            assert np.allclose(state.view(), dense, atol=1e-12)
-            for w in set(range(4)) - set(live):
-                assert np.all(state.view()[:, w >> 1, w & 1] == 0.0)
+            assert calls == [(1 << n, columns_after)]
+            assert state.lone == zero_answer_one and state.phase == phase
+            dense = np.einsum("ji,aci->acj", dense_hadamard(n), before)
+            assert np.allclose(state.amps.reshape(2, k, -1), dense, atol=1e-12)
+            if zero_answer_one:
+                assert np.all(answer_one(state) == 0.0)
 
 
 def test_hadamard_of_an_all_zero_state_fails_the_norm_check():
     for n, columns in ((3, 1), (4, 2)):
-        for state in (init_state(n, columns), StateVector(n, np.zeros(columns << (n + 2)))):
+        for state in (init_state(n, columns), StateVector(n, np.zeros(columns << (n + 1)))):
             state.amps[:] = 0.0
             with pytest.raises(StateNormError):
                 hadamard_index(state)
-            assert state.live == ()
+            assert state.lone
             assert not state.amps.any()
 
 
-def test_x_phase_and_cz():
+@PHASES
+def test_x_phase_and_cz(phase):
     state = init_state(2)
     x_phase(state)
     assert state.view()[0, 0, 1] == 1.0  # phase qubit flipped to 1
     x_phase(state)
     assert state.view()[0, 0, 0] == 1.0
-    state = random_state(2, 2)
-    before = state.view().copy()
+    lone = x_phase(init_state(2))
+    cz_answer_phase(lone)
+    assert lone.amps.tobytes() == init_state(2).amps.tobytes()  # no -0.0 written
+    state = random_state(2, 2, phase)
+    before = state.view()
     cz_answer_phase(state)
     view = state.view()
     untouched = np.array([[True, True], [True, False]])  # all but answer = phase = 1
@@ -181,29 +182,37 @@ def test_x_phase_and_cz():
     assert np.allclose(state.view(), before, atol=1e-15)
 
 
-@pytest.mark.parametrize("nan", [False, True])
-@pytest.mark.parametrize("live", [(0,), (1,), (0, 2), (1, 3), (0, 1), ALL_BLOCKS,
-                                  (2,), (3,), (1, 2)])
-def test_block_gates_move_the_bits_the_reference_gates_move(live, nan):
+SPECIAL_STATES = pytest.mark.parametrize("phase, lone, nan", [
+    (phase, lone, nan) for phase in (0, 1) for lone in (False, True) for nan in (False, True)])
+
+
+@SPECIAL_STATES
+def test_membership_moves_the_bits_the_reference_gate_moves(phase, lone, nan):
     n = 5
     bits = np.random.default_rng(24).integers(0, 2, size=1 << n).astype(np.uint8)
-    gates = (
-        (lambda s: apply_membership(s, bits, QueryCounter()),
-         lambda amps: where_membership(amps, n, bits),
-         sorted({w & ~2 for w in live} | {w | 2 for w in live})),
-        (x_phase, lambda amps: copy_x_phase(amps, n), sorted(w ^ 1 for w in live)),
-    )
-    for gate, reference, live_after in gates:
-        state = special_state(n, 25, live, nan)
-        want = state.amps.copy()
-        reference(want)
-        if nan:
-            with pytest.raises(StateNormError):
-                gate(state)
-        else:
-            gate(state)
-        assert state.amps.tobytes() == want.tobytes()
-        assert state.live == tuple(live_after)
+    state = special_state(n, 25, phase, lone, nan)
+    want = state.view()
+    where_membership(want, bits)
+    if nan:
+        with pytest.raises(StateNormError):
+            apply_membership(state, bits, QueryCounter())
+    else:
+        apply_membership(state, bits, QueryCounter())
+    assert state.view().tobytes() == want.tobytes()
+    assert state.phase == phase and not state.lone
+
+
+@SPECIAL_STATES
+def test_x_phase_flips_the_phase_and_moves_no_bit(phase, lone, nan):
+    state = special_state(5, 25, phase, lone, nan)
+    amps, before = state.amps, state.amps.tobytes()
+    if nan:
+        with pytest.raises(StateNormError):
+            x_phase(state)
+    else:
+        x_phase(state)
+    assert state.amps is amps and amps.tobytes() == before
+    assert state.phase == 1 - phase and state.lone == lone
 
 
 def test_buffers_take_arrays_of_any_shape_from_one_table_per_role():
@@ -227,7 +236,7 @@ def test_buffers_take_arrays_of_any_shape_from_one_table_per_role():
     assert np.shares_memory(grown, buffers.take("state", 8, np.uint8))
 
 
-def test_blocks_outside_the_live_set_stay_zero_through_the_circuit(monkeypatch):
+def test_the_answer_1_block_of_a_lone_state_stays_zero_through_the_circuit(monkeypatch):
     n, b, gamma = 8, 19, 0.125
     bits = planted_parity(n, b, gamma, seed=26)
     marked = np.abs(wht(to_pm1(bits).astype(float))) >= 1.8 * gamma
@@ -236,11 +245,10 @@ def test_blocks_outside_the_live_set_stay_zero_through_the_circuit(monkeypatch):
     def checking(name, gate):
         def wrapped(state, *args):
             out = gate(state, *args)
-            blocks = state.amps.reshape(4, -1)  # not view(), which marks every block live
-            dead = [w for w in ALL_BLOCKS if w not in state.live]
-            assert np.all(blocks[dead] == 0.0), name
+            if state.lone:
+                assert np.all(answer_one(state) == 0.0), name
             if name == "hadamard_index":
-                assert len(state.live) == 1  # one block transformed, as the circuit needs
+                assert state.lone  # one block transformed, as the circuit needs
             checked.append(name)
             return out
         return wrapped
@@ -248,7 +256,7 @@ def test_blocks_outside_the_live_set_stay_zero_through_the_circuit(monkeypatch):
     for name in ("hadamard_index", "x_phase", "apply_membership", "cz_answer_phase",
                  "apply_marked_phase", "reflect_zero_index", "grover_step"):
         monkeypatch.setattr(simulator, name, checking(name, getattr(simulator, name)))
-    assert init_state(n).live == (0,)
+    assert init_state(n).lone
     counter = QueryCounter()
     state = prepare_spectrum_state(bits, counter)
     for _ in range(3):
@@ -256,21 +264,19 @@ def test_blocks_outside_the_live_set_stay_zero_through_the_circuit(monkeypatch):
     assert counter.quantum_queries == 2 + 3 * 4
     assert checked.count("hadamard_index") == 2 + 3 * 4
     assert checked.count("grover_step") == 3 and checked.count("reflect_zero_index") == 3
-    assert len(state.live) == 1
+    assert state.lone
     assert abs(np.linalg.norm(state.amps) - 1.0) < 1e-12
 
-    assert StateVector(n, state.amps.copy()).live == ALL_BLOCKS
-    assert load_state(dump_state(state)).live == ALL_BLOCKS
-    state.view()
-    assert state.live == ALL_BLOCKS
+    assert not StateVector(n, state.amps.copy()).lone
+    loaded = load_state(dump_state(state))
+    assert loaded.phase == state.phase and not loaded.lone
 
 
-def test_the_adjoint_operator_moves_no_cancelled_block(monkeypatch):
-    """In the adjoint correlation operator, membership-CZ-membership cancels
-    one answer block; x_phase drops it instead of moving it onto its dead
-    partner, so no index Hadamard of the adjoint receives an all-zero live
-    block. The closing Hadamard of the forward operator still receives the
-    one that operator cancels, and drops it."""
+def test_the_closing_hadamard_of_each_direction_finds_the_answer_1_block_cancelled(monkeypatch):
+    """Membership-CZ-membership cancels the answer-1 block in both
+    directions of the correlation operator, so the closing index Hadamard
+    of each finds it exactly zero and leaves the state lone, and the
+    opening one receives a lone state."""
     n, b, gamma = 8, 19, 0.125
     bits = planted_parity(n, b, gamma, seed=26)
     marked = np.abs(wht(to_pm1(bits))) >= 1.8 * gamma
@@ -278,9 +284,8 @@ def test_the_adjoint_operator_moves_no_cancelled_block(monkeypatch):
     zero_blocks = {"adjoint": [], "forward": []}
     inside = ["forward"]
 
-    def recording_hadamard(state):
-        blocks = state.amps.reshape(4, -1)
-        zero_blocks[inside[-1]].append(sum(not blocks[w].any() for w in state.live))
+    def recording_hadamard(state):  # (lone on entry, answer-1 block zero on entry)
+        zero_blocks[inside[-1]].append((state.lone, not answer_one(state).any()))
         return hadamard(state)
 
     def marked_dagger(state, f, counter):
@@ -297,38 +302,38 @@ def test_the_adjoint_operator_moves_no_cancelled_block(monkeypatch):
     steps = 2
     for _ in range(steps):
         grover_step(state, bits, marked, counter)
-    assert zero_blocks["adjoint"] == [0, 0] * steps
-    assert zero_blocks["forward"] == [0, 1] * steps
+    assert zero_blocks["adjoint"] == [(True, True), (False, True)] * steps
+    assert zero_blocks["forward"] == [(True, True), (False, True)] * steps
     assert counter.quantum_queries == 2 + 4 * steps
-    assert len(state.live) == 1
+    assert state.lone
 
 
-def test_a_gate_writing_outside_the_live_set_fails_the_composite_exit_check(monkeypatch):
+def test_a_gate_writing_into_a_lone_answer_1_block_fails_the_composite_exit_check(monkeypatch):
     n = 6
     bits = np.random.default_rng(27).integers(0, 2, size=1 << n).astype(np.uint8)
-    cz = simulator.cz_answer_phase
+    hadamard = simulator.hadamard_index
 
-    def leaking_cz(state):
-        cz(state)
-        dead = [w for w in ALL_BLOCKS if w not in state.live]
-        state.amps.reshape(4, -1)[dead[0], 3] = 0.5
+    def leaking_hadamard(state):  # the closing transform of each direction leaves a lone state
+        hadamard(state)
+        leak_into_a_dead_block(state)
         return state
 
-    monkeypatch.setattr(simulator, "cz_answer_phase", leaking_cz)
-    with pytest.raises(StateNormError):  # on its own, too: every check reads all four blocks
+    monkeypatch.setattr(simulator, "hadamard_index", leaking_hadamard)
+    with pytest.raises(StateNormError):  # on its own, too: every check reads both blocks
         correlation_op(init_state(n), bits, QueryCounter())
     with pytest.raises(StateNormError):
         prepare_spectrum_state(bits, QueryCounter())
-    monkeypatch.setattr(simulator, "cz_answer_phase", cz)
+    monkeypatch.setattr(simulator, "hadamard_index", hadamard)
     state = prepare_spectrum_state(bits, QueryCounter())
-    monkeypatch.setattr(simulator, "cz_answer_phase", leaking_cz)
+    monkeypatch.setattr(simulator, "hadamard_index", leaking_hadamard)
     with pytest.raises(StateNormError):
         grover_step(state, bits, np.arange(1 << n) == 1, QueryCounter())
 
 
-def test_reflect_zero_index():
-    state = hadamard_index(init_state(3))
-    before = state.view().copy()
+@PHASES
+def test_reflect_zero_index(phase):
+    state = hadamard_index(random_state(3, 3, phase))
+    before = state.view()
     reflect_zero_index(state)
     assert np.allclose(state.view()[0], -before[0])
     assert np.allclose(state.view()[1:], before[1:])
@@ -363,10 +368,11 @@ def test_membership_answer_marginal():
     assert abs(answer_one - want) < 1e-12
 
 
-def test_marked_phase_identity_and_dense_check():
+@PHASES
+def test_marked_phase_identity_and_dense_check(phase):
     n = 3
-    state = random_state(n, 5)
-    before = state.view().copy()
+    state = random_state(n, 5, phase)
+    before = state.view()
     apply_marked_phase(state, np.zeros(1 << n, dtype=bool))
     assert np.array_equal(state.view(), before)
     target = 5
@@ -380,14 +386,16 @@ def test_marked_phase_identity_and_dense_check():
     assert np.allclose(state.view(), before, atol=1e-15)
 
 
-def test_correlation_op_matches_dense_reference():
+@PHASES
+def test_correlation_op_matches_dense_reference(phase):
     n = 3
     rng = np.random.default_rng(6)
     bits = rng.integers(0, 2, size=1 << n).astype(np.uint8)
-    state = random_state(n, 7)
-    before = state.amps.copy()
+    state = random_state(n, 7, phase)
+    before = state.view().ravel()
     correlation_op(state, bits, QueryCounter())
-    assert np.allclose(state.amps, apply_c_matrix_free(before, n, bits), atol=1e-12)
+    assert state.phase == 1 - phase
+    assert np.allclose(state.view().ravel(), apply_c_matrix_free(before, n, bits), atol=1e-12)
 
 
 def test_correlation_op_unitary_and_dagger():
@@ -507,43 +515,46 @@ def test_norm_guard_trips():
         x_phase(state)
 
 
-def scale_a_live_block(state):
-    for block in simulator._live(state):
+def scale_a_held_block(state):
+    for block in simulator._held(state):
         if block.any():
             block *= 1.1
             return
 
 
 def write_a_nan(state):
-    simulator._live(state)[0][1] = np.nan
+    simulator._held(state)[0, 1] = np.nan
 
 
 def leak_into_a_dead_block(state):
-    dead = [w for w in ALL_BLOCKS if w not in state.live]
-    simulator._blocks(state)[dead[-1], 3] = 0.5
+    assert state.lone
+    answer_one(state)[3] = 0.5
 
 
 def tilt_two_columns(state):  # column 0 gains the squared norm column 1 loses
-    for block in simulator._live(state):
+    for block in simulator._held(state):
         columns = block.reshape(state.columns, -1)
         columns[0] *= math.sqrt(1.5)
         columns[1] *= math.sqrt(0.5)
 
 
-@pytest.mark.parametrize("corrupt", [leak_into_a_dead_block, tilt_two_columns])
-@pytest.mark.parametrize("gate", ["hadamard_index", "x_phase", "apply_membership",
-                                  "cz_answer_phase", "reflect_zero_index", "apply_marked_phase"])
-def test_a_lone_gate_breaking_the_norm_where_no_live_block_shows_it_fails_its_check(gate, corrupt):
-    """A gate that writes into a block it leaves dead (block 3 of a state
-    whose live set is block 0), or that moves norm from one column to
-    another, keeps the live blocks' total; its check on exit reads every
-    column of all four blocks, so it raises."""
+# apply_membership on a lone state overwrites the answer-1 block, so a leak there is erased
+@pytest.mark.parametrize("gate, corrupt", [
+    (gate, corrupt)
+    for gate in ("hadamard_index", "x_phase", "apply_membership", "cz_answer_phase",
+                 "reflect_zero_index", "apply_marked_phase")
+    for corrupt in (leak_into_a_dead_block, tilt_two_columns)
+    if (gate, corrupt) != ("apply_membership", leak_into_a_dead_block)])
+def test_a_lone_gate_breaking_the_norm_where_no_held_block_shows_it_fails_its_check(gate, corrupt):
+    """A gate that writes into the answer-1 block of a lone state, which
+    no gate of a lone state reads, or that moves norm from one column to
+    another, keeps the held blocks' total; its check on exit reads every
+    column of both blocks, so it raises."""
     n, k = 5, 2
     rng = np.random.default_rng(36)
     args = {"apply_membership": (rng.integers(0, 2, size=1 << n), QueryCounter()),
             "apply_marked_phase": (rng.random(1 << n) < 0.25,)}.get(gate, ())
     state = hadamard_index(init_state(n, k))
-    assert state.live == (0,)
     corrupt(state)
     with pytest.raises(StateNormError):
         getattr(simulator, gate)(state, *args)
@@ -554,10 +565,11 @@ def test_a_lone_gate_breaking_the_norm_where_no_live_block_shows_it_fails_its_ch
                                            ("cz_answer_phase", tilt_two_columns)])
 def test_a_lone_correlation_op_with_a_gate_breaking_the_norm_unseen_fails(monkeypatch, operation,
                                                                           gate, corrupt):
-    """A gate inside that writes into a dead block after each index
-    transform, the last gate of both directions, or that moves norm
-    between columns, keeps the live blocks' total; the operation's one
-    check reads every column of all four blocks, so it raises."""
+    """A gate inside that writes into the answer-1 block of the lone state
+    each index transform leaves, the last gate of both directions, or
+    that moves norm between columns, keeps the held blocks' total; the
+    operation's one check reads every column of both blocks, so it
+    raises."""
     n, k = 5, 2
     bits = np.random.default_rng(37).integers(0, 2, size=(1 << n, k)).astype(np.uint8)
     real = getattr(simulator, gate)
@@ -584,7 +596,7 @@ OPERATIONS = {
 
 
 @pytest.mark.parametrize("operation", sorted(OPERATIONS))
-@pytest.mark.parametrize("corrupt", [scale_a_live_block, write_a_nan])
+@pytest.mark.parametrize("corrupt", [scale_a_held_block, write_a_nan])
 @pytest.mark.parametrize("gate", ["hadamard_index", "x_phase", "apply_membership",
                                   "cz_answer_phase"])
 def test_a_broken_inner_gate_fails_the_operations_one_check(monkeypatch, gate, corrupt, operation):
@@ -615,7 +627,7 @@ def test_a_raise_inside_an_operation_leaves_a_lone_gate_its_check(operation):
     state = prepare_spectrum_state(bits, QueryCounter())
     with pytest.raises(ValueError):  # a gate inside refuses index tables of three columns
         OPERATIONS[operation](state, np.tile(bits[:, :1], 3), np.zeros((1 << n, 3), dtype=bool))
-    scale_a_live_block(state)
+    scale_a_held_block(state)
     with pytest.raises(StateNormError):
         cz_answer_phase(state)
 
@@ -682,9 +694,9 @@ def test_dump_round_trip():
         planted_parity(5, 9, 0.25, seed=20), QueryCounter())
     blob = dump_state(state)
     assert blob[:8] == b"QHSREAL1"
-    assert len(blob) == 16 + 8 * state.amps.size
+    assert len(blob) == 16 + 8 * (4 << state.n)
     again = load_state(blob)
-    assert again.n == state.n
+    assert (again.n, again.phase) == (state.n, state.phase)
     assert np.array_equal(again.amps, state.amps)
     hadamard_index(again)  # the loaded state is writable
     with pytest.raises(ValueError):
@@ -706,6 +718,28 @@ def test_dump_is_the_c_order_of_the_view():
         assert np.frombuffer(blob, dtype="<f8", count=1, offset=at)[0] == view[i, a, p]
 
 
+def test_a_write_to_the_view_leaves_the_state_and_its_dump_unchanged():
+    state = prepare_spectrum_state(planted_parity(4, 5, 0.25, seed=40), QueryCounter())
+    blob = dump_state(state)
+    view = state.view()
+    view[:] = 0.5
+    assert dump_state(state) == blob
+    assert not np.shares_memory(state.view(), state.amps)
+
+
+@PHASES
+def test_load_state_refuses_a_phase_qubit_outside_a_basis_state(phase):
+    state = random_state(3, 41, phase)
+    blob = dump_state(state)
+    dense = np.frombuffer(blob, "<f8", offset=16).reshape(8, 2, 2).copy()
+    dense[:, :, 1 - phase] = -0.0  # a phase whose amplitudes are all +-0.0 counts as empty
+    loaded = load_state(blob[:16] + dense.astype("<f8").tobytes())
+    assert loaded.phase == phase and loaded.amps.tobytes() == state.amps.tobytes()
+    dense[5, 1, 1 - phase] = 1e-300  # one tiny amplitude at the other phase
+    with pytest.raises(ValueError, match="basis state"):
+        load_state(blob[:16] + dense.astype("<f8").tobytes())
+
+
 def test_each_column_of_a_batch_runs_its_own_circuit_bit_for_bit():
     rng = np.random.default_rng(30)
     for n in (1, 5, 6, 9, 10):  # odd n: the amplitudes are not dyadic
@@ -720,12 +754,14 @@ def test_each_column_of_a_batch_runs_its_own_circuit_bit_for_bit():
         for c in range(k):
             alone = prepare_spectrum_state(bits[:, c], QueryCounter())
             grover_step(alone, bits[:, c], marked[:, c], QueryCounter())
-            assert batch.amps.reshape(4, k, -1)[:, c].tobytes() == alone.amps.tobytes()
+            assert batch.phase == alone.phase
+            assert batch.amps.reshape(2, k, -1)[:, c].tobytes() == alone.amps.tobytes()
             assert dists[c].tobytes() == index_distribution(alone).tobytes()
 
 
 def test_a_batch_holds_at_most_its_amplitude_cap():
-    assert batch_columns(10) == BATCH_AMPS >> 12 >= 9  # a stage's digit rows at n = 10
+    assert batch_columns(10) == BATCH_AMPS >> 11 == 16 >= 9  # a stage's digit rows at n = 10
+    assert [batch_columns(n) for n in (12, 13, 14)] == [4, 2, 1]
     assert batch_columns(20) == 1 and init_state(20).columns == 1
     with pytest.raises(ValueError):
         init_state(10, batch_columns(10) + 1)
@@ -744,7 +780,7 @@ def test_a_gate_moving_norm_between_columns_fails_the_composite_exit_check(monke
 
     def tilting_cz(state):  # column 0 gains the squared norm column 1 loses
         cz(state)
-        for block in simulator._live(state):
+        for block in simulator._held(state):
             columns = block.reshape(k, -1)
             columns[0] *= math.sqrt(1.5)
             columns[1] *= math.sqrt(0.5)
